@@ -78,6 +78,12 @@ class KripkeModel:
         self.agents = tuple(agents)
         if len(set(self.agents)) != len(self.agents) or not self.agents:
             raise SchemaError("agents must be a non-empty list of distinct names")
+        # ids must be strings: they are sorted here, and window validation
+        # reads the least id of a set as the lowest bit of its mask
+        worlds = tuple(worlds)
+        odd = next((w for w in worlds if not isinstance(w, str)), None)
+        if odd is not None:
+            raise SchemaError(f"world ids must be strings, got {odd!r}")
         self.worlds = tuple(sorted(worlds))
         if len(set(self.worlds)) != len(self.worlds) or not self.worlds:
             raise SchemaError("worlds must be a non-empty list of distinct ids")

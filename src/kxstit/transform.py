@@ -227,167 +227,297 @@ def _families(obj):
     return fams
 
 
-def validate_window(win, mode="actual", n=1):
-    """Frame conditions relativized to the window interior: universal
-    quantifiers range over interior worlds, existential witnesses over the
-    whole window.
+def _bits(mask):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _low(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def _holders(cells):
+    """Mask of the worlds holding each distinct cell of a family."""
+    out = {}
+    for w, cell in enumerate(cells):
+        out[cell] = out.get(cell, 0) | 1 << w
+    return out
+
+
+class _DenseWindow:
+    """A window on dense world indices.  World i is ``win.worlds[i]``; that
+    tuple is sorted, so the least world id of a set is its lowest bit.  Each
+    family is a list of per-world neighbour masks (identical cells share one
+    int), ``succ``/``pred`` are index lists with None where the map is
+    partial.
     """
-    checks = {c: FrameCheck(c, True) for c in CONDITIONS}
 
-    def fail(cond, witness, explanation):
-        c = checks[cond]
-        if c.passed:
-            c.passed = False
-            c.witness = list(witness)
-            c.explanation = explanation
+    def __init__(self, win):
+        self.names = win.worlds
+        self.agents = win.agents
+        pos = {w: i for i, w in enumerate(win.worlds)}
+        masks = {}
 
-    interior = sorted(win.interior)
+        def mask(cell):
+            m = masks.get(cell)
+            if m is None:
+                m = masks[cell] = sum(1 << pos[w] for w in cell)
+            return m
 
-    # EQ: families must restrict to equivalences; succ injective and
-    # irreflexive on the interior
-    for name, mates in _families(win):
-        for u in interior:
-            cell = mates(u)
-            if u not in cell:
-                fail("EQ", [u], f"{name} not reflexive")
-                continue
-            for v in cell:
-                if v in win.interior and u not in mates(v):
-                    fail("EQ", [u, v], f"{name} not symmetric")
-                elif v in win.interior and not (mates(v) & win.interior) <= cell:
-                    bad = min((mates(v) & win.interior) - cell)
-                    fail("EQ", [u, v, bad], f"{name} not transitive")
-    seen_targets = {}
-    for u in interior:
-        s = win.succ_of(u)
+        self.interior = mask(win.interior)
+        self.families = [(name, [mask(mates(w)) for w in win.worlds])
+                         for name, mates in _families(win)]
+        k = len(self.agents)
+        self.box = self.families[0][1]
+        self.ags = self.families[1][1]
+        self.choice = {a: cells for a, (_, cells) in zip(self.agents, self.families[2:2 + k])}
+        self.epi = {a: cells for a, (_, cells) in zip(self.agents, self.families[2 + k:])}
+        self.succ = [pos.get(win.succ_of(w)) for w in win.worlds]
+        self.pred = [pos.get(win.pred_of(w)) for w in win.worlds]
+
+
+# Each check yields (condition, witness indices, explanation) for the first
+# violation of each of its conditions in world order, then stops looking
+# for that condition.
+
+def _check_eq(d, mode, n):
+    inner = d.interior
+    for name, cells in d.families:
+        holders = _holders(cells)
+        for u in _bits(inner):
+            cell = cells[u]
+            if not cell >> u & 1:
+                yield "EQ", [u], f"{name} not reflexive"
+                return
+            # mates holding this same cell cannot break symmetry or transitivity
+            for v in _bits(cell & inner & ~holders[cell]):
+                if not cells[v] >> u & 1:
+                    yield "EQ", [u, v], f"{name} not symmetric"
+                    return
+                extra = cells[v] & inner & ~cell
+                if extra:
+                    yield "EQ", [u, v, _low(extra)], f"{name} not transitive"
+                    return
+    targets = {}
+    for u in _bits(inner):
+        s = d.succ[u]
         if s is None:
-            fail("EQ", [u], "succ undefined on an interior world")
-            continue
+            yield "EQ", [u], "succ undefined on an interior world"
+            return
         if s == u:
-            fail("EQ", [u], "succ reflexive on the interior")
-        if s in seen_targets:
-            fail("EQ", [seen_targets[s], u], "succ not injective")
-        seen_targets[s] = u
+            yield "EQ", [u], "succ reflexive on the interior"
+            return
+        if s in targets:
+            yield "EQ", [targets[s], u], "succ not injective"
+            return
+        targets[s] = u
 
-    # INVERSE on the interior
-    for u in interior:
-        s, p = win.succ_of(u), win.pred_of(u)
-        if s is not None and win.pred_of(s) != u:
-            fail("INVERSE", [u], "pred(succ) is not identity")
-        if p is not None and win.succ_of(p) != u:
-            fail("INVERSE", [u], "succ(pred) is not identity")
 
-    # SET
-    for u in interior:
-        for a in win.agents:
-            if not win.choice_cell(a, u) <= win.box_cell(u):
-                fail("SET", [u], f"choice cell of {a} leaves the settledness class")
-        if not win.ags_cell(u) <= win.box_cell(u):
-            fail("SET", [u], "coalition cell leaves the settledness class")
+def _check_inverse(d, mode, n):
+    for u in _bits(d.interior):
+        s, p = d.succ[u], d.pred[u]
+        if s is not None and d.pred[s] != u:
+            yield "INVERSE", [u], "pred(succ) is not identity"
+            return
+        if p is not None and d.succ[p] != u:
+            yield "INVERSE", [u], "succ(pred) is not identity"
+            return
 
-    # IA: selections assembled from cells of interior members of a class
-    boxes_seen = set()
-    for u in interior:
-        box = win.box_cell(u)
-        key = min(box)
-        if key in boxes_seen:
-            continue
-        boxes_seen.add(key)
+
+def _check_set(d, mode, n):
+    for u in _bits(d.interior):
+        box = d.box[u]
+        for a in d.agents:
+            if d.choice[a][u] & ~box:
+                yield "SET", [u], f"choice cell of {a} leaves the settledness class"
+                return
+        if d.ags[u] & ~box:
+            yield "SET", [u], "coalition cell leaves the settledness class"
+            return
+
+
+def _classes(d):
+    """(least world, cell) of each settledness class met by the interior,
+    in world order."""
+    seen = set()
+    for u in _bits(d.interior):
+        box = d.box[u]
+        key = _low(box)
+        if key not in seen:
+            seen.add(key)
+            yield key, box
+
+
+def _check_ia(d, mode, n):
+    # selections assembled from cells of interior members of a class
+    for key, box in _classes(d):
+        members = list(_bits(box & d.interior))
         per_agent = []
-        for a in win.agents:
-            cells = []
-            seen = set()
-            for w in sorted(box & win.interior):
-                c = win.choice_cell(a, w)
-                if min(c) not in seen:
-                    seen.add(min(c))
-                    cells.append(c)
-            per_agent.append(cells)
+        for a in d.agents:
+            cells = {}
+            for w in members:
+                cells.setdefault(_low(d.choice[a][w]), d.choice[a][w])
+            per_agent.append(cells.values())
         for sel in itertools.product(*per_agent):
             inter = box
             for c in sel:
                 inter &= c
             if not inter:
-                fail("IA", [key], f"empty selection through cells of {[min(c) for c in sel]}")
-                break
+                picked = [d.names[_low(c)] for c in sel]
+                yield "IA", [key], f"empty selection through cells of {picked}"
+                return
 
-    # ADDITIVITY
-    for u in interior:
-        inter = win.box_cell(u)
-        for a in win.agents:
-            inter &= win.choice_cell(a, u)
-        ags = win.ags_cell(u)
+
+def _check_additivity(d, mode, n):
+    for u in _bits(d.interior):
+        inter = d.box[u]
+        for a in d.agents:
+            inter &= d.choice[a][u]
+        ags = d.ags[u]
         if mode == "actual" and ags != inter:
-            fail("ADDITIVITY", [u], "coalition cell differs from the intersection of agent cells")
-        elif mode == "super_additive" and not ags <= inter:
-            fail("ADDITIVITY", [u], "coalition cell not contained in the intersection of agent cells")
+            yield "ADDITIVITY", [u], "coalition cell differs from the intersection of agent cells"
+            return
+        if mode == "super_additive" and ags & ~inter:
+            yield "ADDITIVITY", [u], "coalition cell not contained in the intersection of agent cells"
+            return
 
-    # CARD over interior-visible cells
-    boxes_seen = set()
-    for u in interior:
-        box = win.box_cell(u)
-        key = min(box)
-        if key in boxes_seen:
-            continue
-        boxes_seen.add(key)
-        members = sorted(box & win.interior)
-        n_ags = len({min(win.ags_cell(w)) for w in members})
+
+def _check_card(d, mode, n):
+    # over interior-visible cells
+    for key, box in _classes(d):
+        members = list(_bits(box & d.interior))
+        n_ags = len({_low(d.ags[w]) for w in members})
         if n_ags > n:
-            fail("CARD", [key], f"{n_ags} coalition cells (bound {n})")
-        for a in win.agents:
-            n_a = len({min(win.choice_cell(a, w)) for w in members})
+            yield "CARD", [key], f"{n_ags} coalition cells (bound {n})"
+            return
+        for a in d.agents:
+            n_a = len({_low(d.choice[a][w]) for w in members})
             if n_a > n:
-                fail("CARD", [key], f"{n_a} cells for {a} (bound {n})")
+                yield "CARD", [key], f"{n_a} cells for {a} (bound {n})"
+                return
 
-    # NX / NA / NAGS: interior box-related pairs have related predecessors
-    for u in interior:
-        pu = win.pred_of(u)
-        for v in win.box_cell(u):
-            if v not in win.interior or v <= u:
+
+def _preimage(d):
+    """Function from a mask to the mask of worlds whose predecessor lies in
+    it, cached by mask."""
+    back = [0] * len(d.names)
+    for v, p in enumerate(d.pred):
+        if p is not None:
+            back[p] |= 1 << v
+    cache = {}
+
+    def pre(mask):
+        m = cache.get(mask)
+        if m is None:
+            m = 0
+            for x in _bits(mask):
+                m |= back[x]
+            cache[mask] = m
+        return m
+
+    return pre
+
+
+def _check_past(d, mode, n):
+    # NX / NA / NAGS: interior box-related pairs have related predecessors;
+    # NOF: so do interior epistemically related pairs
+    pre = _preimage(d)
+    has_pred = d.interior & ~sum(1 << v for v, p in enumerate(d.pred) if p is None)
+    pending = {"NX", "NA", "NAGS"}
+    for u in _bits(d.interior):
+        pu = d.pred[u]
+        if pu is None:
+            continue
+        later = (d.box[u] & has_pred) >> (u + 1) << (u + 1)
+        if not later:
+            continue
+        if "NX" in pending:
+            bad = later & ~pre(d.box[pu])
+            if bad:
+                v = _low(bad)
+                pending.discard("NX")
+                yield "NX", [u, v], f"predecessors {d.names[pu]}, {d.names[d.pred[v]]} not settledness-related"
+        if "NAGS" in pending:
+            bad = later & ~pre(d.ags[pu])
+            if bad:
+                v = _low(bad)
+                pending.discard("NAGS")
+                yield "NAGS", [u, v], (f"predecessors {d.names[pu]}, {d.names[d.pred[v]]} "
+                                       "not coalition-choice-related")
+        if "NA" in pending:
+            bad = 0
+            for a in d.agents:
+                bad |= later & ~pre(d.choice[a][pu])
+            if bad:
+                v = _low(bad)
+                a = next(a for a in d.agents if not pre(d.choice[a][pu]) >> v & 1)
+                pending.discard("NA")
+                yield "NA", [u, v], (f"predecessors {d.names[pu]}, {d.names[d.pred[v]]} "
+                                     f"not choice-related for {a}")
+        if not pending:
+            break
+    for a in d.agents:
+        cells = d.epi[a]
+        for u in _bits(d.interior):
+            pu = d.pred[u]
+            if pu is None:
                 continue
-            pv = win.pred_of(v)
-            if pu is None or pv is None:
-                continue
-            if pv not in win.box_cell(pu):
-                fail("NX", [u, v], f"predecessors {pu}, {pv} not settledness-related")
-            if pv not in win.ags_cell(pu):
-                fail("NAGS", [u, v], f"predecessors {pu}, {pv} not coalition-choice-related")
-            for a in win.agents:
-                if pv not in win.choice_cell(a, pu):
-                    fail("NA", [u, v], f"predecessors {pu}, {pv} not choice-related for {a}")
-                    break
+            bad = (cells[u] & has_pred) >> (u + 1) << (u + 1) & ~pre(cells[pu])
+            if bad:
+                yield "NOF", [u, _low(bad)], f"predecessors not epistemically related for {a}"
+                return
 
-    # NOF
-    for a in win.agents:
-        for u in interior:
-            pu = win.pred_of(u)
-            for v in win.epi_cell(a, u):
-                if v not in win.interior or v <= u:
-                    continue
-                pv = win.pred_of(v)
-                if pu is None or pv is None:
-                    continue
-                if pv not in win.epi_cell(a, pu):
-                    fail("NOF", [u, v], f"predecessors not epistemically related for {a}")
 
-    # UNIF_H: interior-witnessed links extend from interior worlds, with
+def _check_unif_h(d, mode, n):
+    # interior-witnessed links extend from interior worlds, with
     # window-wide witnesses
-    for a in win.agents:
-        links = set()
-        for u in interior:
-            for v in win.epi_cell(a, u):
-                if v in win.interior:
-                    links.add((min(win.box_cell(u)), min(win.box_cell(v))))
-        box_by_key = {}
-        for u in win.worlds:
-            box_by_key.setdefault(min(win.box_cell(u)), win.box_cell(u))
-        for k1, k2 in sorted(links):
-            for v in sorted(box_by_key[k1] & win.interior):
-                cell = win.epi_cell(a, v)
-                if not any(min(win.box_cell(x)) == k2 for x in cell):
-                    fail("UNIF_H", [v], f"no epistemic mate for {a} in class of {k2}")
-                    break
+    key = [_low(box) for box in d.box]
+    box_by_key = {}
+    for w, box in enumerate(d.box):
+        box_by_key.setdefault(key[w], box)
+    keys_cache = {}
 
+    def keys(mask):
+        ks = keys_cache.get(mask)
+        if ks is None:
+            ks = keys_cache[mask] = {key[v] for v in _bits(mask)}
+        return ks
+
+    for a in d.agents:
+        cells = d.epi[a]
+        # meets[k]: worlds with an epistemic mate in the class of key k
+        meets = {}
+        for cell, hold in _holders(cells).items():
+            for k in keys(cell):
+                meets[k] = meets.get(k, 0) | hold
+        links = set()
+        for k1, cell in {(key[u], cells[u]) for u in _bits(d.interior)}:
+            links.update((k1, k2) for k2 in keys(cell & d.interior))
+        for k1, k2 in sorted(links):
+            bad = box_by_key[k1] & d.interior & ~meets.get(k2, 0)
+            if bad:
+                yield "UNIF_H", [_low(bad)], f"no epistemic mate for {a} in class of {d.names[k2]}"
+                return
+
+
+_WINDOW_CHECKS = (_check_eq, _check_inverse, _check_set, _check_ia, _check_additivity,
+                  _check_card, _check_past, _check_unif_h)
+
+
+def validate_window(win, mode="actual", n=1):
+    """Frame conditions relativized to the window interior: universal
+    quantifiers range over interior worlds, existential witnesses over the
+    whole window.  Each failed condition's witness is its first violation
+    in world order.
+    """
+    d = _DenseWindow(win)
+    checks = {c: FrameCheck(c, True) for c in CONDITIONS}
+    for check in _WINDOW_CHECKS:
+        for cond, witness, explanation in check(d, mode, n):
+            checks[cond] = FrameCheck(cond, False, [d.names[i] for i in witness], explanation)
     return FrameReport(mode, n, [checks[c] for c in CONDITIONS])
 
 
@@ -743,7 +873,7 @@ class MatrixWindow:
     """
 
     def __init__(self, agents, worlds, layer, interior, horizon, root,
-                 succ, pred, rel, valuation):
+                 succ, pred, rel, valuation, matrix_worlds, tables):
         self.agents = tuple(agents)
         self.worlds = tuple(sorted(worlds))
         self.layer = dict(layer)
@@ -754,6 +884,8 @@ class MatrixWindow:
         self.pred = dict(pred)
         self.rel = rel  # family name -> {world: frozenset}
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
+        self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
+        self.tables = tables  # least world of a source class -> ChoiceProfileTable
 
     def box_cell(self, w):
         return self.rel["box"][w]
@@ -821,86 +953,82 @@ def actualize(source, n=None):
             if key not in tables:
                 tables[key] = choice_profiles(source, w, n=n)
 
-    def table(w):
-        return tables[min(source.box_cell(w))]
+    table_of = {w: tables[min(source.box_cell(w))] for w in source.worlds}
 
     def indices_of(v):
-        t = table(v)
+        t = table_of[v]
         cell = source.ags_cell(v)
         return [k for k, c in enumerate(t.enumeration[t.profile_of_world[v]]) if c == cell]
 
     agents = list(source.agents)
     vec_space = list(itertools.product(range(n), repeat=len(agents)))
+    chains = {w: _chain(source, w) for w in source.worlds}
 
     matrix = []
     ids = {}
     for w in sorted(source.worlds):
-        chain = _chain(source, w)
+        chain = chains[w]
         options = []
         for v in chain:
             ks = set(indices_of(v))
             options.append([vec for vec in vec_space if sum(vec) % n in ks])
-        count = 0
-        for combo in itertools.product(*options):
-            fn = tuple(sorted(zip(chain, combo)))
-            t = table(w)
-            mw = MatrixWorld(t.profile_of_world[w], fn, w)
+        t = table_of[w]
+        for count, combo in enumerate(itertools.product(*options)):
             wid = f"{w}#{count}"
-            ids[wid] = mw
+            ids[wid] = MatrixWorld(t.profile_of_world[w], tuple(sorted(zip(chain, combo))), w)
             matrix.append(wid)
-            count += 1
 
     by_base = {}
     for wid, mw in ids.items():
         by_base.setdefault(mw.base, []).append(wid)
 
-    def h_minus(w):
-        chain = _chain(source, w)
-        return chain[:chain.index(w)]
+    fns = {wid: mw.fn for wid, mw in ids.items()}
 
-    def past_match(mw1, mw2):
-        f1, f2 = mw1.fn, mw2.fn
-        for v in h_minus(mw1.base):
-            for v2 in source.ags_cell(v):
-                if v2 in f2 and f1[v] != f2[v2]:
-                    return False
-        for v in h_minus(mw2.base):
-            for v2 in source.ags_cell(v):
-                if v2 in f1 and f2[v] != f1[v2]:
-                    return False
-        return True
+    def agreeing(b1, b2):
+        """Matrix worlds over b1 and b2 are settledness-related when they
+        carry equal vectors at each past world of either base and its
+        coalition mates on the other's chain.  Returns the chain worlds of
+        b1 to read and the worlds over b2 keyed by their vectors there."""
+        on1, on2 = set(chains[b1]), set(chains[b2])
+        pairs = []
+        for v in chains[b1][:chains[b1].index(b1)]:
+            pairs.extend((v, v2) for v2 in source.ags_cell(v) if v2 in on2)
+        for v in chains[b2][:chains[b2].index(b2)]:
+            pairs.extend((v2, v) for v2 in source.ags_cell(v) if v2 in on1)
+        by_key = {}
+        for wid2 in by_base.get(b2, ()):
+            f2 = fns[wid2]
+            by_key.setdefault(tuple(f2[y] for _, y in pairs), []).append(wid2)
+        return [x for x, _ in pairs], by_key
 
-    rel = {"box": {}, "ags": {}}
+    rel = {"box": {wid: set() for wid in matrix}, "ags": {wid: set() for wid in matrix}}
     for a in agents:
-        rel[f"choice:{a}"] = {}
-        rel[f"epi:{a}"] = {}
-    for wid in matrix:
-        for fam in rel:
-            rel[fam][wid] = set()
+        rel[f"choice:{a}"] = {wid: set() for wid in matrix}
+        # every matrix world over the base world's epistemic cell
+        over = {b: frozenset(wid for b2 in source.epi_cell(a, b) for wid in by_base.get(b2, ()))
+                for b in source.worlds}
+        rel[f"epi:{a}"] = {wid: over[ids[wid].base] for wid in matrix}
 
+    profile = {wid: table_of[mw.base].profiles[mw.profile] for wid, mw in ids.items()}
+    vector = {wid: fns[wid][mw.base] for wid, mw in ids.items()}
+    box_rel, ags_rel = rel["box"], rel["ags"]
+    choice_rels = list(enumerate(rel[f"choice:{a}"] for a in agents))
+    agreements = {}
     for wid1 in matrix:
-        mw1 = ids[wid1]
-        t1 = table(mw1.base)
-        for b2 in source.box_cell(mw1.base):
-            for wid2 in by_base.get(b2, ()):
-                mw2 = ids[wid2]
-                if not past_match(mw1, mw2):
-                    continue
-                rel["box"][wid1].add(wid2)
-                t2 = table(mw2.base)
-                prof1 = t1.profiles[mw1.profile]
-                prof2 = t2.profiles[mw2.profile]
-                f1w = mw1.fn[mw1.base]
-                f2w = mw2.fn[mw2.base]
-                for i, a in enumerate(agents):
-                    if prof1[i] == prof2[i] and f1w[i] == f2w[i]:
-                        rel[f"choice:{a}"][wid1].add(wid2)
-                if prof1 == prof2 and f1w == f2w:
-                    rel["ags"][wid1].add(wid2)
-        for a in agents:
-            cell = source.epi_cell(a, mw1.base)
-            for b2 in cell:
-                rel[f"epi:{a}"][wid1].update(by_base.get(b2, ()))
+        b1 = ids[wid1].base
+        f1, prof1, vec1 = fns[wid1], profile[wid1], vector[wid1]
+        for b2 in source.box_cell(b1):
+            if (b1, b2) not in agreements:
+                agreements[(b1, b2)] = agreeing(b1, b2)
+            xs, by_key = agreements[(b1, b2)]
+            for wid2 in by_key.get(tuple(f1[x] for x in xs), ()):
+                box_rel[wid1].add(wid2)
+                prof2, vec2 = profile[wid2], vector[wid2]
+                for i, choice_rel in choice_rels:
+                    if prof1[i] == prof2[i] and vec1[i] == vec2[i]:
+                        choice_rel[wid1].add(wid2)
+                if prof1 == prof2 and vec1 == vec2:
+                    ags_rel[wid1].add(wid2)
 
     for fam in rel:
         rel[fam] = {w: frozenset(v) for w, v in rel[fam].items()}
@@ -925,8 +1053,6 @@ def actualize(source, n=None):
     root = min(by_base.get(source.root, matrix))
 
     out = MatrixWindow(agents, matrix, layer, interior, source.horizon, root,
-                       succ, pred, rel, valuation)
+                       succ, pred, rel, valuation, ids, tables)
     projection = {wid: ids[wid].base for wid in matrix}
-    out.matrix_worlds = ids
-    out.tables = tables
     return out, projection

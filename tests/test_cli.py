@@ -92,3 +92,14 @@ def test_soundness_subcommand(capsys):
     assert main(["soundness", "--models", "4"]) == 0
     out = capsys.readouterr().out
     assert "violations: 0" in out
+
+
+def test_validate_non_string_world_ids_is_schema_error(tmp_path, capsys):
+    path = tmp_path / "mixed.model"
+    path.write_text(json.dumps({
+        "format_version": 1, "agents": ["a"], "worlds": ["w", 1],
+        "r_box": [["w", 1]], "succ": {"w": "w", "1": 1},
+        "choice": {"a": [["w", 1]]}, "epistemic": {"a": [["w", 1]]}}))
+    assert main(["validate", str(path)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "SchemaError" and "world ids must be strings" in record["message"]

@@ -1,14 +1,85 @@
+import json
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
+import kxstit
 from kxstit import formula as F
 from kxstit.checker import eval_formula
 from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel,
                            PartialMap, SourceNotIrreflexive)
 from kxstit.gen import GenParams, random_formula, random_model
 from kxstit.model import KripkeModel, validate_frame
-from kxstit.transform import (actualize, check_bounded_morphism, choice_profiles,
-                              truth_preservation, unravel, validate_window,
-                              window_eval)
+from kxstit.transform import (WindowModel, actualize, check_bounded_morphism,
+                              choice_profiles, truth_preservation, unravel,
+                              validate_window, window_eval)
+
+
+def _mates(win, family):
+    if family == "box":
+        return win.box_cell
+    if family == "ags":
+        return win.ags_cell
+    kind, agent = family.split(":")
+    if kind == "choice":
+        return lambda w: win.choice_cell(agent, w)
+    return lambda w: win.epi_cell(agent, w)
+
+
+def _shows_failure(win, check, n):
+    """Whether ``check``'s witness violates its condition in actual mode,
+    judged from the window relations alone.  Covers the failures the tests
+    below provoke."""
+    cond, witness, text = check.condition, check.witness, check.explanation
+    inner = win.interior
+    if not set(witness) <= inner:
+        return False
+    if cond == "EQ" and text == "succ not injective":
+        u, v = witness
+        return u != v and win.succ_of(u) == win.succ_of(v)
+    if cond == "EQ" and text.endswith(" not transitive"):
+        mates = _mates(win, text[:-len(" not transitive")])
+        u, v, w = witness
+        return v in mates(u) and w in mates(v) and w not in mates(u)
+    if cond in ("NX", "NA", "NAGS"):
+        u, v = witness
+        pu, pv = win.pred_of(u), win.pred_of(v)
+        if v not in win.box_cell(u) or pu is None or pv is None:
+            return False
+        if cond == "NX":
+            return pv not in win.box_cell(pu)
+        if cond == "NAGS":
+            return pv not in win.ags_cell(pu)
+        return any(pv not in win.choice_cell(a, pu) for a in win.agents)
+    if cond == "SET":
+        (u,) = witness
+        box = win.box_cell(u)
+        return not win.ags_cell(u) <= box or any(not win.choice_cell(a, u) <= box
+                                                 for a in win.agents)
+    if cond == "ADDITIVITY":
+        (u,) = witness
+        inter = win.box_cell(u)
+        for a in win.agents:
+            inter = inter & win.choice_cell(a, u)
+        return win.ags_cell(u) != inter
+    if cond == "CARD":
+        (key,) = witness
+        members = win.box_cell(key) & inner
+        counts = [len({win.ags_cell(w) for w in members})]
+        counts += [len({win.choice_cell(a, w) for w in members}) for a in win.agents]
+        return max(counts) > n
+    if cond == "UNIF_H":
+        (v,) = witness
+        agent, k2 = re.fullmatch(r"no epistemic mate for (\S+) in class of (\S+)", text).groups()
+        k1 = min(win.box_cell(v))
+        linked = any(min(win.box_cell(x)) == k2
+                     for u in inner if min(win.box_cell(u)) == k1
+                     for x in win.epi_cell(agent, u) & inner)
+        return linked and all(min(win.box_cell(x)) != k2 for x in win.epi_cell(agent, v))
+    raise AssertionError(f"no judge for {cond}: {text}")
 
 
 def test_one_world_loop_depth_two(one_world):
@@ -162,10 +233,13 @@ def test_actualize_super_additive_fixture(super_additive_fixture):
     mat, mproj = actualize(win, n=2)
 
     # the coalition relation is exactly the intersection of the agent
-    # relations on the interior (actual additivity)
+    # relations on the interior (actual additivity); the source's NAGS
+    # failure shows up in the matrix, and every witness is a real violation
     report = validate_window(mat, "actual", 2)
-    additivity = next(c for c in report.checks if c.condition == "ADDITIVITY")
-    assert additivity.passed
+    assert len(mat.worlds) == 1280
+    assert {c.condition for c in report.failed()} == {"CARD", "EQ", "NA", "NAGS", "UNIF_H"}
+    for check in report.failed():
+        assert _shows_failure(mat, check, 2), (check.condition, check.witness, check.explanation)
     # and the agent cells genuinely split to realize it
     assert any(len(mat.choice_cell("a0", w)) < len(mat.box_cell(w))
                for w in mat.interior)
@@ -201,3 +275,96 @@ def test_past_chain_correspondence_on_valid_windows():
     # and the composition of unravel after actualize preserves shallow truth
     mat, mproj = actualize(win)
     assert all(mat.layer[w] == win.layer[mproj[w]] for w in mat.worlds)
+
+
+# Builds the 729-world matrix of the three-world super-additive fixture and
+# prints the witnesses of its failed conditions.
+_WITNESS_SCRIPT = """
+import json
+from kxstit.model import KripkeModel
+from kxstit.transform import actualize, unravel, validate_window
+fx = KripkeModel(
+    ["a0", "a1"], ["a", "b", "c"], [["a", "b", "c"]], {"a": "b", "b": "c", "c": "a"},
+    {"a0": [["a", "b", "c"]], "a1": [["a", "b", "c"]]},
+    {"a0": [["a"], ["b"], ["c"]], "a1": [["a", "b", "c"]]},
+    choice_ags=[["a"], ["b"], ["c"]], valuation={"p": ["a"]})
+win, _ = unravel(fx, "a", 1, require_valid=False)
+mat, _ = actualize(win, n=3)
+report = validate_window(mat, "actual", 3)
+print(json.dumps([len(mat.worlds)] + [[c.condition, c.witness] for c in report.failed()]))
+"""
+
+
+def test_window_witnesses_do_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kxstit.__file__)))
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _WITNESS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert runs[0][0] == 729
+    assert runs[0] == runs[1]
+
+
+def _rebuilt(win, **changes):
+    """A copy of ``win`` built through the constructor, with some parts
+    replaced."""
+    parts = dict(agents=win.agents, worlds=win.worlds, layer=win.layer,
+                 interior=win.interior, horizon=win.horizon, root=win.root,
+                 succ=win.succ, pred=win.pred, r_box=win.r_box, choice=win.choice,
+                 choice_ags=win.choice_ags, epistemic=win.epistemic,
+                 valuation=win.valuation)
+    parts.update(changes)
+    return WindowModel(**parts)
+
+
+def _failure(report, condition):
+    return next(c for c in report.checks if c.condition == condition and not c.passed)
+
+
+def test_noninjective_interior_successor_fails_eq(grid50):
+    for m in grid50[:8]:
+        win, _ = unravel(m, m.worlds[0], 2)
+        u1 = min(win.interior)
+        u2 = min(win.interior - {u1, win.succ[u1]})
+        bad = _rebuilt(win, succ={**win.succ, u2: win.succ[u1]})
+        check = _failure(validate_window(bad, "actual", 2), "EQ")
+        assert check.explanation == "succ not injective"
+        assert _shows_failure(bad, check, 2)
+
+
+def test_choice_cell_across_classes_fails_set(grid50):
+    tried = 0
+    for m in grid50[:12]:
+        win, _ = unravel(m, m.worlds[0], 2)
+        a = win.agents[0]
+        u = min(win.interior)
+        other = next((c for c in win.choice[a] if not c <= win.box_cell(u)), None)
+        if other is None:
+            continue
+        mine = win.choice_cell(a, u)
+        cells = [c for c in win.choice[a] if c not in (mine, other)] + [mine | other]
+        bad = _rebuilt(win, choice={**win.choice, a: cells})
+        assert _shows_failure(bad, _failure(validate_window(bad, "actual", 2), "SET"), 2)
+        tried += 1
+    assert tried >= 5
+
+
+def test_coarsened_coalition_cell_fails_additivity(grid50):
+    # choices in frame-valid finite models are trivial, so each class of a
+    # grid window holds one coalition cell: coarsen it with another class's
+    tried = 0
+    for m in grid50[:12]:
+        win, _ = unravel(m, m.worlds[0], 2)
+        mine = win.ags_cell(min(win.interior))
+        other = next((c for c in win.choice_ags if c != mine), None)
+        if other is None:
+            continue
+        cells = [c for c in win.choice_ags if c not in (mine, other)] + [mine | other]
+        bad = _rebuilt(win, choice_ags=cells)
+        report = validate_window(bad, "actual", 2)
+        assert _shows_failure(bad, _failure(report, "ADDITIVITY"), 2)
+        tried += 1
+    assert tried >= 5

@@ -17,19 +17,6 @@ from .errors import ArityMismatch, DuplicateAgents, InvalidModelInSuite
 from .gen import random_formula
 from .model import validate_frame
 
-Atom = F.Atom
-Not = F.Not
-And = F.And
-Implies = F.Implies
-Box = F.Box
-Diamond = F.Diamond
-Next = F.Next
-Yesterday = F.Yesterday
-Stit = F.Stit
-StitAgs = F.StitAgs
-Knows = F.Knows
-
-
 @dataclass(frozen=True)
 class Schema:
     """A named axiom template with formula slots and agent slots."""
@@ -42,11 +29,11 @@ class Schema:
 
 
 def _iff(a, b):
-    return And(Implies(a, b), Implies(b, a))
+    return F.And(F.Implies(a, b), F.Implies(b, a))
 
 
 def _dual(op, phi):
-    return Not(op(Not(phi)))
+    return F.Not(op(F.Not(phi)))
 
 
 def _s5_builders(op_name, make):
@@ -54,23 +41,23 @@ def _s5_builders(op_name, make):
     close over the first agent slot).
     """
     return {
-        f"S5({op_name}).K": lambda fills, agents: Implies(
-            make(Implies(fills[0], fills[1]), agents),
-            Implies(make(fills[0], agents), make(fills[1], agents))),
-        f"S5({op_name}).T": lambda fills, agents: Implies(make(fills[0], agents), fills[0]),
-        f"S5({op_name}).4": lambda fills, agents: Implies(
+        f"S5({op_name}).K": lambda fills, agents: F.Implies(
+            make(F.Implies(fills[0], fills[1]), agents),
+            F.Implies(make(fills[0], agents), make(fills[1], agents))),
+        f"S5({op_name}).T": lambda fills, agents: F.Implies(make(fills[0], agents), fills[0]),
+        f"S5({op_name}).4": lambda fills, agents: F.Implies(
             make(fills[0], agents), make(make(fills[0], agents), agents)),
-        f"S5({op_name}).5": lambda fills, agents: Implies(
+        f"S5({op_name}).5": lambda fills, agents: F.Implies(
             _dual(lambda x: make(x, agents), fills[0]),
             make(_dual(lambda x: make(x, agents), fills[0]), agents)),
     }
 
 
 _OPS = {
-    "box": lambda phi, agents: Box(phi),
-    "stit": lambda phi, agents: Stit(agents[0], phi),
-    "stit_ags": lambda phi, agents: StitAgs(phi),
-    "knows": lambda phi, agents: Knows(agents[0], phi),
+    "box": lambda phi, agents: F.Box(phi),
+    "stit": lambda phi, agents: F.Stit(agents[0], phi),
+    "stit_ags": lambda phi, agents: F.StitAgs(phi),
+    "knows": lambda phi, agents: F.Knows(agents[0], phi),
 }
 
 _BUILDERS = {}
@@ -78,28 +65,31 @@ for _name, _make in _OPS.items():
     _BUILDERS.update(_s5_builders(_name, _make))
 
 _BUILDERS.update({
-    "In1": lambda fills, agents: _iff(Yesterday(Next(fills[0])), fills[0]),
-    "In2": lambda fills, agents: _iff(Next(Yesterday(fills[0])), fills[0]),
-    "DET.S.X": lambda fills, agents: _iff(Next(fills[0]), Not(Next(Not(fills[0])))),
-    "DET.S.Y": lambda fills, agents: _iff(Yesterday(fills[0]), Not(Yesterday(Not(fills[0])))),
-    "SET": lambda fills, agents: Implies(Box(fills[0]), Stit(agents[0], fills[0])),
-    "NA": lambda fills, agents: Implies(Stit(agents[0], Next(fills[0])),
-                                        Stit(agents[0], Next(Box(fills[0])))),
-    "NAgs": lambda fills, agents: Implies(StitAgs(Next(fills[0])), StitAgs(Next(Box(fills[0])))),
-    "GA": lambda fills, agents: Implies(Stit(agents[0], fills[0]), StitAgs(fills[0])),
-    "NoF": lambda fills, agents: Implies(Knows(agents[0], Next(fills[0])),
-                                         Next(Knows(agents[0], fills[0]))),
-    "Unif-H": lambda fills, agents: Implies(Diamond(Knows(agents[0], fills[0])),
-                                            Knows(agents[0], Diamond(fills[0]))),
-    "NX": lambda fills, agents: Implies(Box(Next(fills[0])), Next(Box(fills[0]))),
-    "NY": lambda fills, agents: Implies(Yesterday(Box(fills[0])), Box(Yesterday(fills[0]))),
+    "In1": lambda fills, agents: _iff(F.Yesterday(F.Next(fills[0])), fills[0]),
+    "In2": lambda fills, agents: _iff(F.Next(F.Yesterday(fills[0])), fills[0]),
+    "DET.S.X": lambda fills, agents: _iff(F.Next(fills[0]), F.Not(F.Next(F.Not(fills[0])))),
+    "DET.S.Y": lambda fills, agents: _iff(F.Yesterday(fills[0]),
+                                          F.Not(F.Yesterday(F.Not(fills[0])))),
+    "SET": lambda fills, agents: F.Implies(F.Box(fills[0]), F.Stit(agents[0], fills[0])),
+    "NA": lambda fills, agents: F.Implies(F.Stit(agents[0], F.Next(fills[0])),
+                                          F.Stit(agents[0], F.Next(F.Box(fills[0])))),
+    "NAgs": lambda fills, agents: F.Implies(F.StitAgs(F.Next(fills[0])),
+                                            F.StitAgs(F.Next(F.Box(fills[0])))),
+    "GA": lambda fills, agents: F.Implies(F.Stit(agents[0], fills[0]), F.StitAgs(fills[0])),
+    "NoF": lambda fills, agents: F.Implies(F.Knows(agents[0], F.Next(fills[0])),
+                                           F.Next(F.Knows(agents[0], fills[0]))),
+    "Unif-H": lambda fills, agents: F.Implies(F.Diamond(F.Knows(agents[0], fills[0])),
+                                              F.Knows(agents[0], F.Diamond(fills[0]))),
+    "NX": lambda fills, agents: F.Implies(F.Box(F.Next(fills[0])), F.Next(F.Box(fills[0]))),
+    "NY": lambda fills, agents: F.Implies(F.Yesterday(F.Box(fills[0])),
+                                          F.Box(F.Yesterday(fills[0]))),
 })
 
 
 def _conj(items):
     out = None
     for x in items:
-        out = x if out is None else And(out, x)
+        out = x if out is None else F.And(out, x)
     return out
 
 
@@ -113,19 +103,19 @@ def _disj(items):
 def _ia(fills, agents):
     if len(set(agents)) != len(agents):
         raise DuplicateAgents(f"independence-of-agency schema needs pairwise distinct agents, got {agents}")
-    parts = [Diamond(Stit(a, p)) for a, p in zip(agents, fills)]
-    inner = [Stit(a, p) for a, p in zip(agents, fills)]
-    return Implies(_conj(parts), Diamond(_conj(inner)))
+    parts = [F.Diamond(F.Stit(a, p)) for a, p in zip(agents, fills)]
+    inner = [F.Stit(a, p) for a, p in zip(agents, fills)]
+    return F.Implies(_conj(parts), F.Diamond(_conj(inner)))
 
 
 def _pc(fills, n, make_stit):
     conjuncts = []
     for k in range(1, n + 1):
         acted = make_stit(fills[k - 1])
-        prior = [Not(fills[i]) for i in range(k - 1)]
+        prior = [F.Not(fills[i]) for i in range(k - 1)]
         inner = _conj(prior + [acted]) if prior else acted
-        conjuncts.append(Diamond(inner))
-    return Implies(_conj(conjuncts), _disj(fills[:n]))
+        conjuncts.append(F.Diamond(inner))
+    return F.Implies(_conj(conjuncts), _disj(fills[:n]))
 
 
 SCHEMAS = []
@@ -162,10 +152,10 @@ def instantiate(name, fills, agents=(), n=None):
         if len(fills) != n:
             raise ArityMismatch(f"{name}_{n} needs {n} fills, got {len(fills)}")
         if name == "AgsPC":
-            return _pc(fills, n, StitAgs)
+            return _pc(fills, n, F.StitAgs)
         if not agents:
             raise ArityMismatch("APC needs an agent")
-        return _pc(fills, n, lambda phi: Stit(agents[0], phi))
+        return _pc(fills, n, lambda phi: F.Stit(agents[0], phi))
     schema = SCHEMA_BY_NAME.get(name)
     if schema is None:
         raise ArityMismatch(f"unknown schema {name!r}")
@@ -291,7 +281,7 @@ def soundness_suite(models, policy=None, mode="actual", n_bounds=None):
         # action cardinality with random and saturating fills
         for fills in _sample_fills(rng, m, policy, policy.fills_per_schema - 1, n):
             _check_instance(report, sat, model_id, "AgsPC", fills, [], n)
-        sat_fills = [Atom(a) for a in names["ags"][:n]]
+        sat_fills = [F.Atom(a) for a in names["ags"][:n]]
         while len(sat_fills) < n:
             sat_fills.append(sat_fills[-1])
         _check_instance(report, sat, model_id, "AgsPC", sat_fills, [], n)
@@ -320,7 +310,7 @@ def derived_theorem_suite(models, policy=None, mode="actual", n_bounds=None):
         for a in m.agents:
             for fills in _sample_fills(rng, m, policy, max(2, policy.fills_per_schema // 2), n):
                 _check_instance(report, sat, model_id, "APC", fills, [a], n)
-            sat_fills = [Atom(x) for x in names["choice"][a][:n]]
+            sat_fills = [F.Atom(x) for x in names["choice"][a][:n]]
             while len(sat_fills) < n:
                 sat_fills.append(sat_fills[-1])
             _check_instance(report, sat, model_id, "APC", sat_fills, [a], n)
@@ -333,15 +323,14 @@ def cell_bound_detector(m, n, agent=None):
     construction of the indicator fills.
     """
     sat, names = saturating_atoms(m)
-    pool = names["ags"] if agent is None else names["choice"][agent]
     verdicts = []
     for box in m.r_box:
         if agent is None:
             cells = sorted({m._ags_of[w] for w in box})
-            fills = [Atom(names["ags"][i]) for i in cells]
+            fills = [F.Atom(names["ags"][i]) for i in cells]
         else:
             cells = sorted({m._choice_of[agent][w] for w in box})
-            fills = [Atom(names["choice"][agent][i]) for i in cells]
+            fills = [F.Atom(names["choice"][agent][i]) for i in cells]
         fills = fills[:n]
         while len(fills) < n:
             fills.append(fills[-1])
@@ -349,7 +338,6 @@ def cell_bound_detector(m, n, agent=None):
         inst = instantiate(name, fills, [agent] if agent else [], n)
         ok, _ = valid_on_model(sat, inst)
         verdicts.append(ok)
-    del pool
     return all(verdicts)
 
 
@@ -364,7 +352,7 @@ def nof_detector(m, agent):
     for i, cell in enumerate(m.epistemic[agent]):
         atom = f"_succE{i}"
         valuation[atom] = {m.succ[w] for w in cell}
-        fills.append(Atom(atom))
+        fills.append(F.Atom(atom))
     sat = m.with_valuation(valuation)
     for f in fills:
         inst = instantiate("NoF", [f], [agent])

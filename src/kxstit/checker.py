@@ -2,8 +2,9 @@
 
 Two independent evaluation paths are kept on purpose: ``eval_formula`` walks
 the formula top-down per the satisfaction clauses, while ``extension``
-computes truth sets bottom-up over the subformula table.  Each acts as the
-oracle for the other in the test suite.
+computes truth sets bottom-up, in one explicit-stack pass over bitmask
+tables built once per model.  Each acts as the oracle for the other in the
+test suite.
 """
 
 from __future__ import annotations
@@ -75,86 +76,110 @@ def _eval(m, w, f):
 
 
 def extension(m, f):
-    """Set of worlds satisfying ``f``, computed bottom-up over subformulas.
-
-    Internally works on bitmasks indexed by the model's canonical world
-    order, one pass per subformula.
-    """
-    f = F.expand_macros(f)
-    idx = {w: i for i, w in enumerate(m.worlds)}
-    full = (1 << len(m.worlds)) - 1
-
-    def cells_mask(cells):
-        return [sum(1 << idx[w] for w in cell) for cell in cells]
-
-    box_masks = cells_mask(m.r_box)
-    ags_masks = cells_mask(m.choice_ags)
-    choice_masks = {a: cells_mask(m.choice[a]) for a in m.agents}
-    epi_masks = {a: cells_mask(m.epistemic[a]) for a in m.agents}
-
-    def quantify(masks, child):
-        out = 0
-        for cm in masks:
-            if cm & child == cm:
-                out |= cm
-        return out
-
-    table = {}
-    for g in F.subformulas(f):
-        if isinstance(g, F.Atom):
-            v = m.valuation.get(g.name, frozenset())
-            table[g] = sum(1 << idx[w] for w in v)
-        elif isinstance(g, F.Not):
-            table[g] = full & ~table[g.child]
-        elif isinstance(g, F.And):
-            table[g] = table[g.left] & table[g.right]
-        elif isinstance(g, F.Or):
-            table[g] = table[g.left] | table[g.right]
-        elif isinstance(g, F.Implies):
-            table[g] = (full & ~table[g.left]) | table[g.right]
-        elif isinstance(g, F.Box):
-            table[g] = quantify(box_masks, table[g.child])
-        elif isinstance(g, F.Diamond):
-            child = table[g.child]
-            table[g] = full & ~quantify(box_masks, full & ~child)
-        elif isinstance(g, F.Next):
-            child = table[g.child]
-            table[g] = sum(1 << idx[w] for w in m.worlds if child >> idx[m.succ[w]] & 1)
-        elif isinstance(g, F.Yesterday):
-            child = table[g.child]
-            table[g] = sum(1 << idx[w] for w in m.worlds if child >> idx[_pred(m, w)] & 1)
-        elif isinstance(g, F.Stit):
-            _check_agent(m, g.agent)
-            table[g] = quantify(choice_masks[g.agent], table[g.child])
-        elif isinstance(g, F.StitAgs):
-            table[g] = quantify(ags_masks, table[g.child])
-        elif isinstance(g, F.Knows):
-            _check_agent(m, g.agent)
-            table[g] = quantify(epi_masks[g.agent], table[g.child])
-        elif isinstance(g, F.CommonKnows):
-            child = table[g.child]
-            out = 0
-            for w in m.worlds:
-                cell = m.common_cell(w)
-                cm = sum(1 << idx[v] for v in cell)
-                if cm & child == cm:
-                    out |= 1 << idx[w]
-            table[g] = out
-        else:
-            raise TypeError(f"cannot evaluate {g!r}")
-    mask = table[f]
-    return {w for w in m.worlds if mask >> idx[w] & 1}
+    """Set of worlds satisfying ``f``, computed bottom-up over subformulas."""
+    mask = _truth_mask(m, f)
+    return {w for i, w in enumerate(m.worlds) if mask >> i & 1}
 
 
 def valid_on_model(m, f):
     """(True, None) when ``f`` holds at every world, else (False, least
     world where it fails) in the canonical world order.
     """
-    ext = extension(m, f)
-    for w in m.worlds:
-        if w not in ext:
-            return False, w
-    return True, None
+    failing = m._dense().full & ~_truth_mask(m, f)
+    if not failing:
+        return True, None
+    return False, m.worlds[(failing & -failing).bit_length() - 1]
+
+
+_UNARY = {F.Not, F.Box, F.Diamond, F.Next, F.Yesterday, F.Stit, F.StitAgs, F.Knows,
+          F.CommonKnows}
+
+
+def _quantify(cells, child):
+    out = 0
+    for cm in cells:
+        if cm & child == cm:
+            out |= cm
+    return out
+
+
+def _truth_mask(m, f):
+    """Mask of the worlds satisfying ``f``, bit i standing for ``m.worlds[i]``.
+
+    One post-order walk on an explicit stack over the model's dense tables:
+    a node is evaluated once its children are in the table, left child
+    first, and a subformula already in the table is not walked again.  A
+    macro node takes the mask of its definition, unfolded where it is met.
+    """
+    d = m._dense()
+    full = d.full
+    table = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in table:
+            stack.pop()
+            continue
+        t = type(g)
+        if t is F.Atom:
+            v = d.atoms.get(g.name, 0)
+        elif t in _UNARY:
+            child = table.get(g.child)
+            if child is None:
+                stack.append(g.child)
+                continue
+            if t is F.Not:
+                v = full & ~child
+            elif t is F.Box:
+                v = _quantify(d.box, child)
+            elif t is F.Next or t is F.Yesterday:
+                steps = d.succ if t is F.Next else d.pred
+                if steps is None:
+                    raise UnknownWorld("temporal relation is not invertible; Y undefined")
+                v = 0
+                for i, s in enumerate(steps):
+                    if child >> s & 1:
+                        v |= 1 << i
+            elif t is F.Stit or t is F.Knows:
+                cells = (d.choice if t is F.Stit else d.epistemic).get(g.agent)
+                if cells is None:
+                    raise UnknownAgent(f"unknown agent {g.agent!r}")
+                v = _quantify(cells, child)
+            elif t is F.StitAgs:
+                v = _quantify(d.ags, child)
+            elif t is F.Diamond:
+                v = full & ~_quantify(d.box, full & ~child)
+            else:
+                v = 0
+                for i, w in enumerate(m.worlds):
+                    if all(child >> d.index[u] & 1 for u in m.common_cell(w)):
+                        v |= 1 << i
+        elif t in F.BINARY:
+            left = table.get(g.left)
+            right = table.get(g.right)
+            if left is None or right is None:
+                if right is None:
+                    stack.append(g.right)
+                if left is None:
+                    stack.append(g.left)
+                continue
+            if t is F.And:
+                v = left & right
+            elif t is F.Implies:
+                v = (full & ~left) | right
+            else:
+                v = left | right
+        elif t is F.Macro:
+            unfolded = F._unfold(g.name, g.agent, g.child)
+            v = table.get(unfolded)
+            if v is None:
+                stack.append(unfolded)
+                continue
+        else:
+            raise TypeError(f"cannot evaluate {g!r}")
+        table[g] = v
+        stack.pop()
+    return table[f]
 
 
 # ---------------------------------------------------------------------------

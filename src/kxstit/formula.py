@@ -12,7 +12,7 @@ unless ``allow_common_knowledge=True``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ArityMismatch, CommonKnowledgeDisabled, FormulaSyntaxError, UnknownMacro
 
@@ -21,7 +21,20 @@ MACRO_NAMES = ("ExAnte", "ExInterim", "ExPost", "Kh")
 
 
 class Formula:
-    """Base class; all nodes are immutable and hashable."""
+    """Base class; all nodes are immutable and hashable.
+
+    Each node computes its hash once, in its constructor, from its type tag
+    and its fields, reading a child's cached hash, so hashing costs the same
+    at every depth.  The hash is never pickled: unpickling calls the
+    constructor, so a loaded node hashes like one built in the loading
+    process.  Equality stays structural.
+    """
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __str__(self):
         return to_text(self)
@@ -30,83 +43,131 @@ class Formula:
         return f"{type(self).__name__}({to_text(self)!r})"
 
 
-@dataclass(frozen=True, repr=False)
+def _node(cls):
+    """Make ``cls`` a frozen dataclass node.  ``__hash__`` stays the cached
+    one, which ``@dataclass`` would otherwise replace by a recursive field
+    hash.  The constructor is the shape class's: it fills the instance dict
+    directly, which costs under half of a generated frozen ``__init__`` plus
+    a ``__post_init__`` computing the hash.
+    """
+    cls = dataclass(frozen=True, init=False, repr=False)(cls)
+    cls.__hash__ = Formula.__hash__
+    cls._tag = cls.__name__
+    return cls
+
+
+class _Unary(Formula):
+    def __init__(self, child):
+        d = self.__dict__
+        d["child"] = child
+        d["_hash"] = hash((self._tag, child._hash))
+
+
+class _AgentUnary(Formula):
+    def __init__(self, agent, child):
+        d = self.__dict__
+        d["agent"] = agent
+        d["child"] = child
+        d["_hash"] = hash((self._tag, agent, child._hash))
+
+
+class _Binary(Formula):
+    def __init__(self, left, right):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["_hash"] = hash((self._tag, left._hash, right._hash))
+
+
+@_node
 class Atom(Formula):
     name: str
 
+    def __init__(self, name):
+        d = self.__dict__
+        d["name"] = name
+        d["_hash"] = hash(("Atom", name))
 
-@dataclass(frozen=True, repr=False)
-class Not(Formula):
+
+@_node
+class Not(_Unary):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class And(Formula):
+@_node
+class And(_Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class Or(Formula):
+@_node
+class Or(_Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class Implies(Formula):
+@_node
+class Implies(_Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class Box(Formula):
+@_node
+class Box(_Unary):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class Diamond(Formula):
+@_node
+class Diamond(_Unary):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class Next(Formula):
+@_node
+class Next(_Unary):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class Yesterday(Formula):
+@_node
+class Yesterday(_Unary):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class Stit(Formula):
+@_node
+class Stit(_AgentUnary):
     agent: str
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class StitAgs(Formula):
+@_node
+class StitAgs(_Unary):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class Knows(Formula):
+@_node
+class Knows(_AgentUnary):
     agent: str
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class CommonKnows(Formula):
+@_node
+class CommonKnows(_Unary):
     child: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Macro(Formula):
     """Unexpanded knowledge-stage macro; ``expand_macros`` removes these."""
 
     name: str
     agent: str
     child: Formula
+
+    def __init__(self, name, agent, child):
+        d = self.__dict__
+        d["name"] = name
+        d["agent"] = agent
+        d["child"] = child
+        d["_hash"] = hash(("Macro", name, agent, child._hash))
 
 
 BINARY = (And, Or, Implies)
@@ -362,23 +423,28 @@ def expand_macros(f):
     Kh(a, p)       -> [](K{a}(<>(K{a}([a](X(p))))))
     """
     if isinstance(f, Macro):
-        body = expand_macros(f.child)
-        a = f.agent
-        if f.name == "ExAnte":
-            return Box(Knows(a, Box(Next(body))))
-        if f.name == "ExInterim":
-            return Knows(a, Stit(a, Next(body)))
-        if f.name == "ExPost":
-            return Next(Knows(a, Yesterday(StitAgs(Next(body)))))
-        if f.name == "Kh":
-            return Box(Knows(a, Diamond(Knows(a, Stit(a, Next(body))))))
-        raise ArityMismatch(f"unknown macro {f.name}")
+        return _unfold(f.name, f.agent, expand_macros(f.child))
     if isinstance(f, Atom):
         return f
     kids = tuple(expand_macros(c) for c in children_of(f))
     if kids == children_of(f):
         return f
     return _rebuild(f, *kids)
+
+
+def _unfold(name, a, body):
+    """The definition of macro ``name`` for agent ``a`` around ``body``,
+    which is left as it is.
+    """
+    if name == "ExAnte":
+        return Box(Knows(a, Box(Next(body))))
+    if name == "ExInterim":
+        return Knows(a, Stit(a, Next(body)))
+    if name == "ExPost":
+        return Next(Knows(a, Yesterday(StitAgs(Next(body)))))
+    if name == "Kh":
+        return Box(Knows(a, Diamond(Knows(a, Stit(a, Next(body))))))
+    raise ArityMismatch(f"unknown macro {name}")
 
 
 def normalize(f):
@@ -452,16 +518,3 @@ def subformulas(f):
     walk(f)
     return order
 
-
-def agents_in(f):
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, (Stit, Knows)):
-            out.add(g.agent)
-        elif isinstance(g, Macro):
-            out.add(g.agent)
-    return out
-
-
-def atoms_in(f):
-    return {g.name for g in subformulas(f) if isinstance(g, Atom)}

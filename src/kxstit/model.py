@@ -136,6 +136,7 @@ class KripkeModel:
 
         self._frame_reports = {}
         self._common_cells = None
+        self._tables = None
 
     def _refine_choice_ags(self):
         """Common refinement of the per-agent partitions restricted to each
@@ -187,6 +188,12 @@ class KripkeModel:
             self._common_cells = {w: frozenset(g) for g in groups.values() for w in g}
         return self._common_cells[w]
 
+    def _dense(self):
+        """The model's dense tables, built on first use."""
+        if self._tables is None:
+            self._tables = _DenseTables(self)
+        return self._tables
+
     def with_valuation(self, valuation):
         """Copy of this model with a replaced valuation."""
         return KripkeModel(self.agents, self.worlds, self.r_box, self.succ,
@@ -211,6 +218,38 @@ class KripkeModel:
 
     def dumps(self):
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
+
+
+class _DenseTables:
+    """A model over world indices: world i is ``m.worlds[i]``, a set of
+    worlds is an int bitmask, so the least world of a set is its lowest bit.
+
+    ``box``, ``ags``, ``choice[a]`` and ``epistemic[a]`` list the cell masks
+    of each partition, ``atoms`` maps a proposition to its mask, ``succ``
+    lists successor indices and ``pred`` predecessor indices, or is None
+    when ``succ`` is not invertible.
+    """
+
+    __slots__ = ("index", "full", "box", "ags", "choice", "epistemic", "atoms", "succ", "pred")
+
+    def __init__(self, m):
+        index = {w: i for i, w in enumerate(m.worlds)}
+
+        def mask(ws):
+            out = 0
+            for w in ws:
+                out |= 1 << index[w]
+            return out
+
+        self.index = index
+        self.full = (1 << len(m.worlds)) - 1
+        self.box = [mask(c) for c in m.r_box]
+        self.ags = [mask(c) for c in m.choice_ags]
+        self.choice = {a: [mask(c) for c in m.choice[a]] for a in m.agents}
+        self.epistemic = {a: [mask(c) for c in m.epistemic[a]] for a in m.agents}
+        self.atoms = {p: mask(ws) for p, ws in m.valuation.items()}
+        self.succ = [index[m.succ[w]] for w in m.worlds]
+        self.pred = None if m.pred is None else [index[m.pred[w]] for w in m.worlds]
 
 
 def load_model(document):

@@ -694,11 +694,19 @@ def window_eval(win, w, f, margin=0):
     DepthExceedsWindow when the formula does not fit at ``w`` itself.
     """
     f = F.expand_macros(f)
-    if not _fits(win, w, F.depth_profile(f), margin):
+    dp = F.depth_profile(f)
+    if not _fits(win, w, dp, margin):
         raise DepthExceedsWindow(
-            f"reach {F.depth_profile(f)} does not fit at layer {win.layer[w]} "
+            f"reach {dp} does not fit at layer {win.layer[w]} "
             f"(horizon {win.horizon}, margin {margin})")
-    profiles = {}
+    return _window_eval(win, w, f, margin, {f: dp})
+
+
+def _window_eval(win, w, f, margin, profiles):
+    """``window_eval`` of the macro-free ``f``, which fits at ``w``;
+    ``profiles`` holds depth profiles of subformulas and takes the ones
+    computed here, so callers evaluating ``f`` at many worlds share it.
+    """
 
     def profile(g):
         if g not in profiles:
@@ -777,8 +785,9 @@ def truth_preservation(source, target, mapping, formulas, margin=0):
         if not fitting:
             report.skipped.append(F.to_text(f))
             continue
+        profiles = {g: dp}
         for w in fitting:
-            got = window_eval(source, w, g, margin)
+            got = _window_eval(source, w, g, margin, profiles)
             want = eval_formula(target, mapping[w], g)
             report.compared += 1
             if got != want:

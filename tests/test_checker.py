@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from kxstit.checker import (check_refinement, eval_formula, extension,
                             knowledge_report, valid_on_model)
 from kxstit.errors import UnknownAgent, UnknownWorld
 from kxstit.gen import GenParams, random_formula, random_model
-from kxstit.model import validate_frame
+from kxstit.model import KripkeModel, validate_frame
 
 
 def test_figure1_paper_judgments(fig1a):
@@ -151,3 +152,108 @@ def test_knowing_anothers_action_entails_settledness():
         f = F.Implies(F.Knows(a, F.Stit(a, F.Next(F.Yesterday(F.Stit(b, F.Next(p)))))),
                       F.Box(F.Next(p)))
         assert valid_on_model(m, f)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _formulas(props, agents):
+    """Formulas over ``props`` and ``agents`` that keep unexpanded
+    knowledge-stage macro nodes, sugar included.  Cached: hypothesis
+    validates each new strategy object, which costs more than the draw."""
+    agent = st.sampled_from(agents)
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from(F.MACRO_NAMES), agent, sub).map(lambda t: F.Macro(*t)),
+            sub.map(F.Not), sub.map(F.Box), sub.map(F.Diamond), sub.map(F.Next),
+            sub.map(F.Yesterday), sub.map(F.StitAgs),
+            st.tuples(agent, sub).map(lambda t: F.Stit(*t)),
+            st.tuples(agent, sub).map(lambda t: F.Knows(*t)),
+            st.tuples(sub, sub).map(lambda t: F.And(*t)),
+            st.tuples(sub, sub).map(lambda t: F.Or(*t)),
+            st.tuples(sub, sub).map(lambda t: F.Implies(*t)))
+
+    return st.recursive(st.sampled_from(props).map(F.Atom), extend, max_leaves=6)
+
+
+def _generated(seed):
+    return random_model(GenParams(seed=seed % 40, agent_count=1 + seed % 3,
+                                  box_class_count=1 + seed % 2,
+                                  epistemic_coarseness=(seed % 5) / 4))
+
+
+def _top_down(m, f):
+    return {w for w in m.worlds if eval_formula(m, w, f)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_extension_agrees_with_eval_on_unexpanded_macros(seed, data):
+    m = _generated(seed)
+    f = data.draw(_formulas(tuple(sorted(m.valuation)), m.agents))
+    assert extension(m, f) == _top_down(m, f)
+    assert extension(m, f) == extension(m, F.expand_macros(f))
+
+
+def test_extension_agrees_with_eval_on_figure1_macros(fig1a, fig1b):
+    # the scenario models separate knowing from doing, which generated
+    # frame-valid models rarely do
+    for m in (fig1a, fig1b):
+        for name in F.MACRO_NAMES:
+            for a in m.agents:
+                for p in sorted(m.valuation):
+                    f = F.Macro(name, a, F.Atom(p))
+                    assert extension(m, f) == _top_down(m, f), F.to_text(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_extension_repeated_and_on_revalued_copy(seed, data):
+    m = _generated(seed)
+    f = data.draw(_formulas(tuple(sorted(m.valuation)), m.agents))
+    first = extension(m, f)
+    assert extension(m, f) == first == _top_down(m, f)
+    flipped = {p: set(m.worlds) - ws for p, ws in m.valuation.items()}
+    copy = m.with_valuation(flipped)
+    assert extension(copy, f) == _top_down(copy, f)
+    assert extension(m, f) == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_valid_on_model_witness_is_least_failing_world(seed, data):
+    m = _generated(seed)
+    f = data.draw(_formulas(tuple(sorted(m.valuation)), m.agents))
+    failing = [w for w in m.worlds if not eval_formula(m, w, f)]
+    assert valid_on_model(m, f) == ((False, failing[0]) if failing else (True, None))
+
+
+def test_evaluators_raise_the_same_errors(one_world):
+    ghost = F.Knows("ghost", F.Atom("p"))
+    for run in (lambda f: eval_formula(one_world, "w", f),
+                lambda f: extension(one_world, f),
+                lambda f: valid_on_model(one_world, f)):
+        with pytest.raises(UnknownAgent):
+            run(ghost)
+        with pytest.raises(UnknownAgent):
+            run(F.Macro("ExInterim", "ghost", F.Atom("p")))
+    # u and v share a successor, so Y is undefined
+    merged = KripkeModel(["a"], ["u", "v"], [["u", "v"]], {"u": "v", "v": "v"},
+                         {"a": [["u", "v"]]}, {"a": [["u"], ["v"]]}, valuation={"p": ["u"]})
+    assert merged.pred is None
+    for run in (lambda f: eval_formula(merged, "u", f),
+                lambda f: extension(merged, f),
+                lambda f: valid_on_model(merged, f)):
+        with pytest.raises(UnknownWorld):
+            run(F.Yesterday(F.Atom("p")))
+        with pytest.raises(UnknownWorld):
+            run(F.Macro("ExPost", "a", F.Atom("p")))
+
+
+def test_deep_chain_evaluates_without_recursion(one_world):
+    f = F.Atom("p")
+    for i in range(10_000):
+        f = F.Next(f) if i % 2 else F.Not(f)
+    # 5,000 negations cancel and succ is the identity on the one world
+    assert extension(one_world, f) == {"w"}
+    assert valid_on_model(one_world, f) == (True, None)
+    assert valid_on_model(one_world, F.Not(f)) == (False, "w")

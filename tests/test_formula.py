@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import kxstit
 from kxstit import formula as F
 from kxstit.errors import (CommonKnowledgeDisabled, FormulaSyntaxError, UnknownMacro)
 
@@ -122,7 +127,44 @@ def formulas(max_depth=5):
 
 @given(formulas())
 def test_round_trip(f):
-    assert F.parse(F.to_text(f)) == f
+    g = F.parse(F.to_text(f))
+    assert g == f
+    # built separately, equal formulas hash equal and are one dict key
+    assert hash(g) == hash(f)
+    assert {f: 1}[g] == 1
+
+
+def test_unary_nodes_differ_by_type():
+    p = F.Atom("p")
+    nodes = [F.Not(p), F.Box(p), F.Next(p)]
+    assert len(set(nodes)) == 3
+    assert len({hash(g) for g in nodes}) == 3
+    assert F.Not(p) != F.Box(p) != F.Next(p) != F.Not(p)
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from kxstit import formula as F
+text = "ExPost(a, X p & ~[]q) -> K{a}([b] Y p | <>r)"
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(F.parse(text)))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    print(loaded in {F.parse(text)}, hash(loaded) == hash(F.parse(text)))
+"""
+
+
+def test_pickled_formula_hashes_like_one_built_in_the_loading_process():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kxstit.__file__)))
+
+    def run(seed, *args, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT, *args], env=env,
+                              input=data, capture_output=True, check=True).stdout
+
+    dumped = run("0", "dump")
+    assert run("1", "load", data=dumped).split() == [b"True", b"True"]
 
 
 @given(formulas())

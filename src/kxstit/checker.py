@@ -4,7 +4,9 @@ Two independent evaluation paths are kept on purpose: ``eval_formula`` walks
 the formula top-down per the satisfaction clauses, while ``extension``
 computes truth sets bottom-up, in one explicit-stack pass over bitmask
 tables built once per model.  Each acts as the oracle for the other in the
-test suite.
+test suite.  The top-down walk reads only the model's cell accessors, never
+those tables; it memoises (subformula, world) results per call, so its cost
+is bounded by subformulas x worlds.
 """
 
 from __future__ import annotations
@@ -37,42 +39,61 @@ def eval_formula(m, w, f):
 
     Total on structurally well-formed models whether or not they pass frame
     validation; macros are expanded up front, sugar is evaluated by its own
-    clause.
+    clause.  Each call keeps its own memo of (subformula, world) results.
     """
     _check_world(m, w)
-    return _eval(m, w, F.expand_macros(f))
+    return _eval(m, w, F.expand_macros(f), {})
 
 
-def _eval(m, w, f):
-    if isinstance(f, F.Atom):
-        return m.holds(f.name, w)
-    if isinstance(f, F.Not):
-        return not _eval(m, w, f.child)
-    if isinstance(f, F.And):
-        return _eval(m, w, f.left) and _eval(m, w, f.right)
-    if isinstance(f, F.Or):
-        return _eval(m, w, f.left) or _eval(m, w, f.right)
-    if isinstance(f, F.Implies):
-        return (not _eval(m, w, f.left)) or _eval(m, w, f.right)
-    if isinstance(f, F.Box):
-        return all(_eval(m, v, f.child) for v in m.box_cell(w))
-    if isinstance(f, F.Diamond):
-        return any(_eval(m, v, f.child) for v in m.box_cell(w))
-    if isinstance(f, F.Next):
-        return _eval(m, m.succ[w], f.child)
-    if isinstance(f, F.Yesterday):
-        return _eval(m, _pred(m, w), f.child)
-    if isinstance(f, F.Stit):
-        _check_agent(m, f.agent)
-        return all(_eval(m, v, f.child) for v in m.choice_cell(f.agent, w))
-    if isinstance(f, F.StitAgs):
-        return all(_eval(m, v, f.child) for v in m.ags_cell(w))
-    if isinstance(f, F.Knows):
-        _check_agent(m, f.agent)
-        return all(_eval(m, v, f.child) for v in m.epi_cell(f.agent, w))
-    if isinstance(f, F.CommonKnows):
-        return all(_eval(m, v, f.child) for v in m.common_cell(w))
-    raise TypeError(f"cannot evaluate {f!r}")
+def _eval(m, w, f, memo):
+    """Truth of the macro-free ``f`` at ``w``.  ``memo`` maps (subformula,
+    world) to the results completed so far, so each pair is evaluated at
+    most once; quantifiers visit a cell in its own order and stop at the
+    first world that decides them.
+    """
+    key = (f, w)
+    v = memo.get(key)
+    if v is not None:
+        return v
+    t = type(f)
+    if t is F.Atom:
+        v = m.holds(f.name, w)
+    elif t is F.Not:
+        v = not _eval(m, w, f.child, memo)
+    elif t is F.And:
+        v = _eval(m, w, f.left, memo) and _eval(m, w, f.right, memo)
+    elif t is F.Or:
+        v = _eval(m, w, f.left, memo) or _eval(m, w, f.right, memo)
+    elif t is F.Implies:
+        v = (not _eval(m, w, f.left, memo)) or _eval(m, w, f.right, memo)
+    elif t is F.Next:
+        v = _eval(m, m.succ[w], f.child, memo)
+    elif t is F.Yesterday:
+        v = _eval(m, _pred(m, w), f.child, memo)
+    else:
+        if t is F.Box or t is F.Diamond:
+            cell = m.box_cell(w)
+        elif t is F.Stit:
+            _check_agent(m, f.agent)
+            cell = m.choice_cell(f.agent, w)
+        elif t is F.StitAgs:
+            cell = m.ags_cell(w)
+        elif t is F.Knows:
+            _check_agent(m, f.agent)
+            cell = m.epi_cell(f.agent, w)
+        elif t is F.CommonKnows:
+            cell = m.common_cell(w)
+        else:
+            raise TypeError(f"cannot evaluate {f!r}")
+        # all() over the cell, any() for the diamond; a loop rather than a
+        # generator keeps one frame per nesting level
+        v = t is not F.Diamond
+        for u in cell:
+            if _eval(m, u, f.child, memo) != v:
+                v = not v
+                break
+    memo[key] = v
+    return v
 
 
 def extension(m, f):
@@ -228,7 +249,9 @@ def knowledge_report(m, w, agent, target, frame_mode="actual", frame_n=None):
         "ex_post": F.expand_macros(F.Macro("ExPost", agent, target)),
         "know_how": F.expand_macros(F.Macro("Kh", agent, target)),
     }
-    flags = {name: eval_formula(m, w, g) for name, g in stages.items()}
+    # the stages share [a] X target and K{a} [a] X target, so one memo
+    memo = {}
+    flags = {name: _eval(m, w, F.expand_macros(g), memo) for name, g in stages.items()}
     warnings = []
     n = frame_n if frame_n is not None else max(len(m.choice_ags), 1)
     report = validate_frame(m, frame_mode, n)

@@ -2,12 +2,15 @@
 
 Exit codes: 0 success (for ``check``: formula true), 1 for a false formula or
 failed validation, 2 on any error (with a machine-readable JSON error record
-on stderr).
+on stderr).  An exception that is neither a ``KxstitError`` nor an
+``OSError`` is reported as ``{"error": "internal", "type": ..., "message":
+...}``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -135,7 +138,10 @@ def cmd_dot(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it as it
+    is."""
     p = argparse.ArgumentParser(prog="kxstit",
                                 description="model checking and frame analysis for epistemic Xstit structures")
     sub = p.add_subparsers(dest="command", required=True)
@@ -213,6 +219,11 @@ def main(argv=None):
         return 2
     except OSError as e:
         print(json.dumps({"error": "OSError", "message": str(e)}), file=sys.stderr)
+        return 2
+    except Exception as e:
+        # e.g. RecursionError on a formula nested too deep for the parser
+        record = {"error": "internal", "type": type(e).__name__, "message": str(e)}
+        print(json.dumps(record), file=sys.stderr)
         return 2
 
 

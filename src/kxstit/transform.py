@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import formula as F
-from .checker import eval_formula
+from .checker import _check_world, _eval
 from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, PartialMap,
                      SourceNotIrreflexive, WindowTooSmall)
 from .model import CONDITIONS, FrameCheck, FrameReport, KripkeModel, validate_frame
@@ -786,9 +786,11 @@ def truth_preservation(source, target, mapping, formulas, margin=0):
             report.skipped.append(F.to_text(f))
             continue
         profiles = {g: dp}
+        memo = {}
         for w in fitting:
             got = _window_eval(source, w, g, margin, profiles)
-            want = eval_formula(target, mapping[w], g)
+            _check_world(target, mapping[w])
+            want = _eval(target, mapping[w], g, memo)
             report.compared += 1
             if got != want:
                 report.mismatches.append((w, F.to_text(f), got, want))

@@ -196,13 +196,15 @@ def test_extension_agrees_with_eval_on_unexpanded_macros(seed, data):
 
 def test_extension_agrees_with_eval_on_figure1_macros(fig1a, fig1b):
     # the scenario models separate knowing from doing, which generated
-    # frame-valid models rarely do
+    # frame-valid models rarely do; Kh over ~p at the pre_/m1_ worlds
+    # quantifies four deep over 16-world cells
     for m in (fig1a, fig1b):
         for name in F.MACRO_NAMES:
             for a in m.agents:
                 for p in sorted(m.valuation):
-                    f = F.Macro(name, a, F.Atom(p))
-                    assert extension(m, f) == _top_down(m, f), F.to_text(f)
+                    for body in (F.Atom(p), F.Not(F.Atom(p))):
+                        f = F.Macro(name, a, body)
+                        assert extension(m, f) == _top_down(m, f), F.to_text(f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,3 +259,37 @@ def test_deep_chain_evaluates_without_recursion(one_world):
     assert extension(one_world, f) == {"w"}
     assert valid_on_model(one_world, f) == (True, None)
     assert valid_on_model(one_world, F.Not(f)) == (False, "w")
+
+
+def test_knowledge_report_flags_match_extension(fig1a, fig1b):
+    stages = {"ex_ante": "ExAnte", "ex_interim": "ExInterim", "ex_post": "ExPost",
+              "know_how": "Kh"}
+    for m in (fig1a, fig1b):
+        for w in ("pre_h4", "m1_h8", "m2_h3", "m4_h10", "m9_h4", "post_h2"):
+            for a in m.agents:
+                for target in (F.Atom("d"), F.Not(F.Atom("d_L")), F.parse("s | r_L")):
+                    rep = knowledge_report(m, w, a, target)
+                    want = {name: w in extension(m, F.Macro(macro, a, target))
+                            for name, macro in stages.items()}
+                    want["does"] = w in extension(m, F.Stit(a, F.Next(target)))
+                    assert {name: getattr(rep, name) for name in want} == want, (w, a, target)
+
+
+def test_eval_formula_evaluates_each_atom_world_pair_once(fig1a):
+    m = fig1a.with_valuation(fig1a.valuation)
+    holds, calls = m.holds, []
+    m.holds = lambda p, w: calls.append((p, w)) or holds(p, w)
+    assert eval_formula(m, "pre_h4", F.Macro("Kh", "luther", F.Not(F.Atom("d"))))
+    # one atom occurrence: at most one call per world, not one per path
+    assert 0 < len(calls) <= len(m.worlds)
+    assert len(set(calls)) == len(calls)
+
+
+def test_eval_formula_handles_deep_box_and_negation_chains(one_world):
+    boxes = negations = F.Atom("p")
+    for _ in range(300):
+        boxes = F.Box(boxes)
+    for _ in range(450):
+        negations = F.Not(negations)
+    assert eval_formula(one_world, "w", boxes)
+    assert eval_formula(one_world, "w", negations)   # an even number of ~

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kxstit.cli import main
+from kxstit.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +103,19 @@ def test_validate_non_string_world_ids_is_schema_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "SchemaError" and "world ids must be strings" in record["message"]
+
+
+def test_check_too_deep_formula_is_internal_error(fig1a_path, capsys):
+    formula = "~" * 2000 + "p"
+    assert main(["check", fig1a_path, "--world", "m1_h1", "--formula", formula]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "internal" and record["type"] == "RecursionError"
+    assert record["message"]
+
+
+def test_parser_is_built_once_and_not_changed_by_parsing():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["check", "m", "--world", "w", "--formula", "p", "--allow-c"])
+    second = parser.parse_args(["check", "m", "--world", "w", "--formula", "q"])
+    assert first.allow_c and not second.allow_c and second.formula == "q"

@@ -20,21 +20,17 @@ from .checker import eval_formula, knowledge_report
 from .dot import to_dot
 from .errors import KxstitError
 from .gen import GenParams, model_grid, random_model
-from .model import load_model, validate_frame
+from .model import load_model, read_document, validate_frame
 from .scenario import bdt_to_kripke, figure1_scenario, load_scenario
 from .transform import actualize, check_bounded_morphism, unravel, validate_window
 
 
 def _read_model(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
+        doc = read_document(fh.read())
     if isinstance(doc, dict) and "moments" in doc:
         return bdt_to_kripke(load_scenario(doc))
-    return load_model(text)
+    return load_model(doc)
 
 
 def _parse_formula(text, allow_c=False):

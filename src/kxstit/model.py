@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import PartitionError, SchemaError, SuccNotTotal
 
@@ -35,14 +36,35 @@ CONDITIONS = (
 )
 
 
+def is_partition(cells, universe):
+    """Whether the frozensets ``cells`` are non-empty, pairwise disjoint and
+    cover ``universe`` exactly: sizes that sum to ``len(universe)`` and a
+    union equal to it leave no room for an overlap."""
+    return (all(cells) and sum(map(len, cells)) == len(universe)
+            and frozenset().union(*cells) == universe)
+
+
+def frozen_cells(cells, what):
+    """The cells as frozensets; SchemaError when an id in a cell is a list or
+    an object."""
+    try:
+        return [frozenset(c) for c in cells]
+    except TypeError:
+        raise SchemaError(f"{what}: cells must hold ids, not lists or objects") from None
+
+
 def make_partition(cells, universe, what):
     """Normalize and check a partition: non-empty pairwise-disjoint cells
-    covering ``universe`` exactly.
+    covering ``universe`` exactly, sorted by least world.
+
+    A partition is accepted in one bulk test; the cell-by-cell walk runs only
+    to name the first faulty cell.
     """
-    norm = []
+    norm = frozen_cells(cells, what)
+    if is_partition(norm, universe):
+        return tuple(sorted(norm, key=min))
     seen = set()
-    for cell in cells:
-        fs = frozenset(cell)
+    for fs in norm:
         if not fs:
             raise PartitionError(f"{what}: empty cell")
         bad = fs - universe
@@ -51,18 +73,11 @@ def make_partition(cells, universe, what):
         if fs & seen:
             raise PartitionError(f"{what}: overlapping cells at {sorted(fs & seen)}")
         seen |= fs
-        norm.append(fs)
-    if seen != universe:
-        raise PartitionError(f"{what}: worlds not covered: {sorted(universe - seen)}")
-    return tuple(sorted(norm, key=lambda c: min(c)))
+    raise PartitionError(f"{what}: worlds not covered: {sorted(universe - seen)}")
 
 
 def _cell_index(partition):
-    out = {}
-    for i, cell in enumerate(partition):
-        for w in cell:
-            out[w] = i
-    return out
+    return {w: i for i, cell in enumerate(partition) for w in cell}
 
 
 class KripkeModel:
@@ -142,11 +157,13 @@ class KripkeModel:
         """Common refinement of the per-agent partitions restricted to each
         settledness class (the default grand-coalition partition).
         """
-        key = {}
-        for w in self.worlds:
-            k = (self._box_of[w],) + tuple(self._choice_of[a][w] for a in self.agents)
-            key.setdefault(k, set()).add(w)
-        return tuple(sorted((frozenset(v) for v in key.values()), key=min))
+        indices = [self._box_of] + [self._choice_of[a] for a in self.agents]
+        keys = zip(*(map(index.__getitem__, self.worlds) for index in indices))
+        cells = {}
+        for w, key in zip(self.worlds, keys):
+            cells.setdefault(key, []).append(w)
+        # worlds are sorted, so cells come in order of their least world
+        return tuple(map(frozenset, cells.values()))
 
     # -- lookups ----------------------------------------------------------
     def box_cell(self, w):
@@ -252,15 +269,73 @@ class _DenseTables:
         self.pred = None if m.pred is None else [index[m.pred[w]] for w in m.worlds]
 
 
+def read_document(document):
+    """A document given as JSON text, parsed; an already-parsed one as it is."""
+    if not isinstance(document, str):
+        return document
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"not valid JSON: {e}") from None
+
+
+# JSON shapes of document fields, checked per field and per cell.  An id
+# inside a cell is checked where the cell becomes a frozenset, and one that
+# is not a string is reported where it is used, as an unknown world say.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_LIST = frozenset({list})
+
+
+def id_list(x):
+    return type(x) is list and _SCALARS.issuperset(map(type, x))
+
+
+def id_map(x):
+    return type(x) is dict and _SCALARS.issuperset(map(type, x.values()))
+
+
+def cell_list(x):
+    return type(x) is list and _LIST.issuperset(map(type, x))
+
+
+def cell_map(x):
+    """An object whose values are lists of cells."""
+    return (type(x) is dict and _LIST.issuperset(map(type, x.values()))
+            and _LIST.issuperset(map(type, chain.from_iterable(x.values()))))
+
+
+def table_of(test):
+    return lambda x: type(x) is dict and all(map(test, x.values()))
+
+
+def optional(test):
+    return lambda x: x is None or test(x)
+
+
+def check_fields(doc, shapes):
+    """Raise SchemaError for the first field of ``doc`` that ``shapes`` names
+    and whose value does not have its shape; ``shapes`` maps a field to a
+    (test, description) pair."""
+    for key, (test, shape) in shapes.items():
+        if key in doc and not test(doc[key]):
+            raise SchemaError(f"{key} must be {shape}")
+
+
+_MODEL_SHAPES = {
+    "agents": (id_list, "a list of names"),
+    "worlds": (lambda x: type(x) is list, "a list of world ids"),
+    "r_box": (cell_list, "a list of lists of world ids"),
+    "succ": (id_map, "an object mapping each world to a world id"),
+    "choice": (cell_map, "an object mapping each agent to a list of lists of world ids"),
+    "epistemic": (cell_map, "an object mapping each agent to a list of lists of world ids"),
+    "choice_ags": (optional(cell_list), "a list of lists of world ids"),
+    "valuation": (optional(table_of(id_list)), "an object mapping each atom to a list of world ids"),
+}
+
+
 def load_model(document):
     """Load a model from JSON text or an already-parsed document."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"not valid JSON: {e}") from None
-    else:
-        doc = document
+    doc = read_document(document)
     if not isinstance(doc, dict):
         raise SchemaError("model document must be an object")
     version = doc.get("format_version")
@@ -269,6 +344,7 @@ def load_model(document):
     for key in ("agents", "worlds", "r_box", "succ", "choice", "epistemic"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
+    check_fields(doc, _MODEL_SHAPES)
     return KripkeModel(
         doc["agents"], doc["worlds"], doc["r_box"], doc["succ"],
         doc["choice"], doc["epistemic"], doc.get("choice_ags"),

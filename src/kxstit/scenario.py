@@ -19,7 +19,8 @@ conditions to stutter-world pairs.
 from __future__ import annotations
 
 from .errors import BDTInvariantViolation, SchemaError
-from .model import FORMAT_VERSION, KripkeModel
+from .model import (FORMAT_VERSION, KripkeModel, cell_list, cell_map, check_fields, frozen_cells,
+                    id_list, id_map, is_partition, optional, read_document, table_of)
 
 import json
 
@@ -31,12 +32,15 @@ class BDTScenario:
 
     Histories are derived: leaves are enumerated in the order induced by the
     ``moments`` list (depth-first), and history ``i`` is the root-to-leaf path
-    of the ``i``-th leaf.  Situations are written ``"<moment>_<history>"``.
+    of the ``i``-th leaf.  Situations are written ``"<moment>_<history>"``;
+    ``history_sits`` lists them along each history.
     """
 
     def __init__(self, agents, moments, parent, choice_at, epistemic_sit,
                  valuation_sit, history_names=None):
         self.agents = tuple(agents)
+        if len(set(self.agents)) != len(self.agents) or not self.agents:
+            raise SchemaError("agents must be a non-empty list of distinct names")
         self.moments = tuple(moments)
         if len(set(self.moments)) != len(self.moments) or not self.moments:
             raise SchemaError("moments must be distinct and non-empty")
@@ -49,14 +53,11 @@ class BDTScenario:
             if child not in self.moments or par not in self.moments:
                 raise SchemaError(f"parent map references unknown moment {child} -> {par}")
 
+        # children in the order of the moments list
         children = {m: [] for m in self.moments}
         for m in self.moments:
             if m != self.root:
                 children[self.parent[m]].append(m)
-        # keep child order as given by the moments list
-        order = {m: i for i, m in enumerate(self.moments)}
-        for m in children:
-            children[m].sort(key=order.__getitem__)
         self.children = children
 
         # cycle check
@@ -69,70 +70,66 @@ class BDTScenario:
                 cur = self.parent[cur]
 
         leaves = [m for m in self.moments if not children[m]]
-        self.histories = []
-        self.history_moments = {}
         names = history_names or [f"h{i + 1}" for i in range(len(leaves))]
         if len(names) != len(leaves):
             raise SchemaError("history_names length must match leaf count")
+        if len(set(names)) != len(names):
+            raise SchemaError("history_names must be distinct")
+        # one walk over the history paths names every situation once
+        self.histories = list(names)
+        self.history_moments = {}
+        self.history_sits = {}
+        moment_histories = {m: [] for m in self.moments}
         for name, leaf in zip(names, leaves):
             path = [leaf]
             while path[-1] in self.parent:
                 path.append(self.parent[path[-1]])
-            self.histories.append(name)
-            self.history_moments[name] = tuple(reversed(path))
+            path.reverse()
+            self.history_moments[name] = tuple(path)
+            self.history_sits[name] = tuple(self.sit(m, name) for m in path)
+            for m in path:
+                moment_histories[m].append(name)
+        self.moment_histories = {m: tuple(hs) for m, hs in moment_histories.items()}
+        self.situations = frozenset(w for path in self.history_sits.values() for w in path)
 
-        self.moment_histories = {m: tuple(h for h in self.histories
-                                           if m in self.history_moments[h])
-                                 for m in self.moments}
-
+        _no_unknown_keys(choice_at, self.agents, "choice_at", "agent")
+        through = {m: frozenset(hs) for m, hs in moment_histories.items()}
         self.choice_at = {}
         for a in self.agents:
             table = choice_at.get(a, {})
+            _no_unknown_keys(table, through, f"choice_at[{a}]", "moment")
             self.choice_at[a] = {}
             for m in self.moments:
-                cells = table.get(m)
-                hs = set(self.moment_histories[m])
+                hs, cells = through[m], table.get(m)
                 if cells is None:
-                    cells = [sorted(hs)]
-                norm = [frozenset(c) for c in cells]
-                if sorted(h for c in norm for h in c) != sorted(hs) or \
-                        sum(len(c) for c in norm) != len(hs):
+                    self.choice_at[a][m] = (hs,)
+                    continue
+                norm = frozen_cells(cells, f"choice_at[{a}][{m}]")
+                if not is_partition(norm, hs):
                     raise SchemaError(f"choice_at[{a}][{m}] is not a partition of the histories through {m}")
                 self.choice_at[a][m] = tuple(sorted(norm, key=min))
 
+        _no_unknown_keys(epistemic_sit, self.agents, "epistemic_sit", "agent")
         self.epistemic_sit = {}
-        all_sits = {self.sit(m, h) for h in self.histories for m in self.history_moments[h]}
         for a in self.agents:
             cells = epistemic_sit.get(a)
             if cells is None:
-                norm = [frozenset([s]) for s in sorted(all_sits)]
+                norm = [frozenset([s]) for s in self.situations]
             else:
-                norm = [frozenset(c) for c in cells]
-                covered = [s for c in norm for s in c]
-                if sorted(covered) != sorted(all_sits):
+                norm = frozen_cells(cells, f"epistemic_sit[{a}]")
+                if not is_partition(norm, self.situations):
                     raise SchemaError(f"epistemic_sit[{a}] is not a partition of the situations")
             self.epistemic_sit[a] = tuple(sorted(norm, key=min))
 
         self.valuation_sit = {p: frozenset(sits) for p, sits in valuation_sit.items()}
         for p, sits in self.valuation_sit.items():
-            bad = sits - all_sits
+            bad = sits - self.situations
             if bad:
                 raise SchemaError(f"valuation_sit[{p}] references unknown situations {sorted(bad)}")
-        self.situations = frozenset(all_sits)
 
     @staticmethod
     def sit(moment, history):
         return f"{moment}_{history}"
-
-    def next_moment(self, m, h):
-        path = self.history_moments[h]
-        i = path.index(m)
-        return path[i + 1] if i + 1 < len(path) else None
-
-    def prev_moment(self, m, h):
-        path = self.history_moments[h]
-        i = path.index(m)
-        return path[i - 1] if i > 0 else None
 
     def choice_cell(self, agent, m, h):
         for cell in self.choice_at[agent][m]:
@@ -152,8 +149,7 @@ class BDTScenario:
             for child in self.children[m]:
                 hs = self.moment_histories[child]
                 for a in self.agents:
-                    first = self.choice_cell(a, m, hs[0])
-                    if any(h not in first for h in hs):
+                    if not self.choice_cell(a, m, hs[0]).issuperset(hs):
                         raise BDTInvariantViolation(
                             "no_choice_between_undivided_histories",
                             list(hs), f"histories through {child} split at {m} for {a}")
@@ -179,18 +175,12 @@ class BDTScenario:
         # no forget: related successors force related predecessors, whenever
         # both predecessors exist in the finite tree
         pred_sit = {}
-        for h in self.histories:
-            path = self.history_moments[h]
-            for i, m in enumerate(path):
-                if i > 0:
-                    pred_sit[self.sit(m, h)] = self.sit(path[i - 1], h)
+        for path in self.history_sits.values():
+            pred_sit.update(zip(path[1:], path))
         for a in self.agents:
-            cell_of = {}
-            for i, cell in enumerate(self.epistemic_sit[a]):
-                for s in cell:
-                    cell_of[s] = i
+            cell_of = {s: i for i, cell in enumerate(self.epistemic_sit[a]) for s in cell}
             for cell in self.epistemic_sit[a]:
-                withpred = [s for s in sorted(cell) if s in pred_sit]
+                withpred = sorted(s for s in cell if s in pred_sit)
                 for s in withpred[1:]:
                     if cell_of[pred_sit[s]] != cell_of[pred_sit[withpred[0]]]:
                         raise BDTInvariantViolation(
@@ -216,14 +206,27 @@ class BDTScenario:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
+def _no_unknown_keys(table, known, what, kind):
+    unknown = [k for k in table if k not in known]
+    if unknown:
+        raise SchemaError(f"{what} names unknown {kind}(s) {unknown}")
+
+
+_SCENARIO_SHAPES = {
+    "agents": (id_list, "a list of names"),
+    "moments": (id_list, "a list of names"),
+    "parent": (id_map, "an object mapping each moment to its parent moment"),
+    "choice_at": (table_of(cell_map),
+                  "an object mapping each agent to an object mapping moments to lists of lists of histories"),
+    "epistemic_sit": (table_of(optional(cell_list)),
+                      "an object mapping each agent to a list of lists of situations or null"),
+    "valuation_sit": (table_of(id_list), "an object mapping each atom to a list of situations"),
+    "history_names": (optional(id_list), "a list of names"),
+}
+
+
 def load_scenario(document):
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"not valid JSON: {e}") from None
-    else:
-        doc = document
+    doc = read_document(document)
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be an object")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -231,6 +234,7 @@ def load_scenario(document):
     for key in ("agents", "moments", "parent", "choice_at", "epistemic_sit", "valuation_sit"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
+    check_fields(doc, _SCENARIO_SHAPES)
     return BDTScenario(doc["agents"], doc["moments"], doc["parent"], doc["choice_at"],
                        doc["epistemic_sit"], doc["valuation_sit"], doc.get("history_names"))
 
@@ -246,62 +250,51 @@ def bdt_to_kripke(scenario):
     s = scenario
     s.check_invariants()
 
-    pre = {h: f"pre_{h}" for h in s.histories}
-    post = {h: f"post_{h}" for h in s.histories}
-    worlds = sorted(s.situations) + sorted(pre.values()) + sorted(post.values())
+    pre = [f"pre_{h}" for h in s.histories]
+    post = [f"post_{h}" for h in s.histories]
+    paths = [s.history_sits[h] for h in s.histories]
 
     succ = {}
-    for h in s.histories:
-        path = s.history_moments[h]
-        succ[pre[h]] = s.sit(path[0], h)
-        for i in range(len(path) - 1):
-            succ[s.sit(path[i], h)] = s.sit(path[i + 1], h)
-        succ[s.sit(path[-1], h)] = post[h]
-        succ[post[h]] = pre[h]
-
-    r_box = [ [s.sit(m, h) for h in s.moment_histories[m]] for m in s.moments ]
-    r_box.append(sorted(pre.values()))
-    r_box.extend([p] for p in sorted(post.values()))
+    at = {m: {} for m in s.moments}     # moment -> history -> situation
+    stutters_at = {}                    # situation -> stutters that freeze it
+    for h, path, p, q in zip(s.histories, paths, pre, post):
+        for m, w in zip(s.history_moments[h], path):
+            at[m][h] = w
+        succ[p] = path[0]
+        succ.update(zip(path, path[1:]))
+        succ[path[-1]] = q
+        succ[q] = p
+        stutters_at.setdefault(path[0], []).append(p)
+        stutters_at.setdefault(path[-1], []).append(q)
+    # cells are built as frozensets, which the model takes as they are
+    stutter_cells = [frozenset(pre), *(frozenset([q]) for q in post)]
+    box = {m: frozenset(row.values()) for m, row in at.items()}
+    r_box = [*box.values(), *stutter_cells]
 
     choice = {}
     for a in s.agents:
-        cells = []
-        for m in s.moments:
-            for cell in s.choice_at[a][m]:
-                cells.append([s.sit(m, h) for h in cell])
-        cells.append(sorted(pre.values()))
-        cells.extend([p] for p in sorted(post.values()))
+        cells = list(stutter_cells)
+        for m, part in s.choice_at[a].items():
+            row = at[m]
+            cells.extend([box[m]] if len(part) == 1 else
+                         (frozenset(map(row.__getitem__, cell)) for cell in part))
         choice[a] = cells
 
+    # stutter layers mirror the adjacent real layer, never linking to it
     epistemic = {}
     for a in s.agents:
-        cells = [sorted(c) for c in s.epistemic_sit[a]]
-        # stutter layers mirror the adjacent real layer, never linking to it
-        root_cells = {}
-        leaf_cells = {}
-        for i, cell in enumerate(s.epistemic_sit[a]):
-            for h in s.histories:
-                path = s.history_moments[h]
-                if s.sit(path[0], h) in cell:
-                    root_cells.setdefault(i, []).append(pre[h])
-                if s.sit(path[-1], h) in cell:
-                    leaf_cells.setdefault(i, []).append(post[h])
-        cells.extend(sorted(v) for v in root_cells.values())
-        cells.extend(sorted(v) for v in leaf_cells.values())
-        epistemic[a] = cells
+        cells = s.epistemic_sit[a]
+        cell_of = {w: i for i, cell in enumerate(cells) for w in cell}
+        before, after = {}, {}
+        for path, p, q in zip(paths, pre, post):
+            before.setdefault(cell_of[path[0]], []).append(p)
+            after.setdefault(cell_of[path[-1]], []).append(q)
+        epistemic[a] = [*cells, *map(frozenset, before.values()), *map(frozenset, after.values())]
 
-    valuation = {}
-    for p, sits in s.valuation_sit.items():
-        ws = set(sits)
-        for h in s.histories:
-            path = s.history_moments[h]
-            if s.sit(path[0], h) in sits:
-                ws.add(pre[h])
-            if s.sit(path[-1], h) in sits:
-                ws.add(post[h])
-        valuation[p] = ws
+    valuation = {prop: sits.union(*(stutters_at.get(w, ()) for w in sits))
+                 for prop, sits in s.valuation_sit.items()}
 
-    return KripkeModel(s.agents, worlds, r_box, succ, choice, epistemic,
+    return KripkeModel(s.agents, [*s.situations, *pre, *post], r_box, succ, choice, epistemic,
                        choice_ags=None, valuation=valuation)
 
 

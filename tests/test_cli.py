@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -119,3 +121,49 @@ def test_parser_is_built_once_and_not_changed_by_parsing():
     first = parser.parse_args(["check", "m", "--world", "w", "--formula", "p", "--allow-c"])
     second = parser.parse_args(["check", "m", "--world", "w", "--formula", "q"])
     assert first.allow_c and not second.allow_c and second.formula == "q"
+
+
+def _fig1a_doc(scenario=False):
+    argv = ["gen", "--figure1", "a"] + (["--scenario"] if scenario else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("model", ["r_box"], 5),
+    ("model", ["valuation", "d"], 5),
+    ("model", ["r_box", 0, 0], ["m2_h1"]),
+    ("model", ["succ", "m1_h1"], ["m2_h1"]),
+    ("scenario", ["moments"], 5),
+    ("scenario", ["agents"], "luther"),
+], ids=["r_box-int", "valuation-int", "list-world-id-in-cell", "list-succ-value",
+        "moments-int", "agents-string"])
+def test_mistyped_fields_are_schema_errors(tmp_path, capsys, kind, path, value):
+    doc = _fig1a_doc(scenario=kind == "scenario")
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), "--world", "m1_h1", "--formula", "p"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "SchemaError", record
+
+
+def test_invalid_json_is_schema_error_and_decoded_once(tmp_path, capsys, monkeypatch, fig1a_path):
+    bad = tmp_path / "bad.model"
+    bad.write_text("{nope")
+    assert main(["check", str(bad), "--world", "w", "--formula", "p"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "SchemaError", "message":
+                      "not valid JSON: Expecting property name enclosed in double quotes: "
+                      "line 1 column 2 (char 1)"}
+    decodes = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: decodes.append(1) or loads(*a, **k))
+    assert main(["check", fig1a_path, "--world", "m4_h9", "--formula", "[Ags] X s"]) == 0
+    assert len(decodes) == 1

@@ -4,7 +4,7 @@ import pytest
 
 from kxstit.errors import PartitionError, SchemaError, SuccNotTotal
 from kxstit.gen import GenParams, random_model
-from kxstit.model import KripkeModel, load_model, validate_frame
+from kxstit.model import KripkeModel, load_model, make_partition, validate_frame
 
 
 def doc_of(m):
@@ -133,3 +133,26 @@ def test_default_choice_ags_is_common_refinement():
                     {"a": [["u", "v"], ["x", "y"]], "b": [["u", "x"], ["v", "y"]]},
                     {"a": [["u", "v", "x", "y"]], "b": [["u", "v", "x", "y"]]})
     assert set(m.choice_ags) == {frozenset({"u"}), frozenset({"v"}), frozenset({"x"}), frozenset({"y"})}
+
+
+WORLDS = frozenset("abcd")
+
+
+@pytest.mark.parametrize("cells, error, message", [
+    ([["a", "b"], [], ["c", "d"]], PartitionError, "p: empty cell"),
+    ([["a", "b", "z"], ["c", "d"]], SchemaError, "p: unknown world(s) ['z']"),
+    ([["a", "b"], ["b", "c", "d"]], PartitionError, "p: overlapping cells at ['b']"),
+    ([["a", "b"], ["c"]], PartitionError, "p: worlds not covered: ['d']"),
+    # two faults: the overlap in the second cell comes before the empty third
+    ([["a"], ["a", "b"], [], ["c", "d"]], PartitionError, "p: overlapping cells at ['a']"),
+])
+def test_make_partition_names_the_first_faulty_cell(cells, error, message):
+    with pytest.raises(SchemaError) as e:
+        make_partition(cells, WORLDS, "p")
+    assert type(e.value) is error and str(e.value) == message
+
+
+def test_generated_models_survive_a_round_trip(grid200):
+    for m in grid200:
+        text = m.dumps()
+        assert load_model(text).dumps() == text

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from kxstit import formula as F
 from kxstit.checker import eval_formula
-from kxstit.errors import BDTInvariantViolation
+from kxstit.errors import BDTInvariantViolation, SchemaError
 from kxstit.model import validate_frame
 from kxstit.scenario import BDTScenario, bdt_to_kripke, figure1_scenario, load_scenario
 
@@ -127,3 +129,45 @@ def test_figure1_compiled_document_loads(fig1a):
     situations = [w for w in again.worlds if not w.startswith(("pre_", "post_"))]
     assert len(situations) == 48  # 16 + 16 + 16 across the three moment layers
     assert len(again.worlds) == 80
+
+
+# sha256 of the compiled figure-1 documents, taken before the compiler was
+# rewritten for linear time: the rewrite must leave them byte-identical
+COMPILED_SHA256 = {
+    "a": "cccf0096dd3725287d35cc2fdefa0090c7e8288af01b11f3ffdb64c4cbd63f55",
+    "b": "d4fd838d3ecf6f0d8e946cb91d71a64097905339baca3793c318c7e53e4b4ac6",
+}
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_compiled_figure1_documents_are_pinned(case):
+    text = bdt_to_kripke(figure1_scenario(case)).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPILED_SHA256[case]
+
+
+TWO_HISTORIES = dict(agents=["a", "b"], moments=["m1", "m2", "m3"],
+                     parent={"m2": "m1", "m3": "m1"}, choice_at={"a": {}, "b": {}},
+                     epistemic_sit={"a": None, "b": None}, valuation_sit={})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"choice_at": {"a": {}, "b": {}, "c": {"m1": [["h1"], ["h2"]]}}},
+     "choice_at names unknown agent(s) ['c']"),
+    ({"choice_at": {"a": {"m9": [["h1"]]}, "b": {}}},
+     "choice_at[a] names unknown moment(s) ['m9']"),
+    ({"agents": ["a", "a"], "choice_at": {"a": {"m1": [["h1"], ["h2"]]}}},
+     "agents must be a non-empty list of distinct names"),
+    ({"epistemic_sit": {"a": None, "b": None, "c": None}},
+     "epistemic_sit names unknown agent(s) ['c']"),
+    ({"history_names": ["h1", "h1"]}, "history_names must be distinct"),
+    ({"choice_at": {"a": {"m1": [["h1", "h2"], []]}, "b": {}}},
+     "choice_at[a][m1] is not a partition of the histories through m1"),
+    ({"epistemic_sit": {"a": [["m1_h1", "m1_h2", "m2_h1", "m3_h2"], []], "b": None}},
+     "epistemic_sit[a] is not a partition of the situations"),
+], ids=["choice_at-unknown-agent", "choice_at-unknown-moment", "duplicate-agents",
+        "epistemic_sit-unknown-agent", "duplicate-history-names", "empty-choice-cell",
+        "empty-epistemic-cell"])
+def test_scenario_schema_faults_are_schema_errors(change, message):
+    with pytest.raises(SchemaError) as e:
+        BDTScenario(**{**TWO_HISTORIES, **change})
+    assert str(e.value) == message

@@ -12,6 +12,8 @@ is bounded by subformulas x worlds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from . import formula as F
 from .errors import UnknownAgent, UnknownWorld
@@ -98,7 +100,7 @@ def _eval(m, w, f, memo):
 
 def extension(m, f):
     """Set of worlds satisfying ``f``, computed bottom-up over subformulas."""
-    mask = _truth_mask(m, f)
+    mask, _ = _truth_mask(m._dense(), f)
     return {w for i, w in enumerate(m.worlds) if mask >> i & 1}
 
 
@@ -106,7 +108,9 @@ def valid_on_model(m, f):
     """(True, None) when ``f`` holds at every world, else (False, least
     world where it fails) in the canonical world order.
     """
-    failing = m._dense().full & ~_truth_mask(m, f)
+    d = m._dense()
+    mask, _ = _truth_mask(d, f)
+    failing = d.full & ~mask
     if not failing:
         return True, None
     return False, m.worlds[(failing & -failing).bit_length() - 1]
@@ -116,25 +120,47 @@ _UNARY = {F.Not, F.Box, F.Diamond, F.Next, F.Yesterday, F.Stit, F.StitAgs, F.Kno
           F.CommonKnows}
 
 
-def _quantify(cells, child):
+def _quantify(pairs, bad):
+    """Holders of the cells that miss ``bad``."""
     out = 0
-    for cm in cells:
-        if cm & child == cm:
-            out |= cm
+    for cell, hold in pairs:
+        if not cell & bad:
+            out |= hold
     return out
 
 
-def _truth_mask(m, f):
-    """Mask of the worlds satisfying ``f``, bit i standing for ``m.worlds[i]``.
+def _common(d):
+    """(cell, holders) pairs of the reflexive-transitive closure of the
+    union of the epistemic partitions: overlapping cells merge."""
+    comps = []
+    for a in d.agents:
+        for cell, _ in d.pairs[f"epi:{a}"]:
+            joined = [c for c in comps if c & cell]
+            comps = [c for c in comps if not c & cell] + [reduce(or_, joined, cell)]
+    return [(c, c) for c in comps]
 
-    One post-order walk on an explicit stack over the model's dense tables:
-    a node is evaluated once its children are in the table, left child
-    first, and a subformula already in the table is not walked again.  A
-    macro node takes the mask of its definition, unfolded where it is met.
+
+def _truth_mask(d, f, bound=None):
+    """(mask, reach) of ``f`` on the dense frame ``d``: bit i of the mask
+    stands for world ``d.names[i]``.
+
+    One post-order walk on an explicit stack: a node is evaluated once its
+    children are in the table, left child first, and a subformula already in
+    the table is not walked again.  A macro node takes the mask of its
+    definition, unfolded where it is met.
+
+    With a ``bound`` the frame is a window of layers [-bound, bound]: each
+    node also gets its temporal reach (forward, backward), the one
+    ``formula.depth_profile`` gives, and a quantifier reads only the mates
+    from which its child's reach stays inside the bound.  Bits at worlds
+    where a node does not fit are left unspecified.  Without a bound the
+    reach is None.
     """
-    d = m._dense()
     full = d.full
+    windowed = bound is not None
     table = {}
+    reach = {}
+    fits = {}
     stack = [f]
     while stack:
         g = stack[-1]
@@ -144,37 +170,49 @@ def _truth_mask(m, f):
         t = type(g)
         if t is F.Atom:
             v = d.atoms.get(g.name, 0)
+            r = (0, 0)
         elif t in _UNARY:
-            child = table.get(g.child)
+            c = g.child
+            child = table.get(c)
             if child is None:
-                stack.append(g.child)
+                stack.append(c)
                 continue
+            r = reach.get(c)
             if t is F.Not:
                 v = full & ~child
-            elif t is F.Box:
-                v = _quantify(d.box, child)
             elif t is F.Next or t is F.Yesterday:
                 steps = d.succ if t is F.Next else d.pred
-                if steps is None:
+                if not windowed and None in steps:
                     raise UnknownWorld("temporal relation is not invertible; Y undefined")
                 v = 0
                 for i, s in enumerate(steps):
-                    if child >> s & 1:
+                    if s is not None and child >> s & 1:
                         v |= 1 << i
-            elif t is F.Stit or t is F.Knows:
-                cells = (d.choice if t is F.Stit else d.epistemic).get(g.agent)
-                if cells is None:
-                    raise UnknownAgent(f"unknown agent {g.agent!r}")
-                v = _quantify(cells, child)
-            elif t is F.StitAgs:
-                v = _quantify(d.ags, child)
-            elif t is F.Diamond:
-                v = full & ~_quantify(d.box, full & ~child)
+                if windowed:
+                    fwd, bwd = r
+                    r = (fwd + 1, max(bwd - 1, 0)) if t is F.Next else (max(fwd - 1, 0), bwd + 1)
             else:
-                v = 0
-                for i, w in enumerate(m.worlds):
-                    if all(child >> d.index[u] & 1 for u in m.common_cell(w)):
-                        v |= 1 << i
+                if t is F.Box or t is F.Diamond:
+                    pairs = d.pairs["box"]
+                elif t is F.Stit or t is F.Knows:
+                    pairs = d.pairs.get(("choice:" if t is F.Stit else "epi:") + g.agent)
+                    if pairs is None:
+                        raise UnknownAgent(f"unknown agent {g.agent!r}")
+                elif t is F.StitAgs:
+                    pairs = d.pairs["ags"]
+                elif windowed:
+                    raise TypeError(f"cannot evaluate {g!r}")
+                else:
+                    pairs = _common(d)
+                fit = full
+                if windowed:
+                    fit = fits.get(r)
+                    if fit is None:
+                        fit = fits[r] = d.fit(r, bound)
+                if t is F.Diamond:
+                    v = full & ~_quantify(pairs, fit & child)
+                else:
+                    v = _quantify(pairs, fit & ~child)
         elif t in F.BINARY:
             left = table.get(g.left)
             right = table.get(g.right)
@@ -190,17 +228,23 @@ def _truth_mask(m, f):
                 v = (full & ~left) | right
             else:
                 v = left | right
+            if windowed:
+                (lf, lb), (rf, rb) = reach[g.left], reach[g.right]
+                r = (max(lf, rf), max(lb, rb))
         elif t is F.Macro:
             unfolded = F._unfold(g.name, g.agent, g.child)
             v = table.get(unfolded)
             if v is None:
                 stack.append(unfolded)
                 continue
+            r = reach.get(unfolded)
         else:
             raise TypeError(f"cannot evaluate {g!r}")
         table[g] = v
+        if windowed:
+            reach[g] = r
         stack.pop()
-    return table[f]
+    return table[f], reach.get(f)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +339,6 @@ def expost_interim_gap_search(seed_count=200, max_worlds=6, fills_per_model=6):
     DECISIONS.md gives the argument in full.
     """
     from .gen import GenParams, random_formula, random_model
-    from .model import validate_frame
     import random as _random
 
     rng = _random.Random(99)

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from collections import Counter
+from itertools import chain, product, repeat
+from math import prod
 
 from .errors import PartitionError, SchemaError, SuccNotTotal
 
@@ -206,9 +208,10 @@ class KripkeModel:
         return self._common_cells[w]
 
     def _dense(self):
-        """The model's dense tables, built on first use."""
+        """The model's dense frame, built on first use."""
         if self._tables is None:
-            self._tables = _DenseTables(self)
+            self._tables = DenseFrame(self.worlds, self.agents, partitions(self), self.succ,
+                                      self.pred or {}, self.valuation)
         return self._tables
 
     def with_valuation(self, valuation):
@@ -237,36 +240,105 @@ class KripkeModel:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
-class _DenseTables:
-    """A model over world indices: world i is ``m.worlds[i]``, a set of
-    worlds is an int bitmask, so the least world of a set is its lowest bit.
+def family_names(agents):
+    """Names of the four relation families in check order: settledness,
+    coalition choice, then choice and knowledge per agent."""
+    return ["box", "ags", *(f"choice:{a}" for a in agents), *(f"epi:{a}" for a in agents)]
 
-    ``box``, ``ags``, ``choice[a]`` and ``epistemic[a]`` list the cell masks
-    of each partition, ``atoms`` maps a proposition to its mask, ``succ``
-    lists successor indices and ``pred`` predecessor indices, or is None
-    when ``succ`` is not invertible.
+
+def partitions(obj):
+    """The four families of a structure that stores them as partitions, in
+    ``family_names`` order."""
+    return [obj.r_box, obj.choice_ags, *(obj.choice[a] for a in obj.agents),
+            *(obj.epistemic[a] for a in obj.agents)]
+
+
+class DenseFrame:
+    """A frame over world indices: world i is ``names[i]``.  The names are
+    sorted, so the least world of a set is the lowest bit of its mask.
+
+    Per family, named as in ``family_names``, ``cells[name][i]`` is the mask
+    of world i's mates and ``pairs[name]`` lists each distinct cell with the
+    mask of the worlds that hold it (the same mask, for a partition);
+    ``box``, ``ags``, ``choice[a]`` and ``epi[a]`` are the ``cells`` lists.
+    ``atoms`` maps a proposition to its mask; ``succ`` and ``pred`` list
+    successor and predecessor indices, None where the map is partial or not
+    invertible.  A window has a mask per layer in ``layers`` and an interior;
+    a model has no layers, and its interior is every world.  ``partitioned``
+    says that every family is a partition; a ``plain`` frame is also all
+    interior, as a model is, and the frame checks then accept in bulk.
+    ``memo`` holds the truth masks window evaluation computed on the frame.
     """
 
-    __slots__ = ("index", "full", "box", "ags", "choice", "epistemic", "atoms", "succ", "pred")
+    __slots__ = ("names", "index", "agents", "full", "interior", "layers", "cells", "pairs",
+                 "box", "ags", "choice", "epi", "atoms", "succ", "pred", "partitioned", "memo")
 
-    def __init__(self, m):
-        index = {w: i for i, w in enumerate(m.worlds)}
+    def __init__(self, names, agents, relations, succ, pred, valuation,
+                 interior=None, layer=None):
+        """``relations`` holds one relation per family in ``family_names``
+        order, each a partition or a map from a world to its mates; ``succ``
+        and ``pred`` map world ids, ``layer`` maps a world to its layer."""
+        self.names = names
+        self.agents = agents
+        index = self.index = dict(zip(names, range(len(names))))
+        self.full = (1 << len(names)) - 1
+        self.interior = self.full if interior is None else self.mask(interior)
+        self.layers = {}
+        for w, lv in (layer or {}).items():
+            self.layers[lv] = self.layers.get(lv, 0) | 1 << index[w]
+        self.cells, self.pairs = {}, {}
+        for name, rel in zip(family_names(agents), relations):
+            self.cells[name], self.pairs[name] = (
+                self._neighbours(rel) if isinstance(rel, dict) else self._partition(rel))
+        self.box, self.ags = self.cells["box"], self.cells["ags"]
+        self.choice = {a: self.cells[f"choice:{a}"] for a in agents}
+        self.epi = {a: self.cells[f"epi:{a}"] for a in agents}
+        self.atoms = {p: self.mask(ws) for p, ws in valuation.items()}
+        self.succ = [index.get(succ.get(w)) for w in names]
+        self.pred = [index.get(pred.get(w)) for w in names]
+        self.partitioned = all(c == h for pairs in self.pairs.values() for c, h in pairs)
+        self.memo = {}
 
-        def mask(ws):
-            out = 0
-            for w in ws:
-                out |= 1 << index[w]
-            return out
+    @property
+    def plain(self):
+        return self.partitioned and self.interior == self.full
 
-        self.index = index
-        self.full = (1 << len(m.worlds)) - 1
-        self.box = [mask(c) for c in m.r_box]
-        self.ags = [mask(c) for c in m.choice_ags]
-        self.choice = {a: [mask(c) for c in m.choice[a]] for a in m.agents}
-        self.epistemic = {a: [mask(c) for c in m.epistemic[a]] for a in m.agents}
-        self.atoms = {p: mask(ws) for p, ws in m.valuation.items()}
-        self.succ = [index[m.succ[w]] for w in m.worlds]
-        self.pred = None if m.pred is None else [index[m.pred[w]] for w in m.worlds]
+    def mask(self, ws):
+        index = self.index
+        out = 0
+        for w in ws:
+            out |= 1 << index[w]
+        return out
+
+    def _partition(self, partition):
+        index, cells, pairs = self.index, [0] * len(self.names), []
+        for cell in partition:
+            cm = 0
+            for w in cell:
+                cm |= 1 << index[w]
+            for w in cell:
+                cells[index[w]] = cm
+            pairs.append((cm, cm))
+        if sum(map(len, partition)) != len(cells) or 0 in cells:
+            # overlapping cells: a world holds the last cell that lists it
+            return self._neighbours({w: cell for cell in partition for w in cell})
+        return cells, pairs
+
+    def _neighbours(self, mates):
+        masks, holders, cells = {}, {}, []
+        for i, w in enumerate(self.names):
+            cm = masks.get(mates[w])
+            if cm is None:
+                cm = masks[mates[w]] = self.mask(mates[w])
+            cells.append(cm)
+            holders[cm] = holders.get(cm, 0) | 1 << i
+        return cells, list(holders.items())
+
+    def fit(self, reach, bound):
+        """Mask of the worlds from which a formula of temporal ``reach``
+        (forward, backward) stays within the layers [-bound, bound]."""
+        fwd, bwd = reach
+        return sum(m for lv, m in self.layers.items() if bwd - bound <= lv <= bound - fwd)
 
 
 def read_document(document):
@@ -391,135 +463,294 @@ def validate_frame(m, mode="actual", n=1):
     Failures are report entries with concrete witness worlds, never errors.
     Results are cached on the model per (mode, n).
     """
+    key = (mode, n)
+    report = m._frame_reports.get(key)
+    if report is None:
+        report = m._frame_reports[key] = check_frame(m._dense(), mode, n)
+    return report
+
+
+def check_frame(d, mode, n):
+    """The frame report of the dense frame ``d``: universal quantifiers range
+    over its interior, existential witnesses over all its worlds.  Each
+    failed condition's witness is its first violation in world order."""
     if mode not in ("actual", "super_additive"):
         raise ValueError(f"mode must be actual or super_additive, got {mode!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    key = (mode, n)
-    if key in m._frame_reports:
-        return m._frame_reports[key]
-
     checks = {c: FrameCheck(c, True) for c in CONDITIONS}
+    for check in _CHECKS:
+        for cond, witness, explanation in check(d, mode, n):
+            checks[cond] = FrameCheck(cond, False, [d.names[i] for i in witness], explanation)
+    return FrameReport(mode, n, [checks[c] for c in CONDITIONS])
 
-    def fail(cond, witness, explanation):
-        c = checks[cond]
-        if c.passed:
-            c.passed = False
-            c.witness = list(witness)
-            c.explanation = explanation
 
-    # EQ: four families are partitions by construction; succ must be a bijection
-    if m.pred is None:
-        targets = {}
-        for w in sorted(m.succ):
-            targets.setdefault(m.succ[w], []).append(w)
-        dup = next((ws for ws in targets.values() if len(ws) > 1), None)
-        fail("EQ", dup or [], "succ is not injective")
-        fail("INVERSE", dup or [], "succ has no inverse")
-    else:
-        for w in m.worlds:
-            if m.pred[m.succ[w]] != w or m.succ[m.pred[w]] != w:
-                fail("INVERSE", [w], "succ and its inverse do not compose to identity")
-                break
+def _bits(mask):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    # SET: each agent cell and each grand-coalition cell within one box class
-    for a in m.agents:
-        for cell in m.choice[a]:
-            if len({m._box_of[w] for w in cell}) > 1:
-                fail("SET", sorted(cell)[:4], f"choice[{a}] cell spans several settledness classes")
-    for cell in m.choice_ags:
-        if len({m._box_of[w] for w in cell}) > 1:
-            fail("SET", sorted(cell)[:4], "choice_ags cell spans several settledness classes")
 
-    # IA: every selection of one agent cell per agent intersects, per class
-    for box in m.r_box:
-        per_agent = [sorted({m._choice_of[a][w] for w in box}) for a in m.agents]
-        chosen = [0] * len(m.agents)
+def _low(mask):
+    return (mask & -mask).bit_length() - 1
 
-        def selections(i):
-            if i == len(m.agents):
-                yield tuple(chosen)
+
+# Each check yields (condition, witness indices, explanation) for the first
+# violation of each of its conditions in world order, then stops looking
+# for that condition.
+
+def _check_eq(d, mode, n):
+    inner = d.interior
+    for name, pairs in () if d.partitioned else d.pairs.items():
+        cells = d.cells[name]
+        # a family whose every distinct cell is held by exactly its own
+        # members is a partition; the walk below only names the first fault
+        if all(cell == hold for cell, hold in pairs):
+            continue
+        holders = dict(pairs)
+        for u in _bits(inner):
+            cell = cells[u]
+            if not cell >> u & 1:
+                yield "EQ", [u], f"{name} not reflexive"
                 return
-            for c in per_agent[i]:
-                chosen[i] = c
-                yield from selections(i + 1)
+            # mates holding this same cell cannot break symmetry or transitivity
+            for v in _bits(cell & inner & ~holders[cell]):
+                if not cells[v] >> u & 1:
+                    yield "EQ", [u, v], f"{name} not symmetric"
+                    return
+                extra = cells[v] & inner & ~cell
+                if extra:
+                    yield "EQ", [u, v, _low(extra)], f"{name} not transitive"
+                    return
+    targets = {}
+    for u in _bits(inner):
+        s = d.succ[u]
+        if s is None:
+            yield "EQ", [u], "succ undefined on an interior world"
+            return
+        # a window's successor leaves the layer; a model's may loop
+        if s == u and d.layers:
+            yield "EQ", [u], "succ reflexive on the interior"
+            return
+        if s in targets:
+            yield "EQ", [targets[s], u], "succ not injective"
+            return
+        targets[s] = u
 
-        for sel in selections(0):
-            inter = box
-            for a, ci in zip(m.agents, sel):
-                inter = inter & m.choice[a][ci]
-                if not inter:
-                    break
-            if not inter:
-                picked = [min(m.choice[a][ci]) for a, ci in zip(m.agents, sel)]
-                fail("IA", [min(box)], f"empty selection through cells of {picked} in class of {min(box)}")
-                break
 
-    # ADDITIVITY: grand-coalition cells vs intersections of agent cells
-    for w in m.worlds:
-        inter = m.box_cell(w)
-        for a in m.agents:
-            inter = inter & m.choice_cell(a, w)
-        ags = m.ags_cell(w)
+def _check_inverse(d, mode, n):
+    for u in _bits(d.interior):
+        s, p = d.succ[u], d.pred[u]
+        if s is not None and d.pred[s] != u:
+            yield "INVERSE", [u], "pred(succ) is not identity"
+            return
+        if p is not None and d.succ[p] != u:
+            yield "INVERSE", [u], "succ(pred) is not identity"
+            return
+
+
+def _check_set(d, mode, n):
+    for u in _bits(d.interior):
+        box = d.box[u]
+        for a in d.agents:
+            if d.choice[a][u] & ~box:
+                yield "SET", [u], f"choice cell of {a} leaves the settledness class"
+                return
+        if d.ags[u] & ~box:
+            yield "SET", [u], "coalition cell leaves the settledness class"
+            return
+
+
+def _classes(d):
+    """(least world, cell, interior members) of each settledness class met
+    by the interior, in world order."""
+    inner = d.interior
+    met = sorted((_low(hold & inner), cell) for cell, hold in d.pairs["box"] if hold & inner)
+    seen = set()
+    for _, box in met:
+        key = _low(box)
+        if key not in seen:
+            seen.add(key)
+            yield key, box, list(_bits(box & inner))
+
+
+def _met(cells, members):
+    """The distinct cells that ``members`` hold, keyed by least world, in
+    member order."""
+    out = {}
+    for cell in dict.fromkeys(map(cells.__getitem__, members)):
+        out.setdefault(_low(cell), cell)
+    return out
+
+
+def _check_additivity(d, mode, n):
+    for u in _bits(d.interior):
+        inter = d.box[u]
+        for a in d.agents:
+            inter &= d.choice[a][u]
+        ags = d.ags[u]
         if mode == "actual" and ags != inter:
-            fail("ADDITIVITY", [w], "choice_ags cell differs from the intersection of agent cells")
-        elif mode == "super_additive" and not ags <= inter:
-            fail("ADDITIVITY", [w], "choice_ags cell not contained in the intersection of agent cells")
+            yield "ADDITIVITY", [u], "coalition cell differs from the intersection of agent cells"
+            return
+        if mode == "super_additive" and ags & ~inter:
+            yield "ADDITIVITY", [u], "coalition cell not contained in the intersection of agent cells"
+            return
 
-    # CARD: at most n agent cells and n grand-coalition cells per class
-    for box in m.r_box:
-        n_ags = len({m._ags_of[w] for w in box})
-        if n_ags > n:
-            fail("CARD", [min(box)], f"{n_ags} grand-coalition cells in class of {min(box)} (bound {n})")
-        for a in m.agents:
-            n_a = len({m._choice_of[a][w] for w in box})
-            if n_a > n:
-                fail("CARD", [min(box)], f"{n_a} choice cells for {a} in class of {min(box)} (bound {n})")
 
-    if m.pred is not None:
-        # NX: predecessors of box-related worlds are box-related
-        # NA/NAGS: ... and choice-related for each agent / the coalition
-        for box in m.r_box:
-            ws = sorted(box)
-            w0 = ws[0]
-            p0 = m.pred[w0]
-            for w in ws[1:]:
-                p = m.pred[w]
-                if m._box_of[p] != m._box_of[p0]:
-                    fail("NX", [w0, w], f"predecessors {p0}, {p} are not settledness-related")
-                if m._ags_of[p] != m._ags_of[p0]:
-                    fail("NAGS", [w0, w], f"predecessors {p0}, {p} are not coalition-choice-related")
-                for a in m.agents:
-                    if m._choice_of[a][p] != m._choice_of[a][p0]:
-                        fail("NA", [w0, w], f"predecessors {p0}, {p} are not choice-related for {a}")
-                        break
-
-        # NOF: epistemically related worlds have epistemically related predecessors
-        for a in m.agents:
-            for cell in m.epistemic[a]:
-                ws = sorted(cell)
-                w0 = ws[0]
-                for w in ws[1:]:
-                    if m._epi_of[a][m.pred[w]] != m._epi_of[a][m.pred[w0]]:
-                        fail("NOF", [w0, w], f"predecessors not epistemically related for {a}")
-                        break
-
-    # UNIF_H: an epistemic link between two classes extends to every world
-    # of the source class
-    for a in m.agents:
-        links = set()
-        for cell in m.epistemic[a]:
-            boxes = {m._box_of[w] for w in cell}
-            for b1 in boxes:
-                for b2 in boxes:
-                    links.add((b1, b2))
-        for b1, b2 in sorted(links):
-            for v in m.r_box[b1]:
-                cell = m.epi_cell(a, v)
-                if not any(m._box_of[u] == b2 for u in cell):
-                    fail("UNIF_H", [v], f"no epistemic mate for {a} in class of {min(m.r_box[b2])}")
+def _check_classes(d, mode, n):
+    # IA and CARD, over the cells that the interior members of a class hold
+    if d.plain and _classes_pass(d, n):
+        return
+    pending = {"IA", "CARD"}
+    for key, box, members in _classes(d):
+        per_agent = [_met(d.choice[a], members) for a in d.agents]
+        if "CARD" in pending:
+            counts = [(len(_met(d.ags, members)), "coalition cells")]
+            counts += [(len(cells), f"cells for {a}") for a, cells in zip(d.agents, per_agent)]
+            over = next((f"{k} {what}" for k, what in counts if k > n), None)
+            if over:
+                pending.discard("CARD")
+                yield "CARD", [key], f"{over} (bound {n})"
+        if "IA" in pending:
+            for sel in product(*(cells.values() for cells in per_agent)):
+                inter = box
+                for c in sel:
+                    inter &= c
+                if not inter:
+                    picked = [d.names[_low(c)] for c in sel]
+                    pending.discard("IA")
+                    yield "IA", [key], f"empty selection through cells of {picked}"
                     break
+        if not pending:
+            return
 
-    report = FrameReport(mode, n, [checks[c] for c in CONDITIONS])
-    m._frame_reports[key] = report
-    return report
+
+def _classes_pass(d, n):
+    """IA and CARD in bulk on a plain frame: each class meets at most n
+    cells of each family, and its worlds realize every selection of one
+    choice cell per agent."""
+    choices = list(d.choice.values())
+    counts = [Counter(box for box, _ in set(zip(d.box, cells))) for cells in (d.ags, *choices)]
+    if any(k > n for count in counts for k in count.values()):
+        return False
+    realized = Counter(t[0] for t in set(zip(d.box, *choices)))
+    return all(k == prod(count[box] for count in counts[1:]) for box, k in realized.items())
+
+
+def _preimage(d):
+    """Function from a mask to the mask of worlds whose predecessor lies in
+    it, cached by mask."""
+    back = [0] * len(d.names)
+    for v, p in enumerate(d.pred):
+        if p is not None:
+            back[p] |= 1 << v
+    cache = {}
+
+    def pre(mask):
+        m = cache.get(mask)
+        if m is None:
+            m = 0
+            for x in _bits(mask):
+                m |= back[x]
+            cache[mask] = m
+        return m
+
+    return pre
+
+
+def _check_past(d, mode, n):
+    # NX / NA / NAGS: interior box-related pairs have related predecessors;
+    # NOF: so do interior epistemically related pairs.  A plain frame passes
+    # in bulk when pred takes each cell into one cell of its target family.
+    pred = d.pred
+    if d.plain and None not in pred and all(
+            len(set(zip(cells, *(map(t.__getitem__, pred) for t in targets)))) == len(set(cells))
+            for cells, targets in [(d.box, [d.box, d.ags, *d.choice.values()]),
+                                   *((e, [e]) for e in d.epi.values())]):
+        return
+    pre = _preimage(d)
+    has_pred = d.interior & sum(1 << v for v, p in enumerate(d.pred) if p is not None)
+    for cond, targets, text in (("NX", [d.box], "settledness-related"),
+                                ("NAGS", [d.ags], "coalition-choice-related"),
+                                ("NA", list(d.choice.values()), "choice-related for {}")):
+        hit = _unrelated(d, pre, has_pred, d.box, targets)
+        if hit:
+            u, v, i = hit
+            yield cond, [u, v], (f"predecessors {d.names[d.pred[u]]}, {d.names[d.pred[v]]} "
+                                 f"not {text.format(d.agents[i])}")
+    for a in d.agents:
+        hit = _unrelated(d, pre, has_pred, d.epi[a], [d.epi[a]])
+        if hit:
+            yield "NOF", list(hit[:2]), f"predecessors not epistemically related for {a}"
+            return
+
+
+def _unrelated(d, pre, has_pred, cells, targets):
+    """(u, v, i) for the first u of ``has_pred`` and the first later v of
+    ``has_pred`` in its cell of ``cells`` such that the ``targets[i]`` cell
+    of pred(u) misses pred(v); None when there is none.  With partitions,
+    a cell whose least world in ``has_pred`` passes passes as a whole, so
+    the walk visits only those worlds."""
+    pred = d.pred
+    walk = has_pred
+    if d.partitioned:
+        walk = sum(c & has_pred & -(c & has_pred) for c in set(cells))
+    for u in _bits(walk):
+        pu = pred[u]
+        later = (cells[u] & has_pred) >> (u + 1) << (u + 1)
+        bad = 0
+        for t in targets if later else ():
+            bad |= later & ~pre(t[pu])
+        if bad:
+            v = _low(bad)
+            return u, v, next(i for i, t in enumerate(targets) if not pre(t[pu]) >> v & 1)
+    return None
+
+
+def _check_unif_h(d, mode, n):
+    # interior-witnessed links extend from interior worlds, with frame-wide
+    # witnesses; read per distinct cell and the worlds that hold it
+    if d.plain and all(map(_spans_agree, d.epi.values(), repeat(d.box))):
+        return
+    inner = d.interior
+    key = [_low(box) for box in d.box]
+    box_by_key = {}
+    for cell, _ in d.pairs["box"]:
+        box_by_key.setdefault(_low(cell), cell)
+    keys_of = {}
+
+    def keys(mask):
+        ks = keys_of.get(mask)
+        if ks is None:
+            ks = keys_of[mask] = {key[v] for v in _bits(mask)}
+        return ks
+
+    for a in d.agents:
+        meets = {}  # class key -> worlds with an epistemic mate in that class
+        links = set()
+        for cell, hold in d.pairs[f"epi:{a}"]:
+            for k in keys(cell):
+                meets[k] = meets.get(k, 0) | hold
+            if hold & inner:
+                links.update(product(keys(hold & inner), keys(cell & inner)))
+        for k1, k2 in sorted(links):
+            bad = box_by_key[k1] & inner & ~meets[k2]
+            if bad:
+                yield "UNIF_H", [_low(bad)], f"no epistemic mate for {a} in class of {d.names[k2]}"
+                return
+
+
+def _spans_agree(cells, box):
+    """On a plain frame: whether within each settledness class every cell
+    of ``cells`` meets the same classes, which is UNIF_H for those cells."""
+    meets = set(zip(cells, box))
+    span = {}
+    for cell, b in meets:
+        span[cell] = span.get(cell, 0) | b
+    return len({(b, span[cell]) for cell, b in meets}) == len(set(box))
+
+
+_CHECKS = (_check_eq, _check_inverse, _check_set, _check_additivity,
+           _check_classes, _check_past, _check_unif_h)

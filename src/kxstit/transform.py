@@ -21,10 +21,11 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import formula as F
-from .checker import _check_world, _eval
+from .checker import _check_world, _eval, _truth_mask
 from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, PartialMap,
                      SourceNotIrreflexive, WindowTooSmall)
-from .model import CONDITIONS, FrameCheck, FrameReport, KripkeModel, validate_frame
+from .model import (DenseFrame, KripkeModel, _bits, _cell_index, check_frame, family_names,
+                    partitions, validate_frame)
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,18 @@ class WindowModel:
         self.choice_ags = tuple(sorted((frozenset(c) for c in choice_ags), key=min))
         self.epistemic = {a: tuple(sorted((frozenset(c) for c in epistemic[a]), key=min)) for a in self.agents}
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
-        self._box_of = _index(self.r_box)
-        self._ags_of = _index(self.choice_ags)
-        self._choice_of = {a: _index(p) for a, p in self.choice.items()}
-        self._epi_of = {a: _index(p) for a, p in self.epistemic.items()}
+        self._box_of = _cell_index(self.r_box)
+        self._ags_of = _cell_index(self.choice_ags)
+        self._choice_of = {a: _cell_index(p) for a, p in self.choice.items()}
+        self._epi_of = {a: _cell_index(p) for a, p in self.epistemic.items()}
+        self._frame = None
+
+    def _dense(self):
+        """The window's dense frame, built on first use."""
+        if self._frame is None:
+            self._frame = DenseFrame(self.worlds, self.agents, partitions(self), self.succ,
+                                     self.pred, self.valuation, self.interior, self.layer)
+        return self._frame
 
     def box_cell(self, w):
         return self.r_box[self._box_of[w]]
@@ -116,14 +125,6 @@ class WindowModel:
             "epistemic": {a: cells(self.epistemic[a]) for a in sorted(self.agents)},
             "valuation": {p: sorted(ws) for p, ws in sorted(self.valuation.items())},
         }
-
-
-def _index(partition):
-    out = {}
-    for i, cell in enumerate(partition):
-        for w in cell:
-            out[w] = i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,308 +218,13 @@ def unravel(m, root, horizon, require_valid=True, mode="super_additive"):
 # ---------------------------------------------------------------------------
 # relativized frame validation
 
-def _families(obj):
-    """(name, mates-function) pairs for the four equivalence families."""
-    fams = [("box", obj.box_cell), ("ags", obj.ags_cell)]
-    for a in obj.agents:
-        fams.append((f"choice:{a}", lambda w, a=a: obj.choice_cell(a, w)))
-    for a in obj.agents:
-        fams.append((f"epi:{a}", lambda w, a=a: obj.epi_cell(a, w)))
-    return fams
-
-
-def _bits(mask):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _low(mask):
-    return (mask & -mask).bit_length() - 1
-
-
-def _holders(cells):
-    """Mask of the worlds holding each distinct cell of a family."""
-    out = {}
-    for w, cell in enumerate(cells):
-        out[cell] = out.get(cell, 0) | 1 << w
-    return out
-
-
-class _DenseWindow:
-    """A window on dense world indices.  World i is ``win.worlds[i]``; that
-    tuple is sorted, so the least world id of a set is its lowest bit.  Each
-    family is a list of per-world neighbour masks (identical cells share one
-    int), ``succ``/``pred`` are index lists with None where the map is
-    partial.
-    """
-
-    def __init__(self, win):
-        self.names = win.worlds
-        self.agents = win.agents
-        pos = {w: i for i, w in enumerate(win.worlds)}
-        masks = {}
-
-        def mask(cell):
-            m = masks.get(cell)
-            if m is None:
-                m = masks[cell] = sum(1 << pos[w] for w in cell)
-            return m
-
-        self.interior = mask(win.interior)
-        self.families = [(name, [mask(mates(w)) for w in win.worlds])
-                         for name, mates in _families(win)]
-        k = len(self.agents)
-        self.box = self.families[0][1]
-        self.ags = self.families[1][1]
-        self.choice = {a: cells for a, (_, cells) in zip(self.agents, self.families[2:2 + k])}
-        self.epi = {a: cells for a, (_, cells) in zip(self.agents, self.families[2 + k:])}
-        self.succ = [pos.get(win.succ_of(w)) for w in win.worlds]
-        self.pred = [pos.get(win.pred_of(w)) for w in win.worlds]
-
-
-# Each check yields (condition, witness indices, explanation) for the first
-# violation of each of its conditions in world order, then stops looking
-# for that condition.
-
-def _check_eq(d, mode, n):
-    inner = d.interior
-    for name, cells in d.families:
-        holders = _holders(cells)
-        for u in _bits(inner):
-            cell = cells[u]
-            if not cell >> u & 1:
-                yield "EQ", [u], f"{name} not reflexive"
-                return
-            # mates holding this same cell cannot break symmetry or transitivity
-            for v in _bits(cell & inner & ~holders[cell]):
-                if not cells[v] >> u & 1:
-                    yield "EQ", [u, v], f"{name} not symmetric"
-                    return
-                extra = cells[v] & inner & ~cell
-                if extra:
-                    yield "EQ", [u, v, _low(extra)], f"{name} not transitive"
-                    return
-    targets = {}
-    for u in _bits(inner):
-        s = d.succ[u]
-        if s is None:
-            yield "EQ", [u], "succ undefined on an interior world"
-            return
-        if s == u:
-            yield "EQ", [u], "succ reflexive on the interior"
-            return
-        if s in targets:
-            yield "EQ", [targets[s], u], "succ not injective"
-            return
-        targets[s] = u
-
-
-def _check_inverse(d, mode, n):
-    for u in _bits(d.interior):
-        s, p = d.succ[u], d.pred[u]
-        if s is not None and d.pred[s] != u:
-            yield "INVERSE", [u], "pred(succ) is not identity"
-            return
-        if p is not None and d.succ[p] != u:
-            yield "INVERSE", [u], "succ(pred) is not identity"
-            return
-
-
-def _check_set(d, mode, n):
-    for u in _bits(d.interior):
-        box = d.box[u]
-        for a in d.agents:
-            if d.choice[a][u] & ~box:
-                yield "SET", [u], f"choice cell of {a} leaves the settledness class"
-                return
-        if d.ags[u] & ~box:
-            yield "SET", [u], "coalition cell leaves the settledness class"
-            return
-
-
-def _classes(d):
-    """(least world, cell) of each settledness class met by the interior,
-    in world order."""
-    seen = set()
-    for u in _bits(d.interior):
-        box = d.box[u]
-        key = _low(box)
-        if key not in seen:
-            seen.add(key)
-            yield key, box
-
-
-def _check_ia(d, mode, n):
-    # selections assembled from cells of interior members of a class
-    for key, box in _classes(d):
-        members = list(_bits(box & d.interior))
-        per_agent = []
-        for a in d.agents:
-            cells = {}
-            for w in members:
-                cells.setdefault(_low(d.choice[a][w]), d.choice[a][w])
-            per_agent.append(cells.values())
-        for sel in itertools.product(*per_agent):
-            inter = box
-            for c in sel:
-                inter &= c
-            if not inter:
-                picked = [d.names[_low(c)] for c in sel]
-                yield "IA", [key], f"empty selection through cells of {picked}"
-                return
-
-
-def _check_additivity(d, mode, n):
-    for u in _bits(d.interior):
-        inter = d.box[u]
-        for a in d.agents:
-            inter &= d.choice[a][u]
-        ags = d.ags[u]
-        if mode == "actual" and ags != inter:
-            yield "ADDITIVITY", [u], "coalition cell differs from the intersection of agent cells"
-            return
-        if mode == "super_additive" and ags & ~inter:
-            yield "ADDITIVITY", [u], "coalition cell not contained in the intersection of agent cells"
-            return
-
-
-def _check_card(d, mode, n):
-    # over interior-visible cells
-    for key, box in _classes(d):
-        members = list(_bits(box & d.interior))
-        n_ags = len({_low(d.ags[w]) for w in members})
-        if n_ags > n:
-            yield "CARD", [key], f"{n_ags} coalition cells (bound {n})"
-            return
-        for a in d.agents:
-            n_a = len({_low(d.choice[a][w]) for w in members})
-            if n_a > n:
-                yield "CARD", [key], f"{n_a} cells for {a} (bound {n})"
-                return
-
-
-def _preimage(d):
-    """Function from a mask to the mask of worlds whose predecessor lies in
-    it, cached by mask."""
-    back = [0] * len(d.names)
-    for v, p in enumerate(d.pred):
-        if p is not None:
-            back[p] |= 1 << v
-    cache = {}
-
-    def pre(mask):
-        m = cache.get(mask)
-        if m is None:
-            m = 0
-            for x in _bits(mask):
-                m |= back[x]
-            cache[mask] = m
-        return m
-
-    return pre
-
-
-def _check_past(d, mode, n):
-    # NX / NA / NAGS: interior box-related pairs have related predecessors;
-    # NOF: so do interior epistemically related pairs
-    pre = _preimage(d)
-    has_pred = d.interior & ~sum(1 << v for v, p in enumerate(d.pred) if p is None)
-    pending = {"NX", "NA", "NAGS"}
-    for u in _bits(d.interior):
-        pu = d.pred[u]
-        if pu is None:
-            continue
-        later = (d.box[u] & has_pred) >> (u + 1) << (u + 1)
-        if not later:
-            continue
-        if "NX" in pending:
-            bad = later & ~pre(d.box[pu])
-            if bad:
-                v = _low(bad)
-                pending.discard("NX")
-                yield "NX", [u, v], f"predecessors {d.names[pu]}, {d.names[d.pred[v]]} not settledness-related"
-        if "NAGS" in pending:
-            bad = later & ~pre(d.ags[pu])
-            if bad:
-                v = _low(bad)
-                pending.discard("NAGS")
-                yield "NAGS", [u, v], (f"predecessors {d.names[pu]}, {d.names[d.pred[v]]} "
-                                       "not coalition-choice-related")
-        if "NA" in pending:
-            bad = 0
-            for a in d.agents:
-                bad |= later & ~pre(d.choice[a][pu])
-            if bad:
-                v = _low(bad)
-                a = next(a for a in d.agents if not pre(d.choice[a][pu]) >> v & 1)
-                pending.discard("NA")
-                yield "NA", [u, v], (f"predecessors {d.names[pu]}, {d.names[d.pred[v]]} "
-                                     f"not choice-related for {a}")
-        if not pending:
-            break
-    for a in d.agents:
-        cells = d.epi[a]
-        for u in _bits(d.interior):
-            pu = d.pred[u]
-            if pu is None:
-                continue
-            bad = (cells[u] & has_pred) >> (u + 1) << (u + 1) & ~pre(cells[pu])
-            if bad:
-                yield "NOF", [u, _low(bad)], f"predecessors not epistemically related for {a}"
-                return
-
-
-def _check_unif_h(d, mode, n):
-    # interior-witnessed links extend from interior worlds, with
-    # window-wide witnesses
-    key = [_low(box) for box in d.box]
-    box_by_key = {}
-    for w, box in enumerate(d.box):
-        box_by_key.setdefault(key[w], box)
-    keys_cache = {}
-
-    def keys(mask):
-        ks = keys_cache.get(mask)
-        if ks is None:
-            ks = keys_cache[mask] = {key[v] for v in _bits(mask)}
-        return ks
-
-    for a in d.agents:
-        cells = d.epi[a]
-        # meets[k]: worlds with an epistemic mate in the class of key k
-        meets = {}
-        for cell, hold in _holders(cells).items():
-            for k in keys(cell):
-                meets[k] = meets.get(k, 0) | hold
-        links = set()
-        for k1, cell in {(key[u], cells[u]) for u in _bits(d.interior)}:
-            links.update((k1, k2) for k2 in keys(cell & d.interior))
-        for k1, k2 in sorted(links):
-            bad = box_by_key[k1] & d.interior & ~meets.get(k2, 0)
-            if bad:
-                yield "UNIF_H", [_low(bad)], f"no epistemic mate for {a} in class of {d.names[k2]}"
-                return
-
-
-_WINDOW_CHECKS = (_check_eq, _check_inverse, _check_set, _check_ia, _check_additivity,
-                  _check_card, _check_past, _check_unif_h)
-
-
 def validate_window(win, mode="actual", n=1):
     """Frame conditions relativized to the window interior: universal
     quantifiers range over interior worlds, existential witnesses over the
     whole window.  Each failed condition's witness is its first violation
     in world order.
     """
-    d = _DenseWindow(win)
-    checks = {c: FrameCheck(c, True) for c in CONDITIONS}
-    for check in _WINDOW_CHECKS:
-        for cond, witness, explanation in check(d, mode, n):
-            checks[cond] = FrameCheck(cond, False, [d.names[i] for i in witness], explanation)
-    return FrameReport(mode, n, [checks[c] for c in CONDITIONS])
+    return check_frame(win._dense(), mode, n)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +271,7 @@ class _View:
         return self.obj.pred_of(w)
 
     def families(self):
-        return _families(self.obj)
+        return [(name, self.family(name)) for name in family_names(self.agents)]
 
     def family(self, name):
         if name == "box":
@@ -681,76 +387,27 @@ def check_bounded_morphism(mapping, source, target, interior_only=True):
 # ---------------------------------------------------------------------------
 # window evaluation and truth preservation
 
-def _fits(win, w, profile, margin):
-    bound = win.horizon - margin
-    lv = win.layer[w]
-    return lv + profile.forward_reach <= bound and lv - profile.backward_reach >= -bound
-
-
 def window_eval(win, w, f, margin=0):
     """Evaluate ``f`` at window world ``w``.  Quantifier mates whose layer
     cannot absorb the remaining formula's temporal reach are skipped (they
     are redundant for windows over frame-valid bases).  Raises
     DepthExceedsWindow when the formula does not fit at ``w`` itself.
+
+    The whole truth mask of ``f`` is computed once per window and margin,
+    so evaluating one formula at every world costs one bitset walk.
     """
-    f = F.expand_macros(f)
-    dp = F.depth_profile(f)
-    if not _fits(win, w, dp, margin):
+    d = win._dense()
+    bound = win.horizon - margin
+    key = (f, bound)
+    if key not in d.memo:
+        d.memo[key] = _truth_mask(d, f, bound)
+    mask, reach = d.memo[key]
+    i = d.index[w]
+    if not d.fit(reach, bound) >> i & 1:
         raise DepthExceedsWindow(
-            f"reach {dp} does not fit at layer {win.layer[w]} "
+            f"reach {F.DepthProfile(*reach)} does not fit at layer {win.layer[w]} "
             f"(horizon {win.horizon}, margin {margin})")
-    return _window_eval(win, w, f, margin, {f: dp})
-
-
-def _window_eval(win, w, f, margin, profiles):
-    """``window_eval`` of the macro-free ``f``, which fits at ``w``;
-    ``profiles`` holds depth profiles of subformulas and takes the ones
-    computed here, so callers evaluating ``f`` at many worlds share it.
-    """
-
-    def profile(g):
-        if g not in profiles:
-            profiles[g] = F.depth_profile(g)
-        return profiles[g]
-
-    def ev(u, g):
-        if isinstance(g, F.Atom):
-            return win.holds(g.name, u)
-        if isinstance(g, F.Not):
-            return not ev(u, g.child)
-        if isinstance(g, F.And):
-            return ev(u, g.left) and ev(u, g.right)
-        if isinstance(g, F.Or):
-            return ev(u, g.left) or ev(u, g.right)
-        if isinstance(g, F.Implies):
-            return (not ev(u, g.left)) or ev(u, g.right)
-        if isinstance(g, F.Next):
-            s = win.succ_of(u)
-            if s is None:
-                raise DepthExceedsWindow(f"succ undefined at {u}")
-            return ev(s, g.child)
-        if isinstance(g, F.Yesterday):
-            p = win.pred_of(u)
-            if p is None:
-                raise DepthExceedsWindow(f"pred undefined at {u}")
-            return ev(p, g.child)
-        if isinstance(g, (F.Box, F.Diamond)):
-            mates = win.box_cell(u)
-        elif isinstance(g, F.Stit):
-            mates = win.choice_cell(g.agent, u)
-        elif isinstance(g, F.StitAgs):
-            mates = win.ags_cell(u)
-        elif isinstance(g, F.Knows):
-            mates = win.epi_cell(g.agent, u)
-        else:
-            raise TypeError(f"cannot evaluate {g!r}")
-        child = g.child
-        fit = [v for v in mates if _fits(win, v, profile(child), margin)]
-        if isinstance(g, F.Diamond):
-            return any(ev(v, child) for v in fit)
-        return all(ev(v, child) for v in fit)
-
-    return ev(w, f)
+    return bool(mask >> i & 1)
 
 
 @dataclass
@@ -777,18 +434,20 @@ def truth_preservation(source, target, mapping, formulas, margin=0):
     projection, over every window world where each formula's temporal reach
     fits; formulas that fit nowhere are recorded as skipped.
     """
+    d = source._dense()
+    bound = source.horizon - margin
     report = TruthPreservationReport()
     for f in formulas:
-        g = F.expand_macros(f)
-        dp = F.depth_profile(g)
-        fitting = [w for w in source.worlds if _fits(source, w, dp, margin)]
+        mask, reach = _truth_mask(d, f, bound)
+        fitting = d.fit(reach, bound)
         if not fitting:
             report.skipped.append(F.to_text(f))
             continue
-        profiles = {g: dp}
+        g = F.expand_macros(f)
         memo = {}
-        for w in fitting:
-            got = _window_eval(source, w, g, margin, profiles)
+        for i in _bits(fitting):
+            w = d.names[i]
+            got = bool(mask >> i & 1)
             _check_world(target, mapping[w])
             want = _eval(target, mapping[w], g, memo)
             report.compared += 1
@@ -897,6 +556,17 @@ class MatrixWindow:
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
         self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
         self.tables = tables  # least world of a source class -> ChoiceProfileTable
+        self._frame = None
+
+    def _dense(self):
+        """The window's dense frame, built on first use from its neighbour
+        maps."""
+        if self._frame is None:
+            self._frame = DenseFrame(self.worlds, self.agents,
+                                     [self.rel[name] for name in family_names(self.agents)],
+                                     self.succ, self.pred, self.valuation, self.interior,
+                                     self.layer)
+        return self._frame
 
     def box_cell(self, w):
         return self.rel["box"][w]

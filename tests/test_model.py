@@ -35,8 +35,16 @@ def test_noninjective_succ_fails_bijectivity_with_witness():
                     {"a": [["u", "v"], ["w"]]}, {"a": [["u"], ["v"], ["w"]]})
     report = validate_frame(m, "actual", 1)
     byname = {c.condition: c for c in report.checks}
-    assert not byname["EQ"].passed and byname["EQ"].witness
-    assert not byname["INVERSE"].passed
+    assert (byname["EQ"].passed, byname["EQ"].witness, byname["EQ"].explanation) == (
+        False, ["u", "v"], "succ not injective")
+    assert (byname["INVERSE"].passed, byname["INVERSE"].witness,
+            byname["INVERSE"].explanation) == (False, ["u"], "pred(succ) is not identity")
+    # three worlds share a successor: the witness is the first two of them
+    m = KripkeModel(["a"], ["u", "v", "w", "x"], [["u", "v", "w", "x"]],
+                    {"u": "x", "v": "x", "w": "x", "x": "u"},
+                    {"a": [["u", "v", "w", "x"]]}, {"a": [["u", "v", "w", "x"]]})
+    eq = next(c for c in validate_frame(m, "actual", 1).checks if c.condition == "EQ")
+    assert (eq.witness, eq.explanation) == (["u", "v"], "succ not injective")
 
 
 def test_missing_product_cell_fails_ia():

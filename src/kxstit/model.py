@@ -46,6 +46,12 @@ def is_partition(cells, universe):
             and frozenset().union(*cells) == universe)
 
 
+def by_id(x):
+    """Sort key ordering document ids of any JSON scalar type: by type
+    name, then by value, so that ids of mixed types can be listed."""
+    return type(x).__name__, x
+
+
 def frozen_cells(cells, what):
     """The cells as frozensets; SchemaError when an id in a cell is a list or
     an object."""
@@ -71,7 +77,7 @@ def make_partition(cells, universe, what):
             raise PartitionError(f"{what}: empty cell")
         bad = fs - universe
         if bad:
-            raise SchemaError(f"{what}: unknown world(s) {sorted(bad)}")
+            raise SchemaError(f"{what}: unknown world(s) {sorted(bad, key=by_id)}")
         if fs & seen:
             raise PartitionError(f"{what}: overlapping cells at {sorted(fs & seen)}")
         seen |= fs
@@ -148,7 +154,7 @@ class KripkeModel:
             ws = frozenset(ws)
             bad = ws - universe
             if bad:
-                raise SchemaError(f"valuation[{prop}]: unknown worlds {sorted(bad)}")
+                raise SchemaError(f"valuation[{prop}]: unknown worlds {sorted(bad, key=by_id)}")
             self.valuation[prop] = ws
 
         self._frame_reports = {}

@@ -19,8 +19,9 @@ conditions to stutter-world pairs.
 from __future__ import annotations
 
 from .errors import BDTInvariantViolation, SchemaError
-from .model import (FORMAT_VERSION, KripkeModel, cell_list, cell_map, check_fields, frozen_cells,
-                    id_list, id_map, is_partition, optional, read_document, table_of)
+from .model import (FORMAT_VERSION, KripkeModel, by_id, cell_list, cell_map, check_fields,
+                    frozen_cells, id_list, id_map, is_partition, optional, read_document,
+                    table_of)
 
 import json
 
@@ -80,6 +81,7 @@ class BDTScenario:
         self.history_moments = {}
         self.history_sits = {}
         moment_histories = {m: [] for m in self.moments}
+        named = {}  # situation -> the (moment, history) it names
         for name, leaf in zip(names, leaves):
             path = [leaf]
             while path[-1] in self.parent:
@@ -87,8 +89,11 @@ class BDTScenario:
             path.reverse()
             self.history_moments[name] = tuple(path)
             self.history_sits[name] = tuple(self.sit(m, name) for m in path)
-            for m in path:
+            for m, w in zip(path, self.history_sits[name]):
                 moment_histories[m].append(name)
+                if named.setdefault(w, (m, name)) != (m, name):
+                    raise SchemaError(f"situation {w!r} names both (moment, history) "
+                                      f"{named[w]} and {(m, name)}")
         self.moment_histories = {m: tuple(hs) for m, hs in moment_histories.items()}
         self.situations = frozenset(w for path in self.history_sits.values() for w in path)
 
@@ -125,7 +130,8 @@ class BDTScenario:
         for p, sits in self.valuation_sit.items():
             bad = sits - self.situations
             if bad:
-                raise SchemaError(f"valuation_sit[{p}] references unknown situations {sorted(bad)}")
+                raise SchemaError(f"valuation_sit[{p}] references unknown situations "
+                                  f"{sorted(bad, key=by_id)}")
 
     @staticmethod
     def sit(moment, history):
@@ -252,6 +258,9 @@ def bdt_to_kripke(scenario):
 
     pre = [f"pre_{h}" for h in s.histories]
     post = [f"post_{h}" for h in s.histories]
+    clash = s.situations.intersection([*pre, *post])
+    if clash:
+        raise SchemaError(f"situation {min(clash)!r} has the id of a stutter world")
     paths = [s.history_sits[h] for h in s.histories]
 
     succ = {}

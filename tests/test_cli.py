@@ -167,3 +167,18 @@ def test_invalid_json_is_schema_error_and_decoded_once(tmp_path, capsys, monkeyp
     monkeypatch.setattr(json, "loads", lambda *a, **k: decodes.append(1) or loads(*a, **k))
     assert main(["check", fig1a_path, "--world", "m4_h9", "--formula", "[Ags] X s"]) == 0
     assert len(decodes) == 1
+
+
+@pytest.mark.parametrize("kind, spoil", [
+    ("model", lambda doc: doc["r_box"][0].extend(["zz", 5])),
+    ("model", lambda doc: doc["valuation"].update(p=["zz", 5])),
+    ("scenario", lambda doc: doc["valuation_sit"].update(p=["zz", 5])),
+], ids=["r_box-cell", "valuation", "valuation_sit"])
+def test_unknown_ids_of_mixed_types_are_schema_errors(tmp_path, capsys, kind, spoil):
+    doc = _fig1a_doc(scenario=kind == "scenario")
+    spoil(doc)
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), "--world", "m1_h1", "--formula", "p"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "SchemaError" and "[5, 'zz']" in record["message"], record

@@ -171,3 +171,17 @@ def test_scenario_schema_faults_are_schema_errors(change, message):
     with pytest.raises(SchemaError) as e:
         BDTScenario(**{**TWO_HISTORIES, **change})
     assert str(e.value) == message
+
+
+def test_situation_names_that_collide_are_schema_errors():
+    # a_b_c names the situation of moment a on history b_c and that of
+    # moment a_b on history c
+    with pytest.raises(SchemaError, match=r"'a_b_c' names both .*\('a', 'b_c'\).*\('a_b', 'c'\)"):
+        BDTScenario(["x"], ["r", "a", "a_b"], {"a": "r", "a_b": "r"}, {}, {}, {},
+                    history_names=["b_c", "c"])
+
+
+def test_situation_named_like_a_stutter_world_is_schema_error():
+    s = BDTScenario(["x"], ["pre", "a"], {"a": "pre"}, {}, {}, {})
+    with pytest.raises(SchemaError, match="'pre_h1' has the id of a stutter world"):
+        bdt_to_kripke(s)

@@ -91,6 +91,11 @@ def test_one_world_loop_depth_two(one_world):
     assert validate_window(win, "actual", 1).ok
     assert check_bounded_morphism(proj, win, one_world).ok
     assert proj["w|w|w;0"] == "w"
+    # the evaluation walk keeps no frame per nesting level
+    chain = F.Atom("p")
+    for _ in range(10_000):
+        chain = F.Not(chain)
+    assert window_eval(win, "w;1", chain) and not window_eval(win, "w;1", F.Not(chain))
 
 
 def test_unravel_errors(one_world, fig1a):
@@ -162,17 +167,42 @@ def test_truth_preservation_skips_overdeep_formulas(one_world):
         window_eval(win, "w|w;1", F.parse("X p"))
 
 
-def test_window_eval_epistemic_jump_stays_sound():
+def test_window_eval_epistemic_jump_stays_sound(grid50):
     # knowledge quantifies across layers; mates whose layer cannot absorb the
     # remaining temporal reach are redundant and skipped
     m = random_model(GenParams(seed=21, agent_count=2, box_class_count=2,
                                epistemic_coarseness=1.0))
     win, proj = unravel(m, m.worlds[0], 2)
-    a = m.agents[0]
-    f = F.Knows(a, F.Next(F.Atom("p")))
-    for w in win.worlds:
-        if abs(win.layer[w]) <= 1:
-            assert window_eval(win, w, f) == eval_formula(m, proj[w], f)
+    cases = [(win, proj, m, [F.Knows(m.agents[0], F.Next(F.Atom("p")))])]
+    # sugared formulas of reach (2, 2) on depth-3 unravelings
+    texts = ["X X p -> Y Y q", "<> (Y Y p | X X ~q)", "[Ags] X X p | K{a0} Y Y q"]
+    for i, base in enumerate(grid50[:8]):
+        w3, p3 = unravel(base, base.worlds[0], 3)
+        formulas = [random_formula(4000 + 10 * i + j, 4, sorted(base.valuation), list(base.agents),
+                                   reach=(2, 2), include_sugar=True) for j in range(4)]
+        cases.append((w3, p3, base, formulas + [F.parse(t) for t in texts]))
+    # the actualized matrix of a frame-valid window, through the composed
+    # projection onto the base
+    base = random_model(GenParams(seed=3, agent_count=2, n_bound=1, box_class_count=2,
+                                  max_class_size=2))
+    w2, p2 = unravel(base, base.worlds[0], 2)
+    assert validate_window(w2, "actual", 1).ok
+    mat, mproj = actualize(w2)
+    formulas = [random_formula(600 + j, 3, sorted(base.valuation), list(base.agents),
+                               reach=(1, 1), include_sugar=True) for j in range(8)]
+    cases.append((mat, {w: p2[mproj[w]] for w in mat.worlds}, base, formulas))
+    fitting = {}
+    for window, to_base, base, formulas in cases:
+        for f in formulas:
+            for margin in (0, 1):
+                for w in window.worlds:
+                    try:
+                        got = window_eval(window, w, f, margin)
+                    except DepthExceedsWindow:
+                        continue
+                    assert got == eval_formula(base, to_base[w], f), (F.to_text(f), w, margin)
+                    fitting[window is mat, margin] = fitting.get((window is mat, margin), 0) + 1
+    assert min(fitting.values()) > 50, fitting
 
 
 def test_choice_profiles_single_agent_two_cells():

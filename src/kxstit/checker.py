@@ -2,11 +2,12 @@
 
 Two independent evaluation paths are kept on purpose: ``eval_formula`` walks
 the formula top-down per the satisfaction clauses, while ``extension``
-computes truth sets bottom-up, in one explicit-stack pass over bitmask
-tables built once per model.  Each acts as the oracle for the other in the
-test suite.  The top-down walk reads only the model's cell accessors, never
-those tables; it memoises (subformula, world) results per call, so its cost
-is bounded by subformulas x worlds.
+computes truth sets bottom-up, in one explicit-stack pass over the dense
+frame a model builds once (``model.DenseFrame``); window evaluation is the
+same pass.  Each acts as the oracle for the other in the test suite.  The
+top-down walk reads only the model's cell accessors, never the frame; it
+memoises (subformula, world) results per call, so its cost is bounded by
+subformulas x worlds.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ class KripkeModel:
 
         self._frame_reports = {}
         self._common_cells = None
-        self._tables = None
+        self._frame = None
 
     def _refine_choice_ags(self):
         """Common refinement of the per-agent partitions restricted to each
@@ -215,10 +215,10 @@ class KripkeModel:
 
     def _dense(self):
         """The model's dense frame, built on first use."""
-        if self._tables is None:
-            self._tables = DenseFrame(self.worlds, self.agents, partitions(self), self.succ,
+        if self._frame is None:
+            self._frame = DenseFrame(self.worlds, self.agents, partitions(self), self.succ,
                                       self.pred or {}, self.valuation)
-        return self._tables
+        return self._frame
 
     def with_valuation(self, valuation):
         """Copy of this model with a replaced valuation."""
@@ -638,6 +638,8 @@ def _classes_pass(d, n):
     cells of each family, and its worlds realize every selection of one
     choice cell per agent."""
     choices = list(d.choice.values())
+    if len(set(zip(d.box, d.ags, *choices))) == len(d.pairs["box"]):
+        return True  # one profile per class
     counts = [Counter(box for box, _ in set(zip(d.box, cells))) for cells in (d.ags, *choices)]
     if any(k > n for count in counts for k in count.values()):
         return False

@@ -13,12 +13,10 @@ subformulas x worlds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 
 from . import formula as F
 from .errors import UnknownAgent, UnknownWorld
-from .model import validate_frame
+from .model import _bits, validate_frame
 
 
 def _check_world(m, w):
@@ -132,13 +130,21 @@ def _quantify(pairs, bad):
 
 def _common(d):
     """(cell, holders) pairs of the reflexive-transitive closure of the
-    union of the epistemic partitions: overlapping cells merge."""
-    comps = []
-    for a in d.agents:
-        for cell, _ in d.pairs[f"epi:{a}"]:
-            joined = [c for c in comps if c & cell]
-            comps = [c for c in comps if not c & cell] + [reduce(or_, joined, cell)]
-    return [(c, c) for c in comps]
+    union of the epistemic relations: each cell grows from its least world
+    until no epistemic mate is left out."""
+    pairs, left = [], d.full
+    while left:
+        cell = grow = left & -left
+        while grow:
+            mates = 0
+            for u in _bits(grow):
+                for cells in d.epi.values():
+                    mates |= cells[u]
+            grow = mates & ~cell
+            cell |= mates
+        pairs.append((cell, cell))
+        left &= ~cell
+    return pairs
 
 
 def _truth_mask(d, f, bound=None):

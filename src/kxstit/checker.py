@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import formula as F
 from .errors import UnknownAgent, UnknownWorld
-from .model import _bits, validate_frame
+from .model import validate_frame
 
 
 def _check_world(m, w):
@@ -99,7 +99,7 @@ def _eval(m, w, f, memo):
 
 def extension(m, f):
     """Set of worlds satisfying ``f``, computed bottom-up over subformulas."""
-    mask, _ = _truth_mask(m._dense(), f)
+    mask, _ = _truth_mask(m, f)
     return {w for i, w in enumerate(m.worlds) if mask >> i & 1}
 
 
@@ -107,9 +107,8 @@ def valid_on_model(m, f):
     """(True, None) when ``f`` holds at every world, else (False, least
     world where it fails) in the canonical world order.
     """
-    d = m._dense()
-    mask, _ = _truth_mask(d, f)
-    failing = d.full & ~mask
+    mask, _ = _truth_mask(m, f)
+    failing = m._dense().full & ~mask
     if not failing:
         return True, None
     return False, m.worlds[(failing & -failing).bit_length() - 1]
@@ -128,28 +127,9 @@ def _quantify(pairs, bad):
     return out
 
 
-def _common(d):
-    """(cell, holders) pairs of the reflexive-transitive closure of the
-    union of the epistemic relations: each cell grows from its least world
-    until no epistemic mate is left out."""
-    pairs, left = [], d.full
-    while left:
-        cell = grow = left & -left
-        while grow:
-            mates = 0
-            for u in _bits(grow):
-                for cells in d.epi.values():
-                    mates |= cells[u]
-            grow = mates & ~cell
-            cell |= mates
-        pairs.append((cell, cell))
-        left &= ~cell
-    return pairs
-
-
-def _truth_mask(d, f, bound=None):
-    """(mask, reach) of ``f`` on the dense frame ``d``: bit i of the mask
-    stands for world ``d.names[i]``.
+def _truth_mask(m, f, bound=None):
+    """(mask, reach) of ``f`` on the dense frame of the model or window
+    ``m``: bit i of the mask stands for world ``m.worlds[i]``.
 
     One post-order walk on an explicit stack: a node is evaluated once its
     children are in the table, left child first, and a subformula already in
@@ -163,6 +143,7 @@ def _truth_mask(d, f, bound=None):
     where a node does not fit are left unspecified.  Without a bound the
     reach is None.
     """
+    d = m._dense()
     full = d.full
     windowed = bound is not None
     table = {}
@@ -210,7 +191,7 @@ def _truth_mask(d, f, bound=None):
                 elif windowed:
                     raise TypeError(f"cannot evaluate {g!r}")
                 else:
-                    pairs = _common(d)
+                    pairs = [(c, c) for c in map(d.mask, set(map(m.common_cell, m.worlds)))]
                 fit = full
                 if windowed:
                     fit = fits.get(r)

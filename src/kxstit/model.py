@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from collections import Counter
 from itertools import chain, product, repeat
 from math import prod
@@ -654,18 +655,8 @@ def _preimage(d):
     for v, p in enumerate(d.pred):
         if p is not None:
             back[p] |= 1 << v
-    cache = {}
-
-    def pre(mask):
-        m = cache.get(mask)
-        if m is None:
-            m = 0
-            for x in _bits(mask):
-                m |= back[x]
-            cache[mask] = m
-        return m
-
-    return pre
+    # one predecessor per world, so the preimages of distinct worlds are disjoint
+    return cache(lambda mask: sum(back[x] for x in _bits(mask)))
 
 
 def _check_past(d, mode, n):
@@ -727,14 +718,7 @@ def _check_unif_h(d, mode, n):
     box_by_key = {}
     for cell, _ in d.pairs["box"]:
         box_by_key.setdefault(_low(cell), cell)
-    keys_of = {}
-
-    def keys(mask):
-        ks = keys_of.get(mask)
-        if ks is None:
-            ks = keys_of[mask] = {key[v] for v in _bits(mask)}
-        return ks
-
+    keys = cache(lambda mask: {key[v] for v in _bits(mask)})  # class keys a mask meets
     for a in d.agents:
         meets = {}  # class key -> worlds with an epistemic mate in that class
         links = set()

@@ -53,7 +53,9 @@ class UnraveledWorld:
 class WindowModel:
     """Kripke-shaped structure over a finite window: partitions for the four
     equivalence families, a partial successor, per-world layers, and an
-    interior/boundary split.
+    interior/boundary split.  Its dense frame is built on first use and
+    kept, so a changed window is built through the constructor, not edited
+    in place.
     """
 
     def __init__(self, agents, worlds, layer, interior, horizon, root,
@@ -400,7 +402,7 @@ def window_eval(win, w, f, margin=0):
     bound = win.horizon - margin
     key = (f, bound)
     if key not in d.memo:
-        d.memo[key] = _truth_mask(d, f, bound)
+        d.memo[key] = _truth_mask(win, f, bound)
     mask, reach = d.memo[key]
     i = d.index[w]
     if not d.fit(reach, bound) >> i & 1:
@@ -438,7 +440,7 @@ def truth_preservation(source, target, mapping, formulas, margin=0):
     bound = source.horizon - margin
     report = TruthPreservationReport()
     for f in formulas:
-        mask, reach = _truth_mask(d, f, bound)
+        mask, reach = _truth_mask(source, f, bound)
         fitting = d.fit(reach, bound)
         if not fitting:
             report.skipped.append(F.to_text(f))
@@ -539,7 +541,8 @@ class MatrixWorld:
 class MatrixWindow:
     """Window-shaped structure whose relations are stored as neighbor maps
     (the matrix relations of a degenerate source need not stay
-    equivalences, so partitions cannot be assumed).
+    equivalences, so partitions cannot be assumed).  Like a WindowModel, it
+    keeps the dense frame it builds on first use.
     """
 
     def __init__(self, agents, worlds, layer, interior, horizon, root,

@@ -158,14 +158,12 @@ def _truth_mask(m, f, bound=None):
         t = type(g)
         if t is F.Atom:
             v = d.atoms.get(g.name, 0)
-            r = (0, 0)
         elif t in _UNARY:
             c = g.child
             child = table.get(c)
             if child is None:
                 stack.append(c)
                 continue
-            r = reach.get(c)
             if t is F.Not:
                 v = full & ~child
             elif t is F.Next or t is F.Yesterday:
@@ -176,9 +174,6 @@ def _truth_mask(m, f, bound=None):
                 for i, s in enumerate(steps):
                     if s is not None and child >> s & 1:
                         v |= 1 << i
-                if windowed:
-                    fwd, bwd = r
-                    r = (fwd + 1, max(bwd - 1, 0)) if t is F.Next else (max(fwd - 1, 0), bwd + 1)
             else:
                 if t is F.Box or t is F.Diamond:
                     pairs = d.pairs["box"]
@@ -194,9 +189,9 @@ def _truth_mask(m, f, bound=None):
                     pairs = [(c, c) for c in map(d.mask, set(map(m.common_cell, m.worlds)))]
                 fit = full
                 if windowed:
-                    fit = fits.get(r)
+                    fit = fits.get(reach[c])
                     if fit is None:
-                        fit = fits[r] = d.fit(r, bound)
+                        fit = fits[reach[c]] = d.fit(reach[c], bound)
                 if t is F.Diamond:
                     v = full & ~_quantify(pairs, fit & child)
                 else:
@@ -216,21 +211,28 @@ def _truth_mask(m, f, bound=None):
                 v = (full & ~left) | right
             else:
                 v = left | right
-            if windowed:
-                (lf, lb), (rf, rb) = reach[g.left], reach[g.right]
-                r = (max(lf, rf), max(lb, rb))
         elif t is F.Macro:
             unfolded = F._unfold(g.name, g.agent, g.child)
             v = table.get(unfolded)
             if v is None:
                 stack.append(unfolded)
                 continue
-            r = reach.get(unfolded)
         else:
             raise TypeError(f"cannot evaluate {g!r}")
         table[g] = v
         if windowed:
-            reach[g] = r
+            # forward and backward reach, as formula.depth_profile counts them
+            if t is F.Atom:
+                reach[g] = 0, 0
+            elif t in F.BINARY:
+                (lf, lb), (rf, rb) = reach[g.left], reach[g.right]
+                reach[g] = max(lf, rf), max(lb, rb)
+            elif t is F.Macro:
+                reach[g] = reach[unfolded]
+            else:
+                fwd, bwd = reach[g.child]
+                reach[g] = ((fwd + 1, max(bwd - 1, 0)) if t is F.Next else
+                            (max(fwd - 1, 0), bwd + 1) if t is F.Yesterday else (fwd, bwd))
         stack.pop()
     return table[f], reach.get(f)
 

@@ -91,7 +91,7 @@ def test_one_world_loop_depth_two(one_world):
     assert validate_window(win, "actual", 1).ok
     assert check_bounded_morphism(proj, win, one_world).ok
     assert proj["w|w|w;0"] == "w"
-    # the evaluation walk keeps no frame per nesting level
+    # the evaluation walk does not recurse, so 10^4 nested negations evaluate
     chain = F.Atom("p")
     for _ in range(10_000):
         chain = F.Not(chain)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import formula as F
-from .errors import UnknownAgent, UnknownWorld
-from .model import validate_frame
+from .errors import DepthExceedsWindow, UnknownAgent, UnknownWorld
+from .model import _low, validate_frame
 
 
 def _check_world(m, w):
@@ -127,9 +127,10 @@ def _quantify(pairs, bad):
     return out
 
 
-def _truth_mask(m, f, bound=None):
-    """(mask, reach) of ``f`` on the dense frame of the model or window
-    ``m``: bit i of the mask stands for world ``m.worlds[i]``.
+def _truth_mask(m, f, bound=None, d=None):
+    """(mask, reach) of ``f`` on the dense frame ``d`` of the model or
+    window ``m`` (by default ``m._dense()``): bit i of the mask stands for
+    world ``m.worlds[i]``.
 
     One post-order walk on an explicit stack: a node is evaluated once its
     children are in the table, left child first, and a subformula already in
@@ -140,10 +141,12 @@ def _truth_mask(m, f, bound=None):
     node also gets its temporal reach (forward, backward), the one
     ``formula.depth_profile`` gives, and a quantifier reads only the mates
     from which its child's reach stays inside the bound.  Bits at worlds
-    where a node does not fit are left unspecified.  Without a bound the
-    reach is None.
+    where a node does not fit are left unspecified, and a temporal step that
+    a world where it fits cannot take raises DepthExceedsWindow.  Without a
+    bound the reach is None.
     """
-    d = m._dense()
+    if d is None:
+        d = m._dense()
     full = d.full
     windowed = bound is not None
     table = {}
@@ -168,12 +171,14 @@ def _truth_mask(m, f, bound=None):
                 v = full & ~child
             elif t is F.Next or t is F.Yesterday:
                 steps = d.succ if t is F.Next else d.pred
-                if not windowed and None in steps:
-                    raise UnknownWorld("temporal relation is not invertible; Y undefined")
-                v = 0
+                v = gaps = 0
                 for i, s in enumerate(steps):
-                    if s is not None and child >> s & 1:
+                    if s is None:
+                        gaps |= 1 << i
+                    elif child >> s & 1:
                         v |= 1 << i
+                if gaps and not windowed:
+                    raise UnknownWorld("temporal relation is not invertible; Y undefined")
             else:
                 if t is F.Box or t is F.Diamond:
                     pairs = d.pairs["box"]
@@ -233,6 +238,11 @@ def _truth_mask(m, f, bound=None):
                 fwd, bwd = reach[g.child]
                 reach[g] = ((fwd + 1, max(bwd - 1, 0)) if t is F.Next else
                             (max(fwd - 1, 0), bwd + 1) if t is F.Yesterday else (fwd, bwd))
+                if (t is F.Next or t is F.Yesterday) and gaps:
+                    gap = gaps & d.fit(reach[g], bound)
+                    if gap:
+                        raise DepthExceedsWindow(f"{'succ' if t is F.Next else 'pred'} "
+                                                 f"undefined at {d.names[_low(gap)]}")
         stack.pop()
     return table[f], reach.get(f)
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from collections import Counter
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import prod
 
 from .errors import PartitionError, SchemaError, SuccNotTotal
@@ -217,7 +217,9 @@ class KripkeModel:
     def _dense(self):
         """The model's dense frame, built on first use."""
         if self._frame is None:
-            self._frame = DenseFrame(self.worlds, self.agents, partitions(self), self.succ,
+            partitions = [self.r_box, self.choice_ags, *(self.choice[a] for a in self.agents),
+                          *(self.epistemic[a] for a in self.agents)]
+            self._frame = DenseFrame(self.worlds, self.agents, partitions, self.succ,
                                       self.pred or {}, self.valuation)
         return self._frame
 
@@ -253,13 +255,6 @@ def family_names(agents):
     return ["box", "ags", *(f"choice:{a}" for a in agents), *(f"epi:{a}" for a in agents)]
 
 
-def partitions(obj):
-    """The four families of a structure that stores them as partitions, in
-    ``family_names`` order."""
-    return [obj.r_box, obj.choice_ags, *(obj.choice[a] for a in obj.agents),
-            *(obj.epistemic[a] for a in obj.agents)]
-
-
 class DenseFrame:
     """A frame over world indices: world i is ``names[i]``.  The names are
     sorted, so the least world of a set is the lowest bit of its mask.
@@ -273,18 +268,18 @@ class DenseFrame:
     invertible.  A window has a mask per layer in ``layers`` and an interior;
     a model has no layers, and its interior is every world.  ``partitioned``
     says that every family is a partition; a ``plain`` frame is also all
-    interior, as a model is, and the frame checks then accept in bulk.
-    ``memo`` holds the truth masks window evaluation computed on the frame.
+    interior, as a model is.
     """
 
     __slots__ = ("names", "index", "agents", "full", "interior", "layers", "cells", "pairs",
-                 "box", "ags", "choice", "epi", "atoms", "succ", "pred", "partitioned", "memo")
+                 "box", "ags", "choice", "epi", "atoms", "succ", "pred", "partitioned")
 
     def __init__(self, names, agents, relations, succ, pred, valuation,
                  interior=None, layer=None):
         """``relations`` holds one relation per family in ``family_names``
-        order, each a partition or a map from a world to its mates; ``succ``
-        and ``pred`` map world ids, ``layer`` maps a world to its layer."""
+        order: a model gives its partitions, a window maps each world to its
+        mates.  ``succ`` and ``pred`` map world ids, ``layer`` maps a world
+        to its layer."""
         self.names = names
         self.agents = agents
         index = self.index = dict(zip(names, range(len(names))))
@@ -304,7 +299,6 @@ class DenseFrame:
         self.succ = [index.get(succ.get(w)) for w in names]
         self.pred = [index.get(pred.get(w)) for w in names]
         self.partitioned = all(c == h for pairs in self.pairs.values() for c, h in pairs)
-        self.memo = {}
 
     @property
     def plain(self):
@@ -326,9 +320,6 @@ class DenseFrame:
             for w in cell:
                 cells[index[w]] = cm
             pairs.append((cm, cm))
-        if sum(map(len, partition)) != len(cells) or 0 in cells:
-            # overlapping cells: a world holds the last cell that lists it
-            return self._neighbours({w: cell for cell in partition for w in cell})
         return cells, pairs
 
     def _neighbours(self, mates):
@@ -584,12 +575,12 @@ def _classes(d):
 
 
 def _met(cells, members):
-    """The distinct cells that ``members`` hold, keyed by least world, in
+    """The distinct cells that ``members`` hold, one per least world, in
     member order."""
     out = {}
-    for cell in dict.fromkeys(map(cells.__getitem__, members)):
-        out.setdefault(_low(cell), cell)
-    return out
+    for cell in map(cells.__getitem__, members):
+        out.setdefault(cell & -cell, cell)
+    return list(out.values())
 
 
 def _check_additivity(d, mode, n):
@@ -607,21 +598,23 @@ def _check_additivity(d, mode, n):
 
 
 def _check_classes(d, mode, n):
-    # IA and CARD, over the cells that the interior members of a class hold
+    # IA and CARD, over the cells that the interior members of a class hold.
+    # A plain frame passes in bulk: on the few-world models that model_grid
+    # generates and validates, the walk's fixed cost would dominate.
     if d.plain and _classes_pass(d, n):
         return
     pending = {"IA", "CARD"}
     for key, box, members in _classes(d):
         per_agent = [_met(d.choice[a], members) for a in d.agents]
         if "CARD" in pending:
-            counts = [(len(_met(d.ags, members)), "coalition cells")]
-            counts += [(len(cells), f"cells for {a}") for a, cells in zip(d.agents, per_agent)]
-            over = next((f"{k} {what}" for k, what in counts if k > n), None)
-            if over:
+            counts = [len(_met(d.ags, members)), *map(len, per_agent)]
+            if max(counts) > n:
+                i = next(i for i, k in enumerate(counts) if k > n)
+                what = f"cells for {d.agents[i - 1]}" if i else "coalition cells"
                 pending.discard("CARD")
-                yield "CARD", [key], f"{over} (bound {n})"
+                yield "CARD", [key], f"{counts[i]} {what} (bound {n})"
         if "IA" in pending:
-            for sel in product(*(cells.values() for cells in per_agent)):
+            for sel in product(*per_agent):
                 inter = box
                 for c in sel:
                     inter &= c
@@ -711,8 +704,6 @@ def _unrelated(d, pre, has_pred, cells, targets):
 def _check_unif_h(d, mode, n):
     # interior-witnessed links extend from interior worlds, with frame-wide
     # witnesses; read per distinct cell and the worlds that hold it
-    if d.plain and all(map(_spans_agree, d.epi.values(), repeat(d.box))):
-        return
     inner = d.interior
     key = [_low(box) for box in d.box]
     box_by_key = {}
@@ -732,16 +723,6 @@ def _check_unif_h(d, mode, n):
             if bad:
                 yield "UNIF_H", [_low(bad)], f"no epistemic mate for {a} in class of {d.names[k2]}"
                 return
-
-
-def _spans_agree(cells, box):
-    """On a plain frame: whether within each settledness class every cell
-    of ``cells`` meets the same classes, which is UNIF_H for those cells."""
-    meets = set(zip(cells, box))
-    span = {}
-    for cell, b in meets:
-        span[cell] = span.get(cell, 0) | b
-    return len({(b, span[cell]) for cell, b in meets}) == len(set(box))
 
 
 _CHECKS = (_check_eq, _check_inverse, _check_set, _check_additivity,

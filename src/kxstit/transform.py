@@ -25,7 +25,7 @@ from .checker import _check_world, _eval, _truth_mask
 from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, PartialMap,
                      SourceNotIrreflexive, WindowTooSmall)
 from .model import (DenseFrame, KripkeModel, _bits, _cell_index, check_frame, family_names,
-                    partitions, validate_frame)
+                    validate_frame)
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,7 @@ class UnraveledWorld:
 class WindowModel:
     """Kripke-shaped structure over a finite window: partitions for the four
     equivalence families, a partial successor, per-world layers, and an
-    interior/boundary split.  Its dense frame is built on first use and
-    kept, so a changed window is built through the constructor, not edited
-    in place.
+    interior/boundary split.
     """
 
     def __init__(self, agents, worlds, layer, interior, horizon, root,
@@ -77,14 +75,15 @@ class WindowModel:
         self._ags_of = _cell_index(self.choice_ags)
         self._choice_of = {a: _cell_index(p) for a, p in self.choice.items()}
         self._epi_of = {a: _cell_index(p) for a, p in self.epistemic.items()}
-        self._frame = None
 
     def _dense(self):
-        """The window's dense frame, built on first use."""
-        if self._frame is None:
-            self._frame = DenseFrame(self.worlds, self.agents, partitions(self), self.succ,
-                                     self.pred, self.valuation, self.interior, self.layer)
-        return self._frame
+        """A dense frame of the window as it stands, built on each call from
+        the cell each world is indexed to."""
+        mates = [_mates(self.r_box, self._box_of), _mates(self.choice_ags, self._ags_of),
+                 *(_mates(self.choice[a], self._choice_of[a]) for a in self.agents),
+                 *(_mates(self.epistemic[a], self._epi_of[a]) for a in self.agents)]
+        return DenseFrame(self.worlds, self.agents, mates, self.succ, self.pred,
+                          self.valuation, self.interior, self.layer)
 
     def box_cell(self, w):
         return self.r_box[self._box_of[w]]
@@ -127,6 +126,12 @@ class WindowModel:
             "epistemic": {a: cells(self.epistemic[a]) for a in sorted(self.agents)},
             "valuation": {p: sorted(ws) for p, ws in sorted(self.valuation.items())},
         }
+
+
+def _mates(partition, index):
+    """Map from each world of ``index`` to the cell of ``partition`` it is
+    indexed to."""
+    return {w: partition[i] for w, i in index.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +399,25 @@ def window_eval(win, w, f, margin=0):
     cannot absorb the remaining formula's temporal reach are skipped (they
     are redundant for windows over frame-valid bases).  Raises
     DepthExceedsWindow when the formula does not fit at ``w`` itself.
-
-    The whole truth mask of ``f`` is computed once per window and margin,
-    so evaluating one formula at every world costs one bitset walk.
     """
     d = win._dense()
-    bound = win.horizon - margin
-    key = (f, bound)
-    if key not in d.memo:
-        d.memo[key] = _truth_mask(win, f, bound)
-    mask, reach = d.memo[key]
+    mask, fitting, reach = _window_masks(win, d, f, margin)
     i = d.index[w]
-    if not d.fit(reach, bound) >> i & 1:
+    if not fitting >> i & 1:
         raise DepthExceedsWindow(
             f"reach {F.DepthProfile(*reach)} does not fit at layer {win.layer[w]} "
             f"(horizon {win.horizon}, margin {margin})")
     return bool(mask >> i & 1)
+
+
+def _window_masks(win, d, f, margin):
+    """(truth, fit, reach) of ``f`` on the window ``win`` with dense frame
+    ``d``: the truth mask is read only at the worlds of the fit mask, those
+    from which ``f``'s temporal reach stays ``margin`` layers inside the
+    window."""
+    bound = win.horizon - margin
+    mask, reach = _truth_mask(win, f, bound, d)
+    return mask, d.fit(reach, bound), reach
 
 
 @dataclass
@@ -437,11 +445,9 @@ def truth_preservation(source, target, mapping, formulas, margin=0):
     fits; formulas that fit nowhere are recorded as skipped.
     """
     d = source._dense()
-    bound = source.horizon - margin
     report = TruthPreservationReport()
     for f in formulas:
-        mask, reach = _truth_mask(source, f, bound)
-        fitting = d.fit(reach, bound)
+        mask, fitting, _ = _window_masks(source, d, f, margin)
         if not fitting:
             report.skipped.append(F.to_text(f))
             continue
@@ -541,8 +547,7 @@ class MatrixWorld:
 class MatrixWindow:
     """Window-shaped structure whose relations are stored as neighbor maps
     (the matrix relations of a degenerate source need not stay
-    equivalences, so partitions cannot be assumed).  Like a WindowModel, it
-    keeps the dense frame it builds on first use.
+    equivalences, so partitions cannot be assumed).
     """
 
     def __init__(self, agents, worlds, layer, interior, horizon, root,
@@ -559,17 +564,13 @@ class MatrixWindow:
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
         self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
         self.tables = tables  # least world of a source class -> ChoiceProfileTable
-        self._frame = None
 
     def _dense(self):
-        """The window's dense frame, built on first use from its neighbour
-        maps."""
-        if self._frame is None:
-            self._frame = DenseFrame(self.worlds, self.agents,
-                                     [self.rel[name] for name in family_names(self.agents)],
-                                     self.succ, self.pred, self.valuation, self.interior,
-                                     self.layer)
-        return self._frame
+        """A dense frame of the window as it stands, built on each call from
+        its neighbour maps."""
+        return DenseFrame(self.worlds, self.agents,
+                          [self.rel[name] for name in family_names(self.agents)],
+                          self.succ, self.pred, self.valuation, self.interior, self.layer)
 
     def box_cell(self, w):
         return self.rel["box"][w]

@@ -12,7 +12,7 @@ from kxstit import formula as F
 from kxstit.errors import DepthExceedsWindow
 from kxstit.gen import random_formula
 from kxstit.model import KripkeModel, validate_frame
-from kxstit.transform import actualize, unravel, validate_window, window_eval
+from kxstit.transform import _window_masks, actualize, unravel, validate_window, window_eval
 
 MODES = ("actual", "super_additive")
 BOUNDS = (1, 2, 4)
@@ -70,17 +70,23 @@ def test_validate_window_reports_are_pinned(windows):
 
 
 def test_window_eval_values_are_pinned(windows):
+    # one row per (window, formula, margin): window_eval's value at each
+    # world, or "-" where it raises DepthExceedsWindow; the rows are read
+    # from the one truth mask per formula that window_eval reads a bit of
     cases = [*windows, (_matrix(2, 2), [F.parse(t) for t in MATRIX_TEXTS])]
     records = []
     for win, formulas in cases:
+        d = win._dense()
         for f in formulas:
             for margin in (0, 1):
-                row = ""
-                for w in win.worlds:
-                    try:
-                        row += "1" if window_eval(win, w, f, margin) else "0"
-                    except DepthExceedsWindow:
-                        row += "-"
+                mask, fitting, _ = _window_masks(win, d, f, margin)
+                row = "".join("-" if not fitting >> i & 1 else "1" if mask >> i & 1 else "0"
+                              for i in range(len(win.worlds)))
+                i = d.index[win.root]
+                try:
+                    assert row[i] == ("1" if window_eval(win, win.root, f, margin) else "0")
+                except DepthExceedsWindow:
+                    assert row[i] == "-"
                 records.append(row)
     assert "1" in "".join(records) and "0" in "".join(records)
     assert _digest(records) == "2a851b1edb4fe429e68aaec0d63a330462fcc4579fa1196baca437111687e2b5"

@@ -173,7 +173,12 @@ def test_window_eval_epistemic_jump_stays_sound(grid50):
     m = random_model(GenParams(seed=21, agent_count=2, box_class_count=2,
                                epistemic_coarseness=1.0))
     win, proj = unravel(m, m.worlds[0], 2)
-    cases = [(win, proj, m, [F.Knows(m.agents[0], F.Next(F.Atom("p")))])]
+    a = m.agents[0]
+    f = F.Knows(a, F.Next(F.Atom("p")))
+    for w in win.worlds:
+        if abs(win.layer[w]) <= 1:
+            assert window_eval(win, w, f) == eval_formula(m, proj[w], f)
+    cases = []
     # sugared formulas of reach (2, 2) on depth-3 unravelings
     texts = ["X X p -> Y Y q", "<> (Y Y p | X X ~q)", "[Ags] X X p | K{a0} Y Y q"]
     for i, base in enumerate(grid50[:8]):
@@ -191,18 +196,69 @@ def test_window_eval_epistemic_jump_stays_sound(grid50):
     formulas = [random_formula(600 + j, 3, sorted(base.valuation), list(base.agents),
                                reach=(1, 1), include_sugar=True) for j in range(8)]
     cases.append((mat, {w: p2[mproj[w]] for w in mat.worlds}, base, formulas))
-    fitting = {}
+    # truth_preservation reads the same walk as window_eval, at every world
+    # where a formula fits, against eval_formula on the base
+    compared = {}
     for window, to_base, base, formulas in cases:
-        for f in formulas:
-            for margin in (0, 1):
-                for w in window.worlds:
-                    try:
-                        got = window_eval(window, w, f, margin)
-                    except DepthExceedsWindow:
-                        continue
-                    assert got == eval_formula(base, to_base[w], f), (F.to_text(f), w, margin)
-                    fitting[window is mat, margin] = fitting.get((window is mat, margin), 0) + 1
-    assert min(fitting.values()) > 50, fitting
+        for margin in (0, 1):
+            rep = truth_preservation(window, base, to_base, formulas, margin)
+            assert rep.ok, (margin, rep.mismatches[:3])
+            compared[window is mat, margin] = compared.get((window is mat, margin), 0) + rep.compared
+    assert min(compared.values()) > 50, compared
+
+
+def test_overlapping_cells_of_a_window_are_reported(grid50):
+    # a world listed in two cells holds the later one, so the earlier cell
+    # is not symmetric
+    win, _ = unravel(grid50[2], grid50[2].worlds[0], 2)
+    assert win.r_box[0] == {"w0_0;1"} and "w0_0|w0_0;0" in win.r_box[1]
+    failed = {}
+    for fam in ("r_box", "choice_ags"):
+        cells = {"r_box": win.r_box, "choice_ags": win.choice_ags}
+        cells[fam] = [cells[fam][0] | {"w0_0|w0_0;0"}, *cells[fam][1:]]
+        bad = WindowModel(win.agents, win.worlds, win.layer, win.interior, win.horizon, win.root,
+                          win.succ, win.pred, cells["r_box"], win.choice, cells["choice_ags"],
+                          win.epistemic, win.valuation)
+        failed[fam] = [(c.condition, c.witness, c.explanation)
+                       for c in validate_window(bad, "actual", 2).failed()]
+    pair = ["w0_0;1", "w0_0|w0_0;0"]
+    past = "predecessors w0_0|w0_0;0, w0_0|w0_0|w0_0;0 not"
+    assert failed == {
+        "r_box": [("EQ", pair, "box not symmetric"),
+                  ("IA", ["w0_0;1"], "empty selection through cells of "
+                                     "['w0_0;1', 'w0_0;1', 'w0_0|w0_0;0']"),
+                  ("NA", pair, f"{past} choice-related for a0"),
+                  ("NAGS", pair, f"{past} coalition-choice-related"),
+                  ("NX", pair, f"{past} settledness-related")],
+        "choice_ags": [("ADDITIVITY", ["w0_0;1"],
+                        "coalition cell differs from the intersection of agent cells"),
+                       ("EQ", pair, "ags not symmetric"),
+                       ("SET", ["w0_0;1"], "coalition cell leaves the settledness class")]}
+
+
+def test_window_edited_after_use_is_read_as_it_stands(one_world):
+    win, _ = unravel(one_world, "w", 2)
+    assert validate_window(win, "actual", 1).ok
+    assert window_eval(win, "w;1", F.parse("X p")) is True
+    win.valuation["p"] = frozenset({"w;1"})
+    assert window_eval(win, "w;1", F.parse("X p")) is False
+    win.succ["w;1"] = "w;1"
+    eq = validate_window(win, "actual", 1).checks[2]
+    assert (eq.condition, eq.passed, eq.witness, eq.explanation) == (
+        "EQ", False, ["w;1"], "succ reflexive on the interior")
+    assert window_eval(win, "w;1", F.parse("X p")) is True
+
+
+def test_window_eval_needs_the_steps_of_fitting_worlds(one_world):
+    win, _ = unravel(one_world, "w", 2)
+    del win.succ["w|w;0"]
+    # X p fits at the layer -1 world, whose successor is gone
+    with pytest.raises(DepthExceedsWindow, match=r"succ undefined at w\|w;0"):
+        window_eval(win, "w;1", F.parse("X p"))
+    assert window_eval(win, "w;1", F.parse("p")) is True
+    del win.pred["w|w;1"]
+    with pytest.raises(DepthExceedsWindow, match=r"pred undefined at w\|w;1"):
+        window_eval(win, "w;1", F.parse("[] Y p"))
 
 
 def test_choice_profiles_single_agent_two_cells():

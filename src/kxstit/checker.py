@@ -244,7 +244,7 @@ def _truth_mask(m, f, bound=None, d=None):
                         raise DepthExceedsWindow(f"{'succ' if t is F.Next else 'pred'} "
                                                  f"undefined at {d.names[_low(gap)]}")
         stack.pop()
-    return table[f], reach.get(f)
+    return table[f], reach[f] if windowed else None
 
 
 # ---------------------------------------------------------------------------

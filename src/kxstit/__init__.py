@@ -13,9 +13,8 @@ from .checker import (KnowledgeReport, check_refinement, eval_formula, extension
                       knowledge_report, valid_on_model)
 from .axioms import SCHEMAS, SuitePolicy, derived_theorem_suite, instantiate, soundness_suite
 from .gen import GenParams, model_grid, random_formula, random_model
-from .transform import (ChoiceProfileTable, MatrixWindow, MorphismReport,
-                        UnraveledWorld, WindowModel, actualize,
-                        check_bounded_morphism, choice_profiles,
+from .transform import (ChoiceProfileTable, MorphismReport, UnraveledWorld, WindowModel,
+                        actualize, check_bounded_morphism, choice_profiles,
                         truth_preservation, unravel, validate_window, window_eval)
 
 __version__ = "0.1.0"

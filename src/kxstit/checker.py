@@ -20,12 +20,14 @@ from .model import _low, validate_frame
 
 
 def _check_world(m, w):
-    if w not in m._box_of:
-        raise UnknownWorld(f"unknown world {w!r}")
+    try:
+        m.box_cell(w)
+    except KeyError:
+        raise UnknownWorld(f"unknown world {w!r}") from None
 
 
 def _check_agent(m, a):
-    if a not in m.choice:
+    if a not in m.agents:
         raise UnknownAgent(f"unknown agent {a!r}")
 
 

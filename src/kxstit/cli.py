@@ -100,7 +100,7 @@ def cmd_transform(args):
         out, mapping, target = mat, mproj, win
     report = check_bounded_morphism(mapping, out, target)
     frame = validate_window(out, args.mode, args.n or 1)
-    doc = out.to_doc() if hasattr(out, "to_doc") else {
+    doc = out.to_doc() if args.kind == "unravel" else {
         "kind": "matrix", "worlds": list(out.worlds), "interior": sorted(out.interior)}
     doc["projection"] = {w: mapping[w] for w in sorted(mapping)}
     print(json.dumps(doc, indent=2, sort_keys=True))

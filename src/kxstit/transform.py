@@ -24,8 +24,7 @@ from . import formula as F
 from .checker import _check_world, _eval, _truth_mask
 from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, PartialMap,
                      SourceNotIrreflexive, WindowTooSmall)
-from .model import (DenseFrame, KripkeModel, _bits, _cell_index, check_frame, family_names,
-                    validate_frame)
+from .model import DenseFrame, _bits, _low, check_frame, family_names, validate_frame
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,16 @@ class UnraveledWorld:
 
 
 class WindowModel:
-    """Kripke-shaped structure over a finite window: partitions for the four
-    equivalence families, a partial successor, per-world layers, and an
-    interior/boundary split.
+    """Kripke-shaped structure over a finite window: a neighbour map per
+    relation family, a partial successor, per-world layers, and an
+    interior/boundary split.  The families are stored as maps rather than
+    partitions because the matrix relations of a degenerate source need not
+    stay equivalences.  An actualized window also carries its matrix worlds
+    and profile tables.
     """
 
     def __init__(self, agents, worlds, layer, interior, horizon, root,
-                 succ, pred, r_box, choice, choice_ags, epistemic, valuation):
+                 succ, pred, rel, valuation, matrix_worlds=None, tables=None):
         self.agents = tuple(agents)
         self.worlds = tuple(sorted(worlds))
         self.layer = dict(layer)
@@ -66,36 +68,29 @@ class WindowModel:
         self.root = root
         self.succ = dict(succ)
         self.pred = dict(pred)
-        self.r_box = tuple(sorted((frozenset(c) for c in r_box), key=min))
-        self.choice = {a: tuple(sorted((frozenset(c) for c in choice[a]), key=min)) for a in self.agents}
-        self.choice_ags = tuple(sorted((frozenset(c) for c in choice_ags), key=min))
-        self.epistemic = {a: tuple(sorted((frozenset(c) for c in epistemic[a]), key=min)) for a in self.agents}
+        self.rel = rel  # family name (as in family_names) -> {world: frozenset of mates}
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
-        self._box_of = _cell_index(self.r_box)
-        self._ags_of = _cell_index(self.choice_ags)
-        self._choice_of = {a: _cell_index(p) for a, p in self.choice.items()}
-        self._epi_of = {a: _cell_index(p) for a, p in self.epistemic.items()}
+        self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
+        self.tables = tables  # least world of a source class -> ChoiceProfileTable
 
     def _dense(self):
         """A dense frame of the window as it stands, built on each call from
-        the cell each world is indexed to."""
-        mates = [_mates(self.r_box, self._box_of), _mates(self.choice_ags, self._ags_of),
-                 *(_mates(self.choice[a], self._choice_of[a]) for a in self.agents),
-                 *(_mates(self.epistemic[a], self._epi_of[a]) for a in self.agents)]
-        return DenseFrame(self.worlds, self.agents, mates, self.succ, self.pred,
-                          self.valuation, self.interior, self.layer)
+        its neighbour maps."""
+        return DenseFrame(self.worlds, self.agents,
+                          [self.rel[name] for name in family_names(self.agents)],
+                          self.succ, self.pred, self.valuation, self.interior, self.layer)
 
     def box_cell(self, w):
-        return self.r_box[self._box_of[w]]
+        return self.rel["box"][w]
 
     def choice_cell(self, agent, w):
-        return self.choice[agent][self._choice_of[agent][w]]
+        return self.rel[f"choice:{agent}"][w]
 
     def ags_cell(self, w):
-        return self.choice_ags[self._ags_of[w]]
+        return self.rel["ags"][w]
 
     def epi_cell(self, agent, w):
-        return self.epistemic[agent][self._epi_of[agent][w]]
+        return self.rel[f"epi:{agent}"][w]
 
     def succ_of(self, w):
         return self.succ.get(w)
@@ -107,8 +102,8 @@ class WindowModel:
         return w in self.valuation.get(prop, frozenset())
 
     def to_doc(self):
-        def cells(p):
-            return sorted((sorted(c) for c in p), key=lambda c: c[0])
+        def cells(name):
+            return sorted((sorted(c) for c in set(self.rel[name].values())), key=lambda c: c[0])
 
         return {
             "format_version": 1,
@@ -120,18 +115,12 @@ class WindowModel:
             "horizon": self.horizon,
             "root": self.root,
             "succ": {w: self.succ[w] for w in sorted(self.succ)},
-            "r_box": cells(self.r_box),
-            "choice": {a: cells(self.choice[a]) for a in sorted(self.agents)},
-            "choice_ags": cells(self.choice_ags),
-            "epistemic": {a: cells(self.epistemic[a]) for a in sorted(self.agents)},
+            "r_box": cells("box"),
+            "choice": {a: cells(f"choice:{a}") for a in sorted(self.agents)},
+            "choice_ags": cells("ags"),
+            "epistemic": {a: cells(f"epi:{a}") for a in sorted(self.agents)},
             "valuation": {p: sorted(ws) for p, ws in sorted(self.valuation.items())},
         }
-
-
-def _mates(partition, index):
-    """Map from each world of ``index`` to the cell of ``partition`` it is
-    indexed to."""
-    return {w: partition[i] for w, i in index.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +186,30 @@ def unravel(m, root, horizon, require_valid=True, mode="super_additive"):
                 pred[wid] = UnraveledWorld(u.seq + (m.pred[u.last],), 0).wid
 
     def group(key):
+        """Map from each world to the worlds with the same ``key``."""
         cells = {}
         for wid, u in by_id.items():
             cells.setdefault(key(u), []).append(wid)
-        return list(cells.values())
+        return {wid: cell for cell in map(frozenset, cells.values()) for wid in cell}
 
     def prefix_ags(u):
         return tuple(m._ags_of[x] for x in u.seq[:-1])
 
-    r_box = group(lambda u: (u.flag, len(u.seq), prefix_ags(u) if u.flag == 1 else (), m._box_of[u.last]))
-    choice_ags = group(lambda u: (u.flag, len(u.seq), prefix_ags(u) if u.flag == 1 else (), m._ags_of[u.last]))
-    choice = {a: group(lambda u, a=a: (u.flag, len(u.seq), prefix_ags(u) if u.flag == 1 else (),
-                                       m._choice_of[a][u.last]))
-              for a in m.agents}
-    epistemic = {a: group(lambda u, a=a: m._epi_of[a][u.last]) for a in m.agents}
+    rel = {"box": group(lambda u: (u.flag, len(u.seq), prefix_ags(u) if u.flag == 1 else (),
+                                   m._box_of[u.last])),
+           "ags": group(lambda u: (u.flag, len(u.seq), prefix_ags(u) if u.flag == 1 else (),
+                                   m._ags_of[u.last]))}
+    for a in m.agents:
+        rel[f"choice:{a}"] = group(lambda u: (u.flag, len(u.seq), prefix_ags(u) if u.flag == 1 else (),
+                                              m._choice_of[a][u.last]))
+    for a in m.agents:
+        rel[f"epi:{a}"] = group(lambda u: m._epi_of[a][u.last])
 
     valuation = {p: {wid for wid, u in by_id.items() if u.last in ws}
                  for p, ws in m.valuation.items()}
 
     win = WindowModel(m.agents, worlds, layer, interior, horizon,
-                      UnraveledWorld((root,), 1).wid, succ, pred,
-                      r_box, choice, choice_ags, epistemic, valuation)
+                      UnraveledWorld((root,), 1).wid, succ, pred, rel, valuation)
     projection = {wid: u.last for wid, u in by_id.items()}
     return win, projection
 
@@ -258,59 +250,22 @@ class MorphismReport:
         return out
 
 
-class _View:
-    """Uniform relation accessors over KripkeModel, WindowModel, and
-    MatrixWindow."""
-
-    def __init__(self, obj):
-        self.obj = obj
-        self.is_model = isinstance(obj, KripkeModel)
-        self.worlds = tuple(obj.worlds)
-        self.agents = tuple(obj.agents)
-        self.interior = frozenset(obj.worlds) if self.is_model else frozenset(obj.interior)
-
-    def succ_of(self, w):
-        return self.obj.succ[w] if self.is_model else self.obj.succ_of(w)
-
-    def pred_of(self, w):
-        if self.is_model:
-            return self.obj.pred[w] if self.obj.pred else None
-        return self.obj.pred_of(w)
-
-    def families(self):
-        return [(name, self.family(name)) for name in family_names(self.agents)]
-
-    def family(self, name):
-        if name == "box":
-            return self.obj.box_cell
-        if name == "ags":
-            return self.obj.ags_cell
-        kind, agent = name.split(":")
-        if kind == "choice":
-            return lambda w: self.obj.choice_cell(agent, w)
-        return lambda w: self.obj.epi_cell(agent, w)
-
-    def props(self):
-        return set(self.obj.valuation)
-
-    def holds(self, p, w):
-        return self.obj.holds(p, w)
-
-
-def _reachable(view, start):
-    seen = {start}
-    frontier = [start]
+def _reach(d, start):
+    """Mask of the worlds of the dense frame ``d`` reachable from world
+    index ``start`` along any family's cells and the successor and
+    predecessor steps."""
+    families = list(d.cells.values())
+    seen = frontier = 1 << start
     while frontier:
-        w = frontier.pop()
-        nbrs = set()
-        for _, mates in view.families():
-            nbrs |= mates(w)
-        s, p = view.succ_of(w), view.pred_of(w)
-        nbrs |= {x for x in (s, p) if x is not None}
-        for x in nbrs:
-            if x not in seen:
-                seen.add(x)
-                frontier.append(x)
+        nxt = 0
+        for i in _bits(frontier):
+            for cells in families:
+                nxt |= cells[i]
+            for step in (d.succ[i], d.pred[i]):
+                if step is not None:
+                    nxt |= 1 << step
+        frontier = nxt & ~seen
+        seen |= frontier
     return seen
 
 
@@ -319,74 +274,81 @@ def check_bounded_morphism(mapping, source, target, interior_only=True):
     ``source`` onto (the reachable part of) ``target``: atom harmony, and
     forth/back conditions for each relation family, with universal
     quantifiers relativized to the source interior when requested.
+
+    Both sides are read as dense frames.  Each failed condition gives one
+    counterexample, its first violation in world order.
     """
-    src = _View(source)
-    tgt = _View(target)
-    domain = src.interior if interior_only else frozenset(src.worlds)
-    missing = [w for w in domain if w not in mapping]
+    s, t = source._dense(), target._dense()
+    domain = s.interior if interior_only else s.full
+    missing = [s.names[i] for i in _bits(domain) if s.names[i] not in mapping]
     if missing:
         raise PartialMap(f"mapping undefined on {missing[:4]}")
+    img = [None] * len(s.names)  # target index of each mapped source world
+    for i, w in enumerate(s.names):
+        if w in mapping:
+            img[i] = t.index.get(mapping[w])
+            if img[i] is None:
+                raise PartialMap(f"mapping sends {w!r} to {mapping[w]!r}, not a world of the target")
 
     counterexamples = []
-    root_img = mapping.get(getattr(source, "root", None)) or mapping[min(domain)]
-    reachable = _reachable(tgt, root_img)
-    image = {mapping[w] for w in mapping if w in src.worlds}
-    surjective = reachable <= image
+    root = s.index.get(getattr(source, "root", None))
+    if root is None or img[root] is None:
+        if not domain:
+            raise WindowTooSmall("window has no interior")
+        root = _low(domain)
+    # a sum of distinct bits is their union, so images are summed as a set
+    unreached = _reach(t, img[root]) & ~sum({1 << j for j in img if j is not None})
+    surjective = not unreached
     if not surjective:
-        counterexamples.append(("surjectivity", sorted(reachable - image)[:4]))
+        counterexamples.append(("surjectivity",
+                                [t.names[j] for j in itertools.islice(_bits(unreached), 4)]))
 
-    atom_harmony = True
-    props = src.props() | tgt.props()
-    for w in sorted(domain):
-        for p in props:
-            if src.holds(p, w) != tgt.holds(p, mapping[w]):
-                atom_harmony = False
-                counterexamples.append(("atom", w, p))
-                break
-        if not atom_harmony:
-            break
+    first_atom = None  # (source index, atom) of the first atom disagreement
+    for p in sorted(s.atoms.keys() | t.atoms.keys()):
+        at = t.atoms.get(p, 0)
+        pulled = sum(1 << i for i in _bits(domain) if at >> img[i] & 1)
+        diff = (s.atoms.get(p, 0) ^ pulled) & domain
+        if diff and (first_atom is None or _low(diff) < first_atom[0]):
+            first_atom = _low(diff), p
+    atom_harmony = first_atom is None
+    if not atom_harmony:
+        counterexamples.append(("atom", s.names[first_atom[0]], first_atom[1]))
 
     forth = {}
     back = {}
-    fam_names = [name for name, _ in src.families()] + ["succ", "pred"]
-    for name in fam_names:
-        forth[name] = True
-        back[name] = True
-
-    for name, _ in src.families():
-        s_mates = src.family(name)
-        t_mates = tgt.family(name)
-        for w in sorted(domain):
-            fw = mapping[w]
-            tcell = t_mates(fw)
-            for v in s_mates(w):
-                if v in mapping and mapping[v] not in tcell:
-                    forth[name] = False
-                    counterexamples.append(("forth", name, w, v))
-                    break
-            covered = {mapping[v] for v in s_mates(w) if v in mapping}
-            if not tcell <= covered:
-                back[name] = False
-                counterexamples.append(("back", name, w, sorted(tcell - covered)[:2]))
-            if not forth[name] and not back[name]:
+    for name in family_names(s.agents):
+        scells, tcells = s.cells[name], t.cells[name]
+        images = {}  # source cell -> mask of its mapped members' images
+        bad_forth = bad_back = None
+        for w in _bits(domain):
+            cell, tcell = scells[w], tcells[img[w]]
+            image = images.get(cell)
+            if image is None:
+                image = images[cell] = sum({1 << img[v] for v in _bits(cell) if img[v] is not None})
+            if bad_forth is None and image & ~tcell:
+                v = next(v for v in _bits(cell) if img[v] is not None and not tcell >> img[v] & 1)
+                bad_forth = ("forth", name, s.names[w], s.names[v])
+            if bad_back is None and tcell & ~image:
+                missed = itertools.islice(_bits(tcell & ~image), 2)
+                bad_back = ("back", name, s.names[w], [t.names[j] for j in missed])
+            if bad_forth and bad_back:
                 break
+        forth[name], back[name] = bad_forth is None, bad_back is None
+        counterexamples.extend(c for c in (bad_forth, bad_back) if c)
 
-    for w in sorted(domain):
-        fw = mapping[w]
-        sw, pw = src.succ_of(w), src.pred_of(w)
-        ts, tp = tgt.succ_of(fw), tgt.pred_of(fw)
-        if sw is not None and ts is not None and mapping.get(sw) != ts:
-            forth["succ"] = False
-            counterexamples.append(("forth", "succ", w))
-        if ts is not None and (sw is None or mapping.get(sw) != ts):
-            back["succ"] = False
-            counterexamples.append(("back", "succ", w))
-        if pw is not None and tp is not None and mapping.get(pw) != tp:
-            forth["pred"] = False
-            counterexamples.append(("forth", "pred", w))
-        if tp is not None and (pw is None or mapping.get(pw) != tp):
-            back["pred"] = False
-            counterexamples.append(("back", "pred", w))
+    for name, ssteps, tsteps in (("succ", s.succ, t.succ), ("pred", s.pred, t.pred)):
+        bad_forth = bad_back = None
+        for w in _bits(domain):
+            sw, tw = ssteps[w], tsteps[img[w]]
+            if tw is not None and (sw is None or img[sw] != tw):
+                if bad_back is None:
+                    bad_back = ("back", name, s.names[w])
+                if sw is not None and bad_forth is None:
+                    bad_forth = ("forth", name, s.names[w])
+                if bad_forth and bad_back:
+                    break
+        forth[name], back[name] = bad_forth is None, bad_back is None
+        counterexamples.extend(c for c in (bad_forth, bad_back) if c)
 
     return MorphismReport(surjective, atom_harmony, forth, back, counterexamples)
 
@@ -398,8 +360,10 @@ def window_eval(win, w, f, margin=0):
     """Evaluate ``f`` at window world ``w``.  Quantifier mates whose layer
     cannot absorb the remaining formula's temporal reach are skipped (they
     are redundant for windows over frame-valid bases).  Raises
-    DepthExceedsWindow when the formula does not fit at ``w`` itself.
+    DepthExceedsWindow when the formula does not fit at ``w`` itself, and
+    UnknownWorld when ``w`` is not a world of the window.
     """
+    _check_world(win, w)
     d = win._dense()
     mask, fitting, reach = _window_masks(win, d, f, margin)
     i = d.index[w]
@@ -544,56 +508,6 @@ class MatrixWorld:
         return dict(self.index_fn)
 
 
-class MatrixWindow:
-    """Window-shaped structure whose relations are stored as neighbor maps
-    (the matrix relations of a degenerate source need not stay
-    equivalences, so partitions cannot be assumed).
-    """
-
-    def __init__(self, agents, worlds, layer, interior, horizon, root,
-                 succ, pred, rel, valuation, matrix_worlds, tables):
-        self.agents = tuple(agents)
-        self.worlds = tuple(sorted(worlds))
-        self.layer = dict(layer)
-        self.interior = frozenset(interior)
-        self.horizon = horizon
-        self.root = root
-        self.succ = dict(succ)
-        self.pred = dict(pred)
-        self.rel = rel  # family name -> {world: frozenset}
-        self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
-        self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
-        self.tables = tables  # least world of a source class -> ChoiceProfileTable
-
-    def _dense(self):
-        """A dense frame of the window as it stands, built on each call from
-        its neighbour maps."""
-        return DenseFrame(self.worlds, self.agents,
-                          [self.rel[name] for name in family_names(self.agents)],
-                          self.succ, self.pred, self.valuation, self.interior, self.layer)
-
-    def box_cell(self, w):
-        return self.rel["box"][w]
-
-    def choice_cell(self, agent, w):
-        return self.rel[f"choice:{agent}"][w]
-
-    def ags_cell(self, w):
-        return self.rel["ags"][w]
-
-    def epi_cell(self, agent, w):
-        return self.rel[f"epi:{agent}"][w]
-
-    def succ_of(self, w):
-        return self.succ.get(w)
-
-    def pred_of(self, w):
-        return self.pred.get(w)
-
-    def holds(self, prop, w):
-        return w in self.valuation.get(prop, frozenset())
-
-
 def _chain(win, w):
     """The temporal line through ``w`` inside the window: predecessors,
     ``w`` itself, successors."""
@@ -625,18 +539,12 @@ def actualize(source, n=None):
             raise SourceNotIrreflexive(f"succ({w}) = {w}")
 
     # global profile/coalition-cell tables (profiles never span classes)
-    tables = {}
+    reps = {}  # least world of a class -> its first world
     for w in source.worlds:
-        key = min(source.box_cell(w))
-        if key not in tables:
-            tables[key] = choice_profiles(source, w, n=n)
+        reps.setdefault(min(source.box_cell(w)), w)
     if n is None:
-        n = max(t.n for t in tables.values())
-        tables = {}
-        for w in source.worlds:
-            key = min(source.box_cell(w))
-            if key not in tables:
-                tables[key] = choice_profiles(source, w, n=n)
+        n = max(choice_profiles(source, w).n for w in reps.values())
+    tables = {key: choice_profiles(source, w, n=n) for key, w in reps.items()}
 
     table_of = {w: tables[min(source.box_cell(w))] for w in source.worlds}
 
@@ -737,7 +645,7 @@ def actualize(source, n=None):
                  for p, ws in source.valuation.items()}
     root = min(by_base.get(source.root, matrix))
 
-    out = MatrixWindow(agents, matrix, layer, interior, source.horizon, root,
-                       succ, pred, rel, valuation, ids, tables)
+    out = WindowModel(agents, matrix, layer, interior, source.horizon, root,
+                      succ, pred, rel, valuation, ids, tables)
     projection = {wid: ids[wid].base for wid in matrix}
     return out, projection

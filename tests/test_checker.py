@@ -10,6 +10,7 @@ from kxstit.checker import (check_refinement, eval_formula, extension,
 from kxstit.errors import UnknownAgent, UnknownWorld
 from kxstit.gen import GenParams, random_formula, random_model
 from kxstit.model import KripkeModel, validate_frame
+from kxstit.transform import unravel, window_eval
 
 
 def test_figure1_paper_judgments(fig1a):
@@ -48,6 +49,8 @@ def test_t_schema_and_veridicality_on_valid_models():
 def test_unknown_agent_world_errors(one_world):
     with pytest.raises(UnknownWorld):
         eval_formula(one_world, "nope", F.Atom("p"))
+    with pytest.raises(UnknownWorld, match="'zz'"):
+        window_eval(unravel(one_world, "w", 1)[0], "zz", F.Atom("p"))
     with pytest.raises(UnknownAgent):
         eval_formula(one_world, "w", F.Knows("ghost", F.Atom("p")))
     with pytest.raises(UnknownAgent):

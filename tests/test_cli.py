@@ -88,6 +88,9 @@ def test_transform_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     emitted = json.loads(out)
     assert emitted["kind"] == "window" and emitted["projection"]
+    assert main(["transform", str(path), "actualize", "--root", root, "--depth", "2"]) == 0
+    emitted = json.loads(capsys.readouterr().out)
+    assert emitted["kind"] == "matrix" and sorted(emitted["projection"]) == emitted["worlds"]
 
 
 def test_soundness_subcommand(capsys):

@@ -12,7 +12,8 @@ from kxstit import formula as F
 from kxstit.errors import DepthExceedsWindow
 from kxstit.gen import random_formula
 from kxstit.model import KripkeModel, validate_frame
-from kxstit.transform import _window_masks, actualize, unravel, validate_window, window_eval
+from kxstit.transform import (_window_masks, actualize, truth_preservation, unravel,
+                              validate_window, window_eval)
 
 MODES = ("actual", "super_additive")
 BOUNDS = (1, 2, 4)
@@ -90,3 +91,12 @@ def test_window_eval_values_are_pinned(windows):
                 records.append(row)
     assert "1" in "".join(records) and "0" in "".join(records)
     assert _digest(records) == "2a851b1edb4fe429e68aaec0d63a330462fcc4579fa1196baca437111687e2b5"
+
+
+def test_truth_preservation_onto_a_window_is_pinned():
+    # the matrix checked against the window it actualizes, through its own
+    # projection: the window is the target that the top-down walk reads
+    win, _ = unravel(_fixture(), "a", 1, require_valid=False)
+    mat, mproj = actualize(win, n=3)
+    rep = truth_preservation(mat, win, mproj, [F.parse(t) for t in MATRIX_TEXTS[:6]])
+    assert (rep.compared, rep.mismatches, rep.skipped) == (3402, [], [])

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,8 +13,8 @@ from kxstit.checker import eval_formula
 from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel,
                            PartialMap, SourceNotIrreflexive)
 from kxstit.gen import GenParams, random_formula, random_model
-from kxstit.model import KripkeModel, validate_frame
-from kxstit.transform import (WindowModel, actualize, check_bounded_morphism,
+from kxstit.model import KripkeModel, family_names, validate_frame
+from kxstit.transform import (MorphismReport, WindowModel, actualize, check_bounded_morphism,
                               choice_profiles, truth_preservation, unravel,
                               validate_window, window_eval)
 
@@ -144,6 +145,63 @@ def test_morphism_partial_map_raises(one_world):
     broken.pop("w;1")
     with pytest.raises(PartialMap):
         check_bounded_morphism(broken, win, one_world)
+    # a boundary world sent outside the target is named before any check
+    with pytest.raises(PartialMap, match="'w|w|w;1' to 'zz'"):
+        check_bounded_morphism({**proj, "w|w|w;1": "zz"}, win, one_world)
+
+
+def _report(failed, counterexamples):
+    """The morphism report over agents a0 and a1 whose failed flags are
+    ``failed``: "surjective", "atom_harmony", or "forth"/"back" and a
+    family."""
+    names = [*family_names(["a0", "a1"]), "succ", "pred"]
+    return MorphismReport("surjective" not in failed, "atom_harmony" not in failed,
+                          {n: ("forth", n) not in failed for n in names},
+                          {n: ("back", n) not in failed for n in names}, counterexamples)
+
+
+def test_morphism_failures_are_pinned(super_additive_fixture):
+    fx = super_additive_fixture
+    win, proj = unravel(fx, "a", 2, require_valid=False)
+    # a seeded swap of two images breaks forth on a0's knowledge, among others
+    u, v = random.Random(0).sample(win.worlds, 2)
+    swapped = {**proj, u: proj[v], v: proj[u]}
+    assert check_bounded_morphism(swapped, win, fx) == _report(
+        {"atom_harmony", ("back", "box"), ("back", "choice:a0"), ("back", "choice:a1"),
+         ("forth", "epi:a0"), ("forth", "succ"), ("back", "succ"), ("forth", "pred"),
+         ("back", "pred")},
+        [("atom", "b|a;0", "p"), ("back", "box", "a|b;0", ["a"]),
+         ("back", "choice:a0", "a|b;0", ["a"]), ("back", "choice:a1", "a|b;0", ["a"]),
+         ("forth", "epi:a0", "a;1", "b|a;0"), ("forth", "succ", "b|a;0"),
+         ("back", "succ", "b|a;0"), ("forth", "pred", "b;1"), ("back", "pred", "b;1")])
+    # a source that knows more than the target fails back on one family only
+    finer = KripkeModel(fx.agents, fx.worlds, fx.r_box, fx.succ, fx.choice,
+                        {"a0": [["a"], ["b"]], "a1": [["a"], ["b"]]}, fx.choice_ags, fx.valuation)
+    assert check_bounded_morphism({"a": "a", "b": "b"}, finer, fx) == _report(
+        {("back", "epi:a1")}, [("back", "epi:a1", "a", ["b"])])
+    # on the window of a frame-valid cycle, a dropped successor fails back
+    # only, and a wrong predecessor fails both ways
+    split = {a: [["a"], ["b"]] for a in fx.agents}
+    cycle = KripkeModel(fx.agents, fx.worlds, [["a"], ["b"]], fx.succ, split, fx.epistemic,
+                        valuation=fx.valuation)
+    win, proj = unravel(cycle, "a", 2)
+    assert check_bounded_morphism(proj, win, cycle).ok
+    del win.succ["b|a;0"]
+    win.pred["a|b;1"] = "a|b;0"
+    assert check_bounded_morphism(proj, win, cycle) == _report(
+        {("back", "succ"), ("forth", "pred"), ("back", "pred")},
+        [("back", "succ", "b|a;0"), ("forth", "pred", "a|b;1"), ("back", "pred", "a|b;1")])
+    # one world onto a two-world class misses its mate
+    one = KripkeModel(fx.agents, ["x"], [["x"]], {"x": "x"}, {a: [["x"]] for a in fx.agents},
+                      {a: [["x"]] for a in fx.agents}, valuation={"p": ["x"]})
+    assert check_bounded_morphism({"x": "a"}, one, fx) == _report(
+        {"surjective", ("back", "box"), ("back", "choice:a0"), ("back", "choice:a1"),
+         ("back", "epi:a1"), ("forth", "succ"), ("back", "succ"), ("forth", "pred"),
+         ("back", "pred")},
+        [("surjectivity", ["b"]), ("back", "box", "x", ["b"]), ("back", "choice:a0", "x", ["b"]),
+         ("back", "choice:a1", "x", ["b"]), ("back", "epi:a1", "x", ["b"]),
+         ("forth", "succ", "x"), ("back", "succ", "x"), ("forth", "pred", "x"),
+         ("back", "pred", "x")])
 
 
 def test_truth_preservation_on_generated_models(grid50):
@@ -208,32 +266,29 @@ def test_window_eval_epistemic_jump_stays_sound(grid50):
 
 
 def test_overlapping_cells_of_a_window_are_reported(grid50):
-    # a world listed in two cells holds the later one, so the earlier cell
-    # is not symmetric
+    # w0_0;1 gets a mate in another cell, which keeps its own cell, so the
+    # relation is not symmetric
     win, _ = unravel(grid50[2], grid50[2].worlds[0], 2)
-    assert win.r_box[0] == {"w0_0;1"} and "w0_0|w0_0;0" in win.r_box[1]
+    assert win.box_cell("w0_0;1") == win.ags_cell("w0_0;1") == {"w0_0;1"}
     failed = {}
-    for fam in ("r_box", "choice_ags"):
-        cells = {"r_box": win.r_box, "choice_ags": win.choice_ags}
-        cells[fam] = [cells[fam][0] | {"w0_0|w0_0;0"}, *cells[fam][1:]]
-        bad = WindowModel(win.agents, win.worlds, win.layer, win.interior, win.horizon, win.root,
-                          win.succ, win.pred, cells["r_box"], win.choice, cells["choice_ags"],
-                          win.epistemic, win.valuation)
+    for fam in ("box", "ags"):
+        cell = win.rel[fam]["w0_0;1"] | {"w0_0|w0_0;0"}
+        bad = _rebuilt(win, rel={**win.rel, fam: {**win.rel[fam], "w0_0;1": cell}})
         failed[fam] = [(c.condition, c.witness, c.explanation)
                        for c in validate_window(bad, "actual", 2).failed()]
     pair = ["w0_0;1", "w0_0|w0_0;0"]
     past = "predecessors w0_0|w0_0;0, w0_0|w0_0|w0_0;0 not"
     assert failed == {
-        "r_box": [("EQ", pair, "box not symmetric"),
-                  ("IA", ["w0_0;1"], "empty selection through cells of "
-                                     "['w0_0;1', 'w0_0;1', 'w0_0|w0_0;0']"),
-                  ("NA", pair, f"{past} choice-related for a0"),
-                  ("NAGS", pair, f"{past} coalition-choice-related"),
-                  ("NX", pair, f"{past} settledness-related")],
-        "choice_ags": [("ADDITIVITY", ["w0_0;1"],
-                        "coalition cell differs from the intersection of agent cells"),
-                       ("EQ", pair, "ags not symmetric"),
-                       ("SET", ["w0_0;1"], "coalition cell leaves the settledness class")]}
+        "box": [("EQ", pair, "box not symmetric"),
+                ("IA", ["w0_0;1"], "empty selection through cells of "
+                                   "['w0_0;1', 'w0_0;1', 'w0_0|w0_0;0']"),
+                ("NA", pair, f"{past} choice-related for a0"),
+                ("NAGS", pair, f"{past} coalition-choice-related"),
+                ("NX", pair, f"{past} settledness-related")],
+        "ags": [("ADDITIVITY", ["w0_0;1"],
+                 "coalition cell differs from the intersection of agent cells"),
+                ("EQ", pair, "ags not symmetric"),
+                ("SET", ["w0_0;1"], "coalition cell leaves the settledness class")]}
 
 
 def test_window_edited_after_use_is_read_as_it_stands(one_world):
@@ -364,20 +419,25 @@ def test_past_chain_correspondence_on_valid_windows():
 
 
 # Builds the 729-world matrix of the three-world super-additive fixture and
-# prints the witnesses of its failed conditions.
+# prints the witnesses of its failed conditions, then the counterexamples of
+# a projection with two images swapped.
 _WITNESS_SCRIPT = """
 import json
+import random
 from kxstit.model import KripkeModel
-from kxstit.transform import actualize, unravel, validate_window
+from kxstit.transform import actualize, check_bounded_morphism, unravel, validate_window
 fx = KripkeModel(
     ["a0", "a1"], ["a", "b", "c"], [["a", "b", "c"]], {"a": "b", "b": "c", "c": "a"},
     {"a0": [["a", "b", "c"]], "a1": [["a", "b", "c"]]},
     {"a0": [["a"], ["b"], ["c"]], "a1": [["a", "b", "c"]]},
     choice_ags=[["a"], ["b"], ["c"]], valuation={"p": ["a"]})
 win, _ = unravel(fx, "a", 1, require_valid=False)
-mat, _ = actualize(win, n=3)
+mat, mproj = actualize(win, n=3)
 report = validate_window(mat, "actual", 3)
-print(json.dumps([len(mat.worlds)] + [[c.condition, c.witness] for c in report.failed()]))
+u, v = random.Random(1).sample(sorted(mat.interior), 2)
+swapped = check_bounded_morphism({**mproj, u: mproj[v], v: mproj[u]}, mat, win)
+print(json.dumps([len(mat.worlds)] + [[c.condition, c.witness] for c in report.failed()]
+                 + [swapped.counterexamples]))
 """
 
 
@@ -390,7 +450,7 @@ def test_window_witnesses_do_not_depend_on_hash_seed():
         out = subprocess.run([sys.executable, "-c", _WITNESS_SCRIPT], env=env,
                              capture_output=True, text=True, check=True).stdout
         runs.append(json.loads(out))
-    assert runs[0][0] == 729
+    assert runs[0][0] == 729 and len(runs[0][-1]) > 1
     assert runs[0] == runs[1]
 
 
@@ -399,11 +459,22 @@ def _rebuilt(win, **changes):
     replaced."""
     parts = dict(agents=win.agents, worlds=win.worlds, layer=win.layer,
                  interior=win.interior, horizon=win.horizon, root=win.root,
-                 succ=win.succ, pred=win.pred, r_box=win.r_box, choice=win.choice,
-                 choice_ags=win.choice_ags, epistemic=win.epistemic,
-                 valuation=win.valuation)
+                 succ=win.succ, pred=win.pred, rel=win.rel, valuation=win.valuation)
     parts.update(changes)
     return WindowModel(**parts)
+
+
+def _cells(win, fam):
+    """The distinct cells of family ``fam``, by least world."""
+    return sorted(set(win.rel[fam].values()), key=min)
+
+
+def _merged(win, fam, mine, other):
+    """A copy of ``win`` whose ``fam`` cells ``mine`` and ``other`` are one
+    cell."""
+    cell = mine | other
+    return _rebuilt(win, rel={**win.rel, fam: {w: cell if w in cell else c
+                                               for w, c in win.rel[fam].items()}})
 
 
 def _failure(report, condition):
@@ -427,12 +498,10 @@ def test_choice_cell_across_classes_fails_set(grid50):
         win, _ = unravel(m, m.worlds[0], 2)
         a = win.agents[0]
         u = min(win.interior)
-        other = next((c for c in win.choice[a] if not c <= win.box_cell(u)), None)
+        other = next((c for c in _cells(win, f"choice:{a}") if not c <= win.box_cell(u)), None)
         if other is None:
             continue
-        mine = win.choice_cell(a, u)
-        cells = [c for c in win.choice[a] if c not in (mine, other)] + [mine | other]
-        bad = _rebuilt(win, choice={**win.choice, a: cells})
+        bad = _merged(win, f"choice:{a}", win.choice_cell(a, u), other)
         assert _shows_failure(bad, _failure(validate_window(bad, "actual", 2), "SET"), 2)
         tried += 1
     assert tried >= 5
@@ -445,11 +514,10 @@ def test_coarsened_coalition_cell_fails_additivity(grid50):
     for m in grid50[:12]:
         win, _ = unravel(m, m.worlds[0], 2)
         mine = win.ags_cell(min(win.interior))
-        other = next((c for c in win.choice_ags if c != mine), None)
+        other = next((c for c in _cells(win, "ags") if c != mine), None)
         if other is None:
             continue
-        cells = [c for c in win.choice_ags if c not in (mine, other)] + [mine | other]
-        bad = _rebuilt(win, choice_ags=cells)
+        bad = _merged(win, "ags", mine, other)
         report = validate_window(bad, "actual", 2)
         assert _shows_failure(bad, _failure(report, "ADDITIVITY"), 2)
         tried += 1

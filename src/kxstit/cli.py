@@ -22,7 +22,7 @@ from .errors import KxstitError
 from .gen import GenParams, model_grid, random_model
 from .model import load_model, read_document, validate_frame
 from .scenario import bdt_to_kripke, figure1_scenario, load_scenario
-from .transform import actualize, check_bounded_morphism, unravel, validate_window
+from .transform import MAX_MATRIX_WORLDS, actualize, check_bounded_morphism, unravel, validate_window
 
 
 def _read_model(path):
@@ -96,7 +96,7 @@ def cmd_transform(args):
     if args.kind == "unravel":
         out, mapping, target = win, proj, m
     else:
-        mat, mproj = actualize(win, n=args.n)
+        mat, mproj = actualize(win, n=args.n, max_worlds=args.max_worlds)
         out, mapping, target = mat, mproj, win
     report = check_bounded_morphism(mapping, out, target)
     frame = validate_window(out, args.mode, args.n or 1)
@@ -184,6 +184,8 @@ def build_parser():
     sp.add_argument("--mode", choices=["actual", "super_additive"], default="super_additive")
     sp.add_argument("--force", action="store_true",
                     help="unravel even when the model fails frame validation")
+    sp.add_argument("--max-worlds", dest="max_worlds", type=int, default=MAX_MATRIX_WORLDS,
+                    help="refuse (exit 2) an actualization with more matrix worlds than this")
     sp.set_defaults(func=cmd_transform)
 
     sp = sub.add_parser("gen", help="emit a generated model (or the built-in scenario)")

@@ -92,3 +92,12 @@ class WindowTooSmall(KxstitError):
 
 class UnsatisfiableParams(KxstitError):
     pass
+
+
+class MatrixTooLarge(KxstitError):
+    """An actualization would have more matrix worlds than its limit."""
+
+    def __init__(self, worlds, limit):
+        super().__init__(f"the matrix would have {worlds} worlds, over the limit of {limit}")
+        self.worlds = worlds
+        self.limit = limit

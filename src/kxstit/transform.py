@@ -18,12 +18,13 @@ the evaluation world's own layer already project onto the full base cell).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import formula as F
 from .checker import _check_world, _eval, _truth_mask
-from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, PartialMap,
-                     SourceNotIrreflexive, WindowTooSmall)
+from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, MatrixTooLarge, PartialMap,
+                     SourceNotIrreflexive, UnknownAgent, WindowTooSmall)
 from .model import DenseFrame, _bits, _low, check_frame, family_names, validate_frame
 
 
@@ -278,6 +279,9 @@ def check_bounded_morphism(mapping, source, target, interior_only=True):
     Both sides are read as dense frames.  Each failed condition gives one
     counterexample, its first violation in world order.
     """
+    unknown = sorted(set(source.agents) - set(target.agents))
+    if unknown:
+        raise UnknownAgent(f"agents {unknown} of the source are not agents of the target")
     s, t = source._dense(), target._dense()
     domain = s.interior if interior_only else s.full
     missing = [s.names[i] for i in _bits(domain) if s.names[i] not in mapping]
@@ -493,6 +497,8 @@ def choice_profiles(m, world, n=None):
 # ---------------------------------------------------------------------------
 # actualization (matrix construction)
 
+MAX_MATRIX_WORLDS = 50_000  # default limit on an actualization; README says why
+
 @dataclass(frozen=True)
 class MatrixWorld:
     """World of the actualization: a choice profile, an index function over
@@ -524,13 +530,16 @@ def _chain(win, w):
     return list(reversed(back)) + [w] + fwd
 
 
-def actualize(source, n=None):
+def actualize(source, n=None, max_worlds=MAX_MATRIX_WORLDS):
     """Matrix construction over a window with an irreflexive successor:
     worlds are (profile, index function, base world) triples; the output is
     additively actual (the coalition relation is exactly the intersection of
-    the agent relations) and projects back onto the source.
+    the agent relations) and projects back onto the source.  Worlds with
+    equal cells in a family share one frozenset.
 
-    Returns (matrix window, projection to source worlds).
+    Returns (matrix window, projection to source worlds).  Raises
+    MatrixTooLarge, before building any world, when the matrix would have
+    more than ``max_worlds`` worlds.
     """
     if not source.interior:
         raise WindowTooSmall("window has no interior")
@@ -547,105 +556,94 @@ def actualize(source, n=None):
     tables = {key: choice_profiles(source, w, n=n) for key, w in reps.items()}
 
     table_of = {w: tables[min(source.box_cell(w))] for w in source.worlds}
-
-    def indices_of(v):
-        t = table_of[v]
-        cell = source.ags_cell(v)
-        return [k for k, c in enumerate(t.enumeration[t.profile_of_world[v]]) if c == cell]
-
     agents = list(source.agents)
     vec_space = list(itertools.product(range(n), repeat=len(agents)))
+    options = {}  # world -> the vectors whose sum mod n indexes its coalition cell
+    for v in source.worlds:
+        t = table_of[v]
+        ks = {k for k, c in enumerate(t.enumeration[t.profile_of_world[v]]) if c == source.ags_cell(v)}
+        options[v] = [vec for vec in vec_space if sum(vec) % n in ks]
     chains = {w: _chain(source, w) for w in source.worlds}
+    size = sum(math.prod(len(options[v]) for v in chains[w]) for w in source.worlds)
+    if size > max_worlds:
+        raise MatrixTooLarge(size, max_worlds)
 
-    matrix = []
-    ids = {}
-    for w in sorted(source.worlds):
-        chain = chains[w]
-        options = []
-        for v in chain:
-            ks = set(indices_of(v))
-            options.append([vec for vec in vec_space if sum(vec) % n in ks])
-        t = table_of[w]
-        for count, combo in enumerate(itertools.product(*options)):
-            wid = f"{w}#{count}"
-            ids[wid] = MatrixWorld(t.profile_of_world[w], tuple(sorted(zip(chain, combo))), w)
-            matrix.append(wid)
-
+    ids = {}  # world id -> MatrixWorld
     by_base = {}
-    for wid, mw in ids.items():
-        by_base.setdefault(mw.base, []).append(wid)
+    for w in source.worlds:
+        chain = chains[w]
+        for count, combo in enumerate(itertools.product(*(options[v] for v in chain))):
+            wid = f"{w}#{count}"
+            ids[wid] = MatrixWorld(table_of[w].profile_of_world[w], tuple(sorted(zip(chain, combo))), w)
+            by_base.setdefault(w, []).append(wid)
 
     fns = {wid: mw.fn for wid, mw in ids.items()}
+    families = ["box", *(f"choice:{a}" for a in agents), "ags"]
+    tags = {}  # world -> its tag per family: mates in a family carry equal tags
+    for wid, mw in ids.items():
+        prof, vec = table_of[mw.base].profiles[mw.profile], fns[wid][mw.base]
+        tags[wid] = ((), *zip(prof, vec), (prof, vec))
 
     def agreeing(b1, b2):
         """Matrix worlds over b1 and b2 are settledness-related when they
         carry equal vectors at each past world of either base and its
         coalition mates on the other's chain.  Returns the chain worlds of
-        b1 to read and the worlds over b2 keyed by their vectors there."""
+        b1 to read and the worlds over b2 bucketed by (family, their
+        vectors there, tag)."""
         on1, on2 = set(chains[b1]), set(chains[b2])
         pairs = []
         for v in chains[b1][:chains[b1].index(b1)]:
             pairs.extend((v, v2) for v2 in source.ags_cell(v) if v2 in on2)
         for v in chains[b2][:chains[b2].index(b2)]:
             pairs.extend((v2, v) for v2 in source.ags_cell(v) if v2 in on1)
-        by_key = {}
+        buckets = {}
         for wid2 in by_base.get(b2, ()):
-            f2 = fns[wid2]
-            by_key.setdefault(tuple(f2[y] for _, y in pairs), []).append(wid2)
-        return [x for x, _ in pairs], by_key
+            key = tuple(fns[wid2][y] for _, y in pairs)
+            for fam, tag in enumerate(tags[wid2]):
+                buckets.setdefault((fam, key, tag), []).append(wid2)
+        return [x for x, _ in pairs], buckets
 
-    rel = {"box": {wid: set() for wid in matrix}, "ags": {wid: set() for wid in matrix}}
+    shared = {}  # cell value -> the one frozenset that holds it
+
+    def intern(cell):
+        return shared.setdefault(cell, cell)
+
+    rel = {name: {} for name in families}
     for a in agents:
-        rel[f"choice:{a}"] = {wid: set() for wid in matrix}
         # every matrix world over the base world's epistemic cell
-        over = {b: frozenset(wid for b2 in source.epi_cell(a, b) for wid in by_base.get(b2, ()))
+        over = {b: intern(frozenset(wid for b2 in source.epi_cell(a, b) for wid in by_base.get(b2, ())))
                 for b in source.worlds}
-        rel[f"epi:{a}"] = {wid: over[ids[wid].base] for wid in matrix}
+        rel[f"epi:{a}"] = {wid: over[mw.base] for wid, mw in ids.items()}
 
-    profile = {wid: table_of[mw.base].profiles[mw.profile] for wid, mw in ids.items()}
-    vector = {wid: fns[wid][mw.base] for wid, mw in ids.items()}
-    box_rel, ags_rel = rel["box"], rel["ags"]
-    choice_rels = list(enumerate(rel[f"choice:{a}"] for a in agents))
-    agreements = {}
-    for wid1 in matrix:
-        b1 = ids[wid1].base
-        f1, prof1, vec1 = fns[wid1], profile[wid1], vector[wid1]
-        for b2 in source.box_cell(b1):
-            if (b1, b2) not in agreements:
-                agreements[(b1, b2)] = agreeing(b1, b2)
-            xs, by_key = agreements[(b1, b2)]
-            for wid2 in by_key.get(tuple(f1[x] for x in xs), ()):
-                box_rel[wid1].add(wid2)
-                prof2, vec2 = profile[wid2], vector[wid2]
-                for i, choice_rel in choice_rels:
-                    if prof1[i] == prof2[i] and vec1[i] == vec2[i]:
-                        choice_rel[wid1].add(wid2)
-                if prof1 == prof2 and vec1 == vec2:
-                    ags_rel[wid1].add(wid2)
+    # a world's cell in a family is the union of its buckets over the box
+    # mates of its base, so it depends only on the base, the vectors read
+    # and the tag
+    agreements = {b1: [agreeing(b1, b2) for b2 in source.box_cell(b1)] for b1 in by_base}
+    cells = {}
+    for wid1, mw in ids.items():
+        b1 = mw.base
+        keys = tuple(tuple(fns[wid1][x] for x in xs) for xs, _ in agreements[b1])
+        for fam, tag in enumerate(tags[wid1]):
+            sig = (b1, keys, fam, tag)
+            if sig not in cells:
+                cells[sig] = intern(frozenset().union(
+                    *(buckets.get((fam, key, tag), ()) for (_, buckets), key in zip(agreements[b1], keys))))
+            rel[families[fam]][wid1] = cells[sig]
 
-    for fam in rel:
-        rel[fam] = {w: frozenset(v) for w, v in rel[fam].items()}
+    lookup = {(mw.base, mw.index_fn): wid for wid, mw in ids.items()}
 
-    succ = {}
-    pred = {}
-    fn_key = {wid: ids[wid].index_fn for wid in matrix}
-    lookup = {(ids[wid].base, fn_key[wid]): wid for wid in matrix}
-    for wid in matrix:
-        mw = ids[wid]
-        s = source.succ_of(mw.base)
-        if s is not None:
-            succ[wid] = lookup[(s, mw.index_fn)]
-        p = source.pred_of(mw.base)
-        if p is not None:
-            pred[wid] = lookup[(p, mw.index_fn)]
+    def steps(step_of):
+        """The matrix step along the base step ``step_of``: same index function."""
+        return {wid: lookup[step_of(mw.base), mw.index_fn] for wid, mw in ids.items()
+                if step_of(mw.base) is not None}
 
-    layer = {wid: source.layer[ids[wid].base] for wid in matrix}
-    interior = {wid for wid in matrix if ids[wid].base in source.interior}
-    valuation = {p: {wid for wid in matrix if ids[wid].base in ws}
+    projection = {wid: mw.base for wid, mw in ids.items()}
+    layer = {wid: source.layer[b] for wid, b in projection.items()}
+    interior = {wid for wid, b in projection.items() if b in source.interior}
+    valuation = {p: {wid for wid, b in projection.items() if b in ws}
                  for p, ws in source.valuation.items()}
-    root = min(by_base.get(source.root, matrix))
+    root = min(by_base.get(source.root, ids))
 
-    out = WindowModel(agents, matrix, layer, interior, source.horizon, root,
-                      succ, pred, rel, valuation, ids, tables)
-    projection = {wid: ids[wid].base for wid in matrix}
+    out = WindowModel(agents, ids, layer, interior, source.horizon, root,
+                      steps(source.succ_of), steps(source.pred_of), rel, valuation, ids, tables)
     return out, projection

@@ -93,6 +93,16 @@ def test_transform_subcommand(tmp_path, capsys):
     assert emitted["kind"] == "matrix" and sorted(emitted["projection"]) == emitted["worlds"]
 
 
+def test_transform_refuses_an_oversized_matrix(tmp_path, capsys, super_additive_fixture):
+    path = tmp_path / "fx.model"
+    path.write_text(super_additive_fixture.dumps())
+    args = ["transform", str(path), "actualize", "--root", "a", "--depth", "3", "--n", "2", "--force"]
+    assert main([*args, "--max-worlds", "1000"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "MatrixTooLarge",
+                      "message": "the matrix would have 14336 worlds, over the limit of 1000"}
+
+
 def test_soundness_subcommand(capsys):
     assert main(["soundness", "--models", "4"]) == 0
     out = capsys.readouterr().out

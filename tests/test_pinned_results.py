@@ -93,6 +93,29 @@ def test_window_eval_values_are_pinned(windows):
     assert _digest(records) == "2a851b1edb4fe429e68aaec0d63a330462fcc4579fa1196baca437111687e2b5"
 
 
+def test_actualized_matrices_are_pinned(super_additive_fixture):
+    # the 729-world matrix of the three-world fixture and the 1280-world
+    # matrix of the two-world one: worlds, each family's sorted cells and the
+    # index of each world's cell among them, steps, layers, interior,
+    # valuation, root and projection
+    def family(cells, worlds):
+        distinct = sorted(sorted(c) for c in set(cells.values()))
+        index = {frozenset(c): i for i, c in enumerate(distinct)}
+        return [distinct, [index[cells[w]] for w in worlds]]
+
+    digests = []
+    for model, depth, n in ((_fixture(), 1, 3), (super_additive_fixture, 2, 2)):
+        win, _ = unravel(model, "a", depth, require_valid=False)
+        mat, proj = actualize(win, n=n)
+        digests.append(_digest([
+            list(mat.worlds), {fam: family(mat.rel[fam], mat.worlds) for fam in sorted(mat.rel)},
+            sorted(mat.succ.items()), sorted(mat.pred.items()), [mat.layer[w] for w in mat.worlds],
+            sorted(mat.interior), {p: sorted(ws) for p, ws in sorted(mat.valuation.items())},
+            mat.root, sorted(proj.items())]))
+    assert digests == ["7d7042272f8ed14023915ccf828aa9932884d5a923aaa215b429abee7e998806",
+                       "6b182cdb2af41d27e67b480b68e750a786ec5a4439d8e190778a5a78db5098e4"]
+
+
 def test_truth_preservation_onto_a_window_is_pinned():
     # the matrix checked against the window it actualizes, through its own
     # projection: the window is the target that the top-down walk reads

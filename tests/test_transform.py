@@ -4,14 +4,15 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import kxstit
 from kxstit import formula as F
 from kxstit.checker import eval_formula
-from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel,
-                           PartialMap, SourceNotIrreflexive)
+from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, MatrixTooLarge,
+                           PartialMap, SourceNotIrreflexive, UnknownAgent)
 from kxstit.gen import GenParams, random_formula, random_model
 from kxstit.model import KripkeModel, family_names, validate_frame
 from kxstit.transform import (MorphismReport, WindowModel, actualize, check_bounded_morphism,
@@ -148,6 +149,16 @@ def test_morphism_partial_map_raises(one_world):
     # a boundary world sent outside the target is named before any check
     with pytest.raises(PartialMap, match="'w|w|w;1' to 'zz'"):
         check_bounded_morphism({**proj, "w|w|w;1": "zz"}, win, one_world)
+
+
+def test_morphism_onto_a_target_without_a_source_agent_raises():
+    two = KripkeModel(["a0", "a1"], ["w"], [["w"]], {"w": "w"}, {"a0": [["w"]], "a1": [["w"]]},
+                      {"a0": [["w"]], "a1": [["w"]]}, valuation={"p": ["w"]})
+    one = KripkeModel(["a0"], ["w"], [["w"]], {"w": "w"}, {"a0": [["w"]]},
+                      {"a0": [["w"]]}, valuation={"p": ["w"]})
+    with pytest.raises(UnknownAgent, match="'a1'"):
+        check_bounded_morphism({"w": "w"}, two, one)
+    assert check_bounded_morphism({"w": "w"}, one, two).ok
 
 
 def _report(failed, counterexamples):
@@ -391,6 +402,41 @@ def test_actualize_super_additive_fixture(super_additive_fixture):
     formulas = [F.parse(t) for t in ["p", "~p", "X p", "Y p", "p & X ~p", "p -> Y p"]]
     rep = truth_preservation(mat, fx, comp, formulas, margin=1)
     assert rep.ok and rep.compared > 0
+
+
+def test_actualized_cells_are_shared(super_additive_fixture):
+    # one frozenset object per distinct cell value in every family
+    for depth in (1, 2):
+        win, _ = unravel(super_additive_fixture, "a", depth, require_valid=False)
+        mat, _ = actualize(win, n=2)
+        for fam, cells in mat.rel.items():
+            assert len({id(c) for c in cells.values()}) == len(set(cells.values())), fam
+    assert len(mat.worlds) == 1280
+
+
+def test_actualize_memory_is_bounded(super_additive_fixture):
+    # the traced peak of the 1280-world actualization is about 3.2 MB; one
+    # frozenset per world and family, built pair by pair, peaked at 45 MB
+    win, _ = unravel(super_additive_fixture, "a", 2, require_valid=False)
+    tracemalloc.start()
+    try:
+        mat, _ = actualize(win, n=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mat.worlds) == 1280 and peak < 7_000_000
+
+
+def test_actualize_refuses_a_matrix_over_its_limit(super_additive_fixture):
+    # the world count is known from the option lists before any world is built
+    win, _ = unravel(super_additive_fixture, "a", 3, require_valid=False)
+    with pytest.raises(MatrixTooLarge, match="14336 worlds, over the limit of 14335") as err:
+        actualize(win, n=2, max_worlds=14_335)
+    assert (err.value.worlds, err.value.limit) == (14_336, 14_335)
+    win, _ = unravel(super_additive_fixture, "a", 2, require_valid=False)
+    assert len(actualize(win, n=2, max_worlds=1280)[0].worlds) == 1280
+    with pytest.raises(MatrixTooLarge):
+        actualize(win, n=2, max_worlds=1279)
 
 
 def test_matrix_index_arithmetic(super_additive_fixture):

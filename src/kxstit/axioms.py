@@ -247,23 +247,26 @@ def _check_instance(report, m, model_id, name, fills, agents, n=None):
                                            list(agents), witness))
 
 
-def soundness_suite(models, policy=None, mode="actual", n_bounds=None):
+def _checked_models(models, n_bounds):
+    """(model id, model, n bound, saturating copy, its atom names) per
+    model; a model failing frame validation at its bound is rejected."""
+    for mi, m in enumerate(models):
+        n = n_bounds[mi] if n_bounds else max(len(m.choice_ags), 1)
+        frame = validate_frame(m, "actual", n)
+        if not frame.ok:
+            bad = ", ".join(c.condition for c in frame.failed())
+            raise InvalidModelInSuite(f"model {mi} fails frame validation: {bad}")
+        yield (f"model{mi}", m, n, *saturating_atoms(m))
+
+
+def soundness_suite(models, policy=None, n_bounds=None):
     """Check every axiom schema of the system over sampled instantiations on
     every model.  Models failing frame validation are rejected up front.
     """
     policy = policy or SuitePolicy()
     rng = random.Random(policy.seed)
     report = SuiteReport()
-    for mi, m in enumerate(models):
-        n = (n_bounds or {}).get(mi) if isinstance(n_bounds, dict) else \
-            (n_bounds[mi] if n_bounds else max(len(m.choice_ags), 1))
-        frame = validate_frame(m, mode, n)
-        if not frame.ok:
-            bad = ", ".join(c.condition for c in frame.failed())
-            raise InvalidModelInSuite(f"model {mi} fails frame validation: {bad}")
-        model_id = f"model{mi}"
-        sat, names = saturating_atoms(m)
-
+    for model_id, m, n, sat, names in _checked_models(models, n_bounds):
         for schema in SCHEMAS:
             if schema.derived or schema.name in ("IA", "AgsPC", "APC"):
                 continue
@@ -288,22 +291,14 @@ def soundness_suite(models, policy=None, mode="actual", n_bounds=None):
     return report
 
 
-def derived_theorem_suite(models, policy=None, mode="actual", n_bounds=None):
+def derived_theorem_suite(models, policy=None, n_bounds=None):
     """Validity of the derived theorems (settledness/next commutation both
     ways and per-agent action-cardinality) on every model.
     """
     policy = policy or SuitePolicy()
     rng = random.Random(policy.seed + 1)
     report = SuiteReport()
-    for mi, m in enumerate(models):
-        n = (n_bounds or {}).get(mi) if isinstance(n_bounds, dict) else \
-            (n_bounds[mi] if n_bounds else max(len(m.choice_ags), 1))
-        frame = validate_frame(m, mode, n)
-        if not frame.ok:
-            bad = ", ".join(c.condition for c in frame.failed())
-            raise InvalidModelInSuite(f"model {mi} fails frame validation: {bad}")
-        model_id = f"model{mi}"
-        sat, names = saturating_atoms(m)
+    for model_id, m, n, sat, names in _checked_models(models, n_bounds):
         for name in ("NX", "NY"):
             for fills in _sample_fills(rng, m, policy, policy.fills_per_schema, 1):
                 _check_instance(report, m, model_id, name, fills, [])
@@ -324,14 +319,10 @@ def cell_bound_detector(m, n, agent=None):
     """
     sat, names = saturating_atoms(m)
     verdicts = []
+    cells, atoms = (m.choice_ags, names["ags"]) if agent is None else \
+        (m.choice[agent], names["choice"][agent])
     for box in m.r_box:
-        if agent is None:
-            cells = sorted({m._ags_of[w] for w in box})
-            fills = [F.Atom(names["ags"][i]) for i in cells]
-        else:
-            cells = sorted({m._choice_of[agent][w] for w in box})
-            fills = [F.Atom(names["choice"][agent][i]) for i in cells]
-        fills = fills[:n]
+        fills = [F.Atom(atom) for atom, cell in zip(atoms, cells) if not box.isdisjoint(cell)][:n]
         while len(fills) < n:
             fills.append(fills[-1])
         name = "AgsPC" if agent is None else "APC"

@@ -280,7 +280,7 @@ class KnowledgeReport:
         return out
 
 
-def knowledge_report(m, w, agent, target, frame_mode="actual", frame_n=None):
+def knowledge_report(m, w, agent, target):
     """Evaluate the four knowledge-stage notions (plus plain doing) for
     ``agent`` about ``target`` at ``w``.  Expanded formulas are included
     verbatim in the report; a warning is attached when the model fails frame
@@ -299,8 +299,7 @@ def knowledge_report(m, w, agent, target, frame_mode="actual", frame_n=None):
     memo = {}
     flags = {name: _eval(m, w, F.expand_macros(g), memo) for name, g in stages.items()}
     warnings = []
-    n = frame_n if frame_n is not None else max(len(m.choice_ags), 1)
-    report = validate_frame(m, frame_mode, n)
+    report = validate_frame(m, "actual", max(len(m.choice_ags), 1))
     if not report.ok:
         bad = ", ".join(c.condition for c in report.failed())
         warnings.append(f"model fails frame conditions: {bad}; stage implications may not hold")
@@ -323,7 +322,7 @@ class RefinementReport:
         return not self.counterexamples
 
 
-def expost_interim_gap_search(seed_count=200, max_worlds=6, fills_per_model=6):
+def expost_interim_gap_search(seed_count=200, max_worlds=6):
     """Seeded search for a frame-valid model with a world where an agent
     knows after disclosure that it brought something about without having
     known it while acting: X K_a Y [Ags] X Y [a] X phi true but
@@ -357,7 +356,7 @@ def expost_interim_gap_search(seed_count=200, max_worlds=6, fills_per_model=6):
                 if not validate_frame(m, "actual", 2).ok:
                     continue
                 for a in m.agents:
-                    for k in range(fills_per_model):
+                    for _ in range(6):
                         phi = random_formula(rng.randrange(1 << 30), 2,
                                              sorted(m.valuation), list(m.agents),
                                              reach=(1, 1))

@@ -27,11 +27,28 @@ class Formula:
     and its fields, reading a child's cached hash, so hashing costs the same
     at every depth.  The hash is never pickled: unpickling calls the
     constructor, so a loaded node hashes like one built in the loading
-    process.  Equality stays structural.
+    process.  Equality stays structural, and walks a list of node pairs
+    instead of recursing, so that deep formulas compare too.
     """
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]  # grows while it is walked
+        for a, b in pairs:
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            da, db = a.__dict__, b.__dict__
+            for name in a._data:
+                if da[name] != db[name]:
+                    return False
+            for name in a._children:
+                if da[name] is not db[name]:
+                    pairs.append((da[name], db[name]))
+        return True
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -44,15 +61,17 @@ class Formula:
 
 
 def _node(cls):
-    """Make ``cls`` a frozen dataclass node.  ``__hash__`` stays the cached
-    one, which ``@dataclass`` would otherwise replace by a recursive field
-    hash.  The constructor is the shape class's: it fills the instance dict
+    """Make ``cls`` a frozen dataclass node that keeps ``Formula``'s
+    equality and cached hash, and record which of its fields are children.
+    The constructor is the shape class's: it fills the instance dict
     directly, which costs under half of a generated frozen ``__init__`` plus
     a ``__post_init__`` computing the hash.
     """
-    cls = dataclass(frozen=True, init=False, repr=False)(cls)
-    cls.__hash__ = Formula.__hash__
+    cls = dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
     cls._tag = cls.__name__
+    names = [f.name for f in fields(cls)]
+    cls._children = tuple(n for n in names if n in ("child", "left", "right"))
+    cls._data = tuple(n for n in names if n not in cls._children)
     return cls
 
 

@@ -85,11 +85,58 @@ def make_partition(cells, universe, what):
     raise PartitionError(f"{what}: worlds not covered: {sorted(universe - seen)}")
 
 
-def _cell_index(partition):
-    return {w: i for i, cell in enumerate(partition) for w in cell}
+class Structure:
+    """Worlds and one relation store: ``rel`` maps each family name (as in
+    ``family_names``) to {world: its cell}, the frozenset of its mates.
+    Models and windows answer the cell lookups from it alike; per-agent maps
+    of the choice and knowledge families let a lookup skip building the
+    family name.
+    """
+
+    def _keep(self, relations):
+        """Store ``relations``, one map per family in ``family_names`` order."""
+        k = len(self.agents)
+        self.rel = dict(zip(family_names(self.agents), relations))
+        self._choice_rel = dict(zip(self.agents, relations[2:2 + k]))
+        self._epi_rel = dict(zip(self.agents, relations[2 + k:]))
+
+    def box_cell(self, w):
+        return self.rel["box"][w]
+
+    def choice_cell(self, agent, w):
+        return self._choice_rel[agent][w]
+
+    def ags_cell(self, w):
+        return self.rel["ags"][w]
+
+    def epi_cell(self, agent, w):
+        return self._epi_rel[agent][w]
+
+    def holds(self, prop, w):
+        return w in self.valuation.get(prop, frozenset())
+
+    def to_doc(self):
+        def cells(name):
+            return sorted((sorted(c) for c in set(self.rel[name].values())), key=lambda c: c[0])
+
+        return {
+            "format_version": FORMAT_VERSION,
+            "agents": sorted(self.agents),
+            "worlds": list(self.worlds),
+            "succ": {w: self.succ[w] for w in sorted(self.succ)},
+            "r_box": cells("box"),
+            "choice": {a: cells(f"choice:{a}") for a in sorted(self.agents)},
+            "choice_ags": cells("ags"),
+            "epistemic": {a: cells(f"epi:{a}") for a in sorted(self.agents)},
+            "valuation": {p: sorted(ws) for p, ws in sorted(self.valuation.items())},
+        }
 
 
-class KripkeModel:
+def _cells_of(partition):
+    return {w: cell for cell in partition for w in cell}
+
+
+class KripkeModel(Structure):
     """Finite Kripke-exstit structure.
 
     Structural well-formedness (partitions cover, successor total) is enforced
@@ -114,7 +161,6 @@ class KripkeModel:
         universe = frozenset(self.worlds)
 
         self.r_box = make_partition(r_box, universe, "r_box")
-        self._box_of = _cell_index(self.r_box)
 
         self.succ = dict(succ)
         missing = universe - set(self.succ)
@@ -135,20 +181,21 @@ class KripkeModel:
             if a not in choice:
                 raise SchemaError(f"choice partition missing for agent {a}")
             self.choice[a] = make_partition(choice[a], universe, f"choice[{a}]")
-        self._choice_of = {a: _cell_index(p) for a, p in self.choice.items()}
 
         self.epistemic = {}
         for a in self.agents:
             if a not in epistemic:
                 raise SchemaError(f"epistemic partition missing for agent {a}")
             self.epistemic[a] = make_partition(epistemic[a], universe, f"epistemic[{a}]")
-        self._epi_of = {a: _cell_index(p) for a, p in self.epistemic.items()}
 
+        box = _cells_of(self.r_box)
+        choices = [_cells_of(self.choice[a]) for a in self.agents]
         if choice_ags is None:
-            self.choice_ags = self._refine_choice_ags()
+            self.choice_ags = self._refine_choice_ags([box, *choices])
         else:
             self.choice_ags = make_partition(choice_ags, universe, "choice_ags")
-        self._ags_of = _cell_index(self.choice_ags)
+        self._keep([box, _cells_of(self.choice_ags), *choices,
+                    *(_cells_of(self.epistemic[a]) for a in self.agents)])
 
         self.valuation = {}
         for prop, ws in (valuation or {}).items():
@@ -162,56 +209,35 @@ class KripkeModel:
         self._common_cells = None
         self._frame = None
 
-    def _refine_choice_ags(self):
+    def _refine_choice_ags(self, families):
         """Common refinement of the per-agent partitions restricted to each
-        settledness class (the default grand-coalition partition).
+        settledness class (the default grand-coalition partition), from the
+        box and choice cell maps ``families``.
         """
-        indices = [self._box_of] + [self._choice_of[a] for a in self.agents]
-        keys = zip(*(map(index.__getitem__, self.worlds) for index in indices))
+        keys = zip(*(map(cells.__getitem__, self.worlds) for cells in families))
         cells = {}
         for w, key in zip(self.worlds, keys):
             cells.setdefault(key, []).append(w)
         # worlds are sorted, so cells come in order of their least world
         return tuple(map(frozenset, cells.values()))
 
-    # -- lookups ----------------------------------------------------------
-    def box_cell(self, w):
-        return self.r_box[self._box_of[w]]
-
-    def choice_cell(self, agent, w):
-        return self.choice[agent][self._choice_of[agent][w]]
-
-    def ags_cell(self, w):
-        return self.choice_ags[self._ags_of[w]]
-
-    def epi_cell(self, agent, w):
-        return self.epistemic[agent][self._epi_of[agent][w]]
-
-    def holds(self, prop, w):
-        return w in self.valuation.get(prop, frozenset())
-
     def common_cell(self, w):
         """Cell of w under the reflexive-transitive closure of the union of
         all agents' epistemic relations (common-knowledge reachability).
         """
         if self._common_cells is None:
-            parent = {x: x for x in self.worlds}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a in self.agents:
-                for cell in self.epistemic[a]:
-                    ws = sorted(cell)
-                    for other in ws[1:]:
-                        parent[find(other)] = find(ws[0])
-            groups = {}
-            for x in self.worlds:
-                groups.setdefault(find(x), set()).add(x)
-            self._common_cells = {w: frozenset(g) for g in groups.values() for w in g}
+            self._common_cells = {}
+            for start in self.worlds:
+                if start in self._common_cells:
+                    continue
+                group, todo = {start}, [start]
+                while todo:
+                    x = todo.pop()
+                    for cells in self._epi_rel.values():
+                        todo.extend(cells[x] - group)
+                        group |= cells[x]
+                cell = frozenset(group)
+                self._common_cells.update(dict.fromkeys(cell, cell))
         return self._common_cells[w]
 
     def _dense(self):
@@ -228,23 +254,6 @@ class KripkeModel:
         return KripkeModel(self.agents, self.worlds, self.r_box, self.succ,
                            self.choice, self.epistemic, self.choice_ags, valuation)
 
-    # -- serialization ----------------------------------------------------
-    def to_doc(self):
-        def cells(p):
-            return sorted((sorted(c) for c in p), key=lambda c: c[0])
-
-        return {
-            "format_version": FORMAT_VERSION,
-            "agents": sorted(self.agents),
-            "worlds": list(self.worlds),
-            "r_box": cells(self.r_box),
-            "succ": {w: self.succ[w] for w in self.worlds},
-            "choice": {a: cells(self.choice[a]) for a in sorted(self.agents)},
-            "choice_ags": cells(self.choice_ags),
-            "epistemic": {a: cells(self.epistemic[a]) for a in sorted(self.agents)},
-            "valuation": {p: sorted(ws) for p, ws in sorted(self.valuation.items())},
-        }
-
     def dumps(self):
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
 
@@ -252,7 +261,12 @@ class KripkeModel:
 def family_names(agents):
     """Names of the four relation families in check order: settledness,
     coalition choice, then choice and knowledge per agent."""
-    return ["box", "ags", *(f"choice:{a}" for a in agents), *(f"epi:{a}" for a in agents)]
+    return _family_names(tuple(agents))
+
+
+@cache  # every model and dense frame names its families: build them once per agent tuple
+def _family_names(agents):
+    return "box", "ags", *(f"choice:{a}" for a in agents), *(f"epi:{a}" for a in agents)
 
 
 class DenseFrame:

@@ -25,32 +25,10 @@ from . import formula as F
 from .checker import _check_world, _eval, _truth_mask
 from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, MatrixTooLarge, PartialMap,
                      SourceNotIrreflexive, UnknownAgent, WindowTooSmall)
-from .model import DenseFrame, _bits, _low, check_frame, family_names, validate_frame
+from .model import DenseFrame, Structure, _bits, _low, check_frame, family_names, validate_frame
 
 
-@dataclass(frozen=True)
-class UnraveledWorld:
-    """Flagged world sequence: flag 1 ascends along the successor, flag 0
-    descends along its inverse (and needs length > 1).
-    """
-
-    seq: tuple
-    flag: int
-
-    @property
-    def layer(self):
-        return (len(self.seq) - 1) * (1 if self.flag == 1 else -1)
-
-    @property
-    def last(self):
-        return self.seq[-1]
-
-    @property
-    def wid(self):
-        return "|".join(self.seq) + f";{self.flag}"
-
-
-class WindowModel:
+class WindowModel(Structure):
     """Kripke-shaped structure over a finite window: a neighbour map per
     relation family, a partial successor, per-world layers, and an
     interior/boundary split.  The families are stored as maps rather than
@@ -69,7 +47,7 @@ class WindowModel:
         self.root = root
         self.succ = dict(succ)
         self.pred = dict(pred)
-        self.rel = rel  # family name (as in family_names) -> {world: frozenset of mates}
+        self._keep([rel[name] for name in family_names(self.agents)])
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
         self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
         self.tables = tables  # least world of a source class -> ChoiceProfileTable
@@ -77,21 +55,8 @@ class WindowModel:
     def _dense(self):
         """A dense frame of the window as it stands, built on each call from
         its neighbour maps."""
-        return DenseFrame(self.worlds, self.agents,
-                          [self.rel[name] for name in family_names(self.agents)],
+        return DenseFrame(self.worlds, self.agents, list(self.rel.values()),
                           self.succ, self.pred, self.valuation, self.interior, self.layer)
-
-    def box_cell(self, w):
-        return self.rel["box"][w]
-
-    def choice_cell(self, agent, w):
-        return self.rel[f"choice:{agent}"][w]
-
-    def ags_cell(self, w):
-        return self.rel["ags"][w]
-
-    def epi_cell(self, agent, w):
-        return self.rel[f"epi:{agent}"][w]
 
     def succ_of(self, w):
         return self.succ.get(w)
@@ -99,119 +64,72 @@ class WindowModel:
     def pred_of(self, w):
         return self.pred.get(w)
 
-    def holds(self, prop, w):
-        return w in self.valuation.get(prop, frozenset())
-
     def to_doc(self):
-        def cells(name):
-            return sorted((sorted(c) for c in set(self.rel[name].values())), key=lambda c: c[0])
-
-        return {
-            "format_version": 1,
-            "kind": "window",
-            "agents": sorted(self.agents),
-            "worlds": list(self.worlds),
-            "layer": {w: self.layer[w] for w in self.worlds},
-            "interior": sorted(self.interior),
-            "horizon": self.horizon,
-            "root": self.root,
-            "succ": {w: self.succ[w] for w in sorted(self.succ)},
-            "r_box": cells("box"),
-            "choice": {a: cells(f"choice:{a}") for a in sorted(self.agents)},
-            "choice_ags": cells("ags"),
-            "epistemic": {a: cells(f"epi:{a}") for a in sorted(self.agents)},
-            "valuation": {p: sorted(ws) for p, ws in sorted(self.valuation.items())},
-        }
+        return {**super().to_doc(), "kind": "window", "interior": sorted(self.interior),
+                "layer": {w: self.layer[w] for w in self.worlds},
+                "horizon": self.horizon, "root": self.root}
 
 
 # ---------------------------------------------------------------------------
 # unraveling
 
-def unravel(m, root, horizon, require_valid=True, mode="super_additive"):
+def unravel(m, root, horizon, require_valid=True):
     """Unravel ``m`` from ``root`` into a window of depth ``horizon``.
 
+    World (w0, l), for l in [-horizon, horizon], is base world w0 followed by
+    l successors, or by -l predecessors when l < 0; its layer is l, and it
+    is named by the worlds it passes and a flag, 1 for l >= 0 and 0 below.
+    Settledness and choice relate worlds of one layer that passed the same
+    coalition cells at layers 0..l-1 and end in one cell; knowledge relates
+    worlds that end in one epistemic cell.
+
     Returns (window, projection) where the projection maps every unraveled
-    world to the last element of its sequence.
+    world to its last world.
     """
     if horizon < 1:
         raise HorizonTooSmall("horizon must be >= 1")
-    if root not in m._box_of:
+    if root not in m.rel["box"]:
         raise InvalidModel(f"unknown root world {root!r}")
     if m.pred is None:
         raise InvalidModel("successor map is not invertible")
     if require_valid:
-        n = max(max(len({m._ags_of[w] for w in box}) for box in m.r_box),
-                max(len({m._choice_of[a][w] for w in box}) for box in m.r_box for a in m.agents))
-        report = validate_frame(m, mode, n)
+        n = max(sum(not box.isdisjoint(cell) for cell in cells) for box in m.r_box
+                for cells in (m.choice_ags, *m.choice.values()))
+        report = validate_frame(m, "super_additive", n)
         if not report.ok:
             raise InvalidModel(
                 f"model fails frame validation: {[c.condition for c in report.failed()]}")
 
-    ups = {}
-    downs = {}
+    ags = m.rel["ags"]
+    layer, projection, path, succ, pred = {}, {}, {}, {}, {}
     for w0 in m.worlds:
-        seq = [w0]
+        ups, downs = [w0], [w0]
         for _ in range(horizon):
-            seq.append(m.succ[seq[-1]])
-        for ln in range(1, horizon + 2):
-            u = UnraveledWorld(tuple(seq[:ln]), 1)
-            ups[u.wid] = u
-        seq = [w0]
-        for _ in range(horizon):
-            seq.append(m.pred[seq[-1]])
-        for ln in range(2, horizon + 2):
-            u = UnraveledWorld(tuple(seq[:ln]), 0)
-            downs[u.wid] = u
+            ups.append(m.succ[ups[-1]])
+            downs.append(m.pred[downs[-1]])
+        # layers -horizon .. horizon, with the worlds they end in
+        row = [*("|".join(downs[:k + 1]) + ";0" for k in range(horizon, 0, -1)),
+               *("|".join(ups[:k + 1]) + ";1" for k in range(horizon + 1))]
+        for lv, wid, last in zip(range(-horizon, horizon + 1), row, downs[:0:-1] + ups):
+            layer[wid], projection[wid] = lv, last
+            path[wid] = lv, tuple(map(ags.__getitem__, ups[:max(lv, 0)]))
+        succ.update(zip(row, row[1:]))
+        pred.update(zip(row[1:], row))
 
-    by_id = {**ups, **downs}
-    worlds = sorted(by_id)
-    layer = {wid: u.layer for wid, u in by_id.items()}
-    interior = {wid for wid, lv in layer.items() if abs(lv) < horizon}
+    def group(cells, by_path=True):
+        """Map from each world to the worlds with the same path and last
+        cell, or the same last cell alone."""
+        out = {}
+        for wid, last in projection.items():
+            out.setdefault((path[wid], cells[last]) if by_path else cells[last], []).append(wid)
+        return {wid: cell for cell in map(frozenset, out.values()) for wid in cell}
 
-    succ = {}
-    pred = {}
-    for wid, u in by_id.items():
-        if u.flag == 1:
-            if len(u.seq) <= horizon:
-                succ[wid] = UnraveledWorld(u.seq + (m.succ[u.last],), 1).wid
-            if len(u.seq) > 1:
-                pred[wid] = UnraveledWorld(u.seq[:-1], 1).wid
-            else:
-                pred[wid] = UnraveledWorld((u.seq[0], m.pred[u.seq[0]]), 0).wid
-        else:
-            if len(u.seq) == 2:
-                succ[wid] = UnraveledWorld((u.seq[0],), 1).wid
-            else:
-                succ[wid] = UnraveledWorld(u.seq[:-1], 0).wid
-            if len(u.seq) <= horizon:
-                pred[wid] = UnraveledWorld(u.seq + (m.pred[u.last],), 0).wid
-
-    def group(key):
-        """Map from each world to the worlds with the same ``key``."""
-        cells = {}
-        for wid, u in by_id.items():
-            cells.setdefault(key(u), []).append(wid)
-        return {wid: cell for cell in map(frozenset, cells.values()) for wid in cell}
-
-    def prefix_ags(u):
-        return tuple(m._ags_of[x] for x in u.seq[:-1])
-
-    rel = {"box": group(lambda u: (u.flag, len(u.seq), prefix_ags(u) if u.flag == 1 else (),
-                                   m._box_of[u.last])),
-           "ags": group(lambda u: (u.flag, len(u.seq), prefix_ags(u) if u.flag == 1 else (),
-                                   m._ags_of[u.last]))}
-    for a in m.agents:
-        rel[f"choice:{a}"] = group(lambda u: (u.flag, len(u.seq), prefix_ags(u) if u.flag == 1 else (),
-                                              m._choice_of[a][u.last]))
-    for a in m.agents:
-        rel[f"epi:{a}"] = group(lambda u: m._epi_of[a][u.last])
-
-    valuation = {p: {wid for wid, u in by_id.items() if u.last in ws}
+    rel = {name: group(cells, by_path=not name.startswith("epi:")) for name, cells in m.rel.items()}
+    valuation = {p: {wid for wid, last in projection.items() if last in ws}
                  for p, ws in m.valuation.items()}
-
-    win = WindowModel(m.agents, worlds, layer, interior, horizon,
-                      UnraveledWorld((root,), 1).wid, succ, pred, rel, valuation)
-    projection = {wid: u.last for wid, u in by_id.items()}
+    interior = {wid for wid, lv in layer.items() if abs(lv) < horizon}
+    win = WindowModel(m.agents, projection, layer, interior, horizon, f"{root};1",
+                      succ, pred, rel, valuation)
     return win, projection
 
 
@@ -270,11 +188,11 @@ def _reach(d, start):
     return seen
 
 
-def check_bounded_morphism(mapping, source, target, interior_only=True):
+def check_bounded_morphism(mapping, source, target):
     """Verify that ``mapping`` is a surjective bounded morphism from
     ``source`` onto (the reachable part of) ``target``: atom harmony, and
     forth/back conditions for each relation family, with universal
-    quantifiers relativized to the source interior when requested.
+    quantifiers relativized to the source interior.
 
     Both sides are read as dense frames.  Each failed condition gives one
     counterexample, its first violation in world order.
@@ -283,7 +201,7 @@ def check_bounded_morphism(mapping, source, target, interior_only=True):
     if unknown:
         raise UnknownAgent(f"agents {unknown} of the source are not agents of the target")
     s, t = source._dense(), target._dense()
-    domain = s.interior if interior_only else s.full
+    domain = s.interior
     missing = [s.names[i] for i in _bits(domain) if s.names[i] not in mapping]
     if missing:
         raise PartialMap(f"mapping undefined on {missing[:4]}")
@@ -462,36 +380,24 @@ def choice_profiles(m, world, n=None):
     coalition-cell enumeration is sorted by least world id and padded by
     repeating the last cell.
     """
-    obj = m
-    box = obj.box_cell(world)
-    profiles = []
-    prof_index = {}
-    profile_of_world = {}
-    for w in sorted(box):
-        prof = tuple(obj.choice_cell(a, w) for a in obj.agents)
-        if prof not in prof_index:
-            prof_index[prof] = len(profiles)
-            profiles.append(prof)
-        profile_of_world[w] = prof_index[prof]
+    box = sorted(m.box_cell(world))
+    prof_index = {}  # profile -> its index, in order of its least holder
+    profile_of_world = {w: prof_index.setdefault(tuple(m.choice_cell(a, w) for a in m.agents),
+                                                 len(prof_index)) for w in box}
+    profiles = list(prof_index)
     cells_by_profile = {i: [] for i in range(len(profiles))}
     seen = set()
-    for w in sorted(box):
-        cell = obj.ags_cell(w)
-        if min(cell) in seen:
-            continue
-        seen.add(min(cell))
-        cells_by_profile[profile_of_world[w]].append(cell)
-    for i in cells_by_profile:
-        cells_by_profile[i].sort(key=min)
+    for w in box:
+        cell = m.ags_cell(w)
+        if min(cell) not in seen:
+            seen.add(min(cell))
+            cells_by_profile[profile_of_world[w]].append(cell)
+    for cells in cells_by_profile.values():
+        cells.sort(key=min)
     if n is None:
         n = max((len(v) for v in cells_by_profile.values()), default=1)
-    enumeration = {}
-    for i, cells in cells_by_profile.items():
-        padded = list(cells)
-        while len(padded) < n:
-            padded.append(padded[-1])
-        enumeration[i] = padded[:n]
-    return ChoiceProfileTable(min(box), n, profiles, cells_by_profile, enumeration, profile_of_world)
+    enumeration = {i: (cells + [cells[-1]] * n)[:n] for i, cells in cells_by_profile.items()}
+    return ChoiceProfileTable(box[0], n, profiles, cells_by_profile, enumeration, profile_of_world)
 
 
 # ---------------------------------------------------------------------------

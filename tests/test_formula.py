@@ -142,6 +142,19 @@ def test_unary_nodes_differ_by_type():
     assert F.Not(p) != F.Box(p) != F.Next(p) != F.Not(p)
 
 
+def test_deep_formulas_compare_without_recursion():
+    def chain(leaf):
+        f = F.Atom(leaf)
+        for i in range(10_000):
+            f = F.And(F.Atom("q"), f) if i % 3 == 0 else F.Stit("a", f) if i % 3 == 1 else F.Not(f)
+        return f
+
+    a, b, c = chain("p"), chain("p"), chain("r")
+    assert a is not b and a == b
+    assert a != c
+    assert {a: 1}[b] == 1 and c not in {a: 1}
+
+
 _PICKLE_SCRIPT = """
 import pickle, sys
 from kxstit import formula as F

@@ -93,25 +93,41 @@ def test_window_eval_values_are_pinned(windows):
     assert _digest(records) == "2a851b1edb4fe429e68aaec0d63a330462fcc4579fa1196baca437111687e2b5"
 
 
+def family(cells, worlds):
+    """A family's sorted distinct cells and the index of each world's cell
+    among them."""
+    distinct = sorted(sorted(c) for c in set(cells.values()))
+    index = {frozenset(c): i for i, c in enumerate(distinct)}
+    return [distinct, [index[cells[w]] for w in worlds]]
+
+
+def _window_record(win, proj):
+    """Worlds, each family's cells, steps, layers, interior, valuation, root
+    and projection of a window."""
+    return [list(win.worlds), {fam: family(win.rel[fam], win.worlds) for fam in sorted(win.rel)},
+            sorted(win.succ.items()), sorted(win.pred.items()), [win.layer[w] for w in win.worlds],
+            sorted(win.interior), {p: sorted(ws) for p, ws in sorted(win.valuation.items())},
+            win.root, sorted(proj.items())]
+
+
+def test_unraveled_windows_are_pinned(grid50, fig1a):
+    # the depth-2 unravelings of the windows fixture, then fig1a, which
+    # fails frame validation, unraveled at m2_h3 to depths 1 and 2
+    records = [_window_record(*unravel(m, m.worlds[0], 2)) for m in grid50]
+    records += [_window_record(*unravel(fig1a, "m2_h3", depth, require_valid=False))
+                for depth in (1, 2)]
+    assert len(records) == 52
+    assert _digest(records) == "2c0e3be9c3555e6313dccc01c01679bc1ad91c8db559fcbac9640f02b3d2cfbb"
+
+
 def test_actualized_matrices_are_pinned(super_additive_fixture):
     # the 729-world matrix of the three-world fixture and the 1280-world
-    # matrix of the two-world one: worlds, each family's sorted cells and the
-    # index of each world's cell among them, steps, layers, interior,
-    # valuation, root and projection
-    def family(cells, worlds):
-        distinct = sorted(sorted(c) for c in set(cells.values()))
-        index = {frozenset(c): i for i, c in enumerate(distinct)}
-        return [distinct, [index[cells[w]] for w in worlds]]
-
+    # matrix of the two-world one
     digests = []
     for model, depth, n in ((_fixture(), 1, 3), (super_additive_fixture, 2, 2)):
         win, _ = unravel(model, "a", depth, require_valid=False)
         mat, proj = actualize(win, n=n)
-        digests.append(_digest([
-            list(mat.worlds), {fam: family(mat.rel[fam], mat.worlds) for fam in sorted(mat.rel)},
-            sorted(mat.succ.items()), sorted(mat.pred.items()), [mat.layer[w] for w in mat.worlds],
-            sorted(mat.interior), {p: sorted(ws) for p, ws in sorted(mat.valuation.items())},
-            mat.root, sorted(proj.items())]))
+        digests.append(_digest(_window_record(mat, proj)))
     assert digests == ["7d7042272f8ed14023915ccf828aa9932884d5a923aaa215b429abee7e998806",
                        "6b182cdb2af41d27e67b480b68e750a786ec5a4439d8e190778a5a78db5098e4"]
 

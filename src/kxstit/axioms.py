@@ -38,18 +38,20 @@ def _dual(op, phi):
 
 def _s5_builders(op_name, make):
     """K, T, 4, 5 for a universal modality ``make`` (agent-parametric ops
-    close over the first agent slot).
+    close over the first agent slot).  A subformula that occurs twice is
+    built once, so the evaluator's table finds it by identity.
     """
+    def then_op(phi, agents):
+        return F.Implies(phi, make(phi, agents))
+
     return {
         f"S5({op_name}).K": lambda fills, agents: F.Implies(
             make(F.Implies(fills[0], fills[1]), agents),
             F.Implies(make(fills[0], agents), make(fills[1], agents))),
         f"S5({op_name}).T": lambda fills, agents: F.Implies(make(fills[0], agents), fills[0]),
-        f"S5({op_name}).4": lambda fills, agents: F.Implies(
-            make(fills[0], agents), make(make(fills[0], agents), agents)),
-        f"S5({op_name}).5": lambda fills, agents: F.Implies(
-            _dual(lambda x: make(x, agents), fills[0]),
-            make(_dual(lambda x: make(x, agents), fills[0]), agents)),
+        f"S5({op_name}).4": lambda fills, agents: then_op(make(fills[0], agents), agents),
+        f"S5({op_name}).5": lambda fills, agents: then_op(
+            _dual(lambda x: make(x, agents), fills[0]), agents),
     }
 
 
@@ -103,9 +105,8 @@ def _disj(items):
 def _ia(fills, agents):
     if len(set(agents)) != len(agents):
         raise DuplicateAgents(f"independence-of-agency schema needs pairwise distinct agents, got {agents}")
-    parts = [F.Diamond(F.Stit(a, p)) for a, p in zip(agents, fills)]
     inner = [F.Stit(a, p) for a, p in zip(agents, fills)]
-    return F.Implies(_conj(parts), F.Diamond(_conj(inner)))
+    return F.Implies(_conj([F.Diamond(s) for s in inner]), F.Diamond(_conj(inner)))
 
 
 def _pc(fills, n, make_stit):
@@ -230,12 +231,8 @@ def saturating_atoms(m):
 
 def _sample_fills(rng, m, policy, count, arity):
     props = sorted(m.valuation) or ["p"]
-    out = []
-    for _ in range(count):
-        out.append([random_formula(rng.randrange(1 << 30), policy.max_fill_depth,
-                                   props, list(m.agents), reach=(1, 1))
-                    for _ in range(arity)])
-    return out
+    return [[random_formula(rng.randrange(1 << 30), policy.max_fill_depth, props, m.agents,
+                            reach=(1, 1)) for _ in range(arity)] for _ in range(count)]
 
 
 def _check_instance(report, m, model_id, name, fills, agents, n=None):

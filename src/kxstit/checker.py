@@ -185,7 +185,7 @@ def _truth_mask(m, f, bound=None, d=None):
                 if t is F.Box or t is F.Diamond:
                     pairs = d.pairs["box"]
                 elif t is F.Stit or t is F.Knows:
-                    pairs = d.pairs.get(("choice:" if t is F.Stit else "epi:") + g.agent)
+                    pairs = (d.choice_pairs if t is F.Stit else d.epi_pairs).get(g.agent)
                     if pairs is None:
                         raise UnknownAgent(f"unknown agent {g.agent!r}")
                 elif t is F.StitAgs:

@@ -13,6 +13,7 @@ coarsened only while the class-matching (uniformity) condition survives.
 
 from __future__ import annotations
 
+import _random
 import random
 from dataclasses import dataclass
 
@@ -174,51 +175,90 @@ def _random_epistemic(rng, worlds, succ, r_box, coarseness):
     return [sorted(c) for c in snapshot()]
 
 
+# The operators random_formula draws from, as an (ops, len, bit length)
+# entry at _OPS[sugar][X allowed][Y allowed].  Their order fixes which
+# formula a seed gives.  The depth-0 entry holds only the atom, but still
+# costs a draw.
+_LEAF = ((F.Atom,), 1, 1)
+
+
+def _entry(sugar, nxt, yest):
+    ops = (F.Atom, F.Not, F.And, F.Box, F.Stit, F.Knows, F.StitAgs,
+           *((F.Or, F.Implies, F.Diamond) if sugar else ()),
+           *((F.Next,) if nxt else ()), *((F.Yesterday,) if yest else ()))
+    return ops, len(ops), len(ops).bit_length()
+
+
+_OPS = [[[_entry(s, x, y) for y in (False, True)] for x in (False, True)] for s in (False, True)]
+_BINARY = (F.And, F.Or, F.Implies)
+_ATOMS = {}  # one shared Atom per proposition name
+_RNG = _random.Random(0)  # reseeded on every int-seeded call; not thread-safe
+
+
 def random_formula(seed, max_depth, props, agents, reach=(1, 1), include_sugar=False):
     """Seed-deterministic random formula in the primitive base (optionally
     with | -> <> sugar) whose temporal reach stays within ``reach``.
+
+    The formula is the one that ``random.Random(seed).choice`` draws give,
+    picking the operator at each node (only the atom at depth 0, still a
+    draw), then its agent, then its children left to right, and at a leaf
+    the proposition.  The draws follow CPython's rule for ``choice``: a
+    pick among n takes ``getrandbits(n.bit_length())`` until it is below n.
+    An int seed reseeds one module-level generator in place, which gives
+    the same stream as a fresh ``random.Random(seed)``; so calls from two
+    threads at once are not safe.  Any other seed goes through a fresh
+    ``random.Random(seed)``.  Atoms are shared: every occurrence of a
+    proposition is the same object.
     """
-    rng = random.Random(seed)
-    fwd, bwd = reach
+    if type(seed) is int:
+        _RNG.seed(seed)
+        bits = _RNG.getrandbits
+    else:
+        bits = random.Random(seed).getrandbits
+    # a pick among none would draw forever: raise as random.choice does
+    if not props:
+        raise IndexError("Cannot choose from an empty sequence")
+    atoms = [_ATOMS.get(p) or _ATOMS.setdefault(p, F.Atom(p)) for p in props]
+    return _build(bits, max_depth, 0, reach[0], -reach[1], _OPS[bool(include_sugar)],
+                  atoms, agents)
 
-    def build(depth, offset):
-        ops = ["atom"]
-        if depth > 0:
-            ops += ["not", "and", "box", "stit", "knows", "stit_ags"]
-            if include_sugar:
-                ops += ["or", "implies", "diamond"]
-            if offset + 1 <= fwd:
-                ops.append("next")
-            if offset - 1 >= -bwd:
-                ops.append("yesterday")
-        op = rng.choice(ops)
-        if op == "atom":
-            return F.Atom(rng.choice(props))
-        if op == "not":
-            return F.Not(build(depth - 1, offset))
-        if op == "and":
-            return F.And(build(depth - 1, offset), build(depth - 1, offset))
-        if op == "or":
-            return F.Or(build(depth - 1, offset), build(depth - 1, offset))
-        if op == "implies":
-            return F.Implies(build(depth - 1, offset), build(depth - 1, offset))
-        if op == "box":
-            return F.Box(build(depth - 1, offset))
-        if op == "diamond":
-            return F.Diamond(build(depth - 1, offset))
-        if op == "next":
-            return F.Next(build(depth - 1, offset + 1))
-        if op == "yesterday":
-            return F.Yesterday(build(depth - 1, offset - 1))
-        if op == "stit":
-            return F.Stit(rng.choice(agents), build(depth - 1, offset))
-        if op == "stit_ags":
-            return F.StitAgs(build(depth - 1, offset))
-        if op == "knows":
-            return F.Knows(rng.choice(agents), build(depth - 1, offset))
-        raise AssertionError(op)
 
-    return build(max_depth, 0)
+def _build(bits, depth, offset, fwd, back, table, atoms, agents):
+    """One node drawn at ``depth`` and temporal ``offset``, its agent and
+    children in draw order; ``back`` is the least offset allowed, and
+    ``table`` the _OPS entries for the sugar setting.  Each pick is written
+    out: a helper call per pick made a call 12.1 µs against 11.2 µs (2-core
+    Xeon, Python 3.11)."""
+    ops, n, k = table[offset + 1 <= fwd][offset - 1 >= back] if depth > 0 else _LEAF
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    op = ops[r]
+    if op is F.Atom:
+        n = len(atoms)
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return atoms[r]
+    depth -= 1
+    if op in _BINARY:
+        return op(_build(bits, depth, offset, fwd, back, table, atoms, agents),
+                  _build(bits, depth, offset, fwd, back, table, atoms, agents))
+    if op is F.Stit or op is F.Knows:
+        n = len(agents)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return op(agents[r], _build(bits, depth, offset, fwd, back, table, atoms, agents))
+    if op is F.Next:
+        offset += 1
+    elif op is F.Yesterday:
+        offset -= 1
+    return op(_build(bits, depth, offset, fwd, back, table, atoms, agents))
 
 
 def model_grid(count, base_seed=0, agent_counts=(1, 2, 3), class_counts=(1, 2, 3),

@@ -132,6 +132,19 @@ class Structure:
         }
 
 
+def _checked_valuation(valuation, universe):
+    """The valuation with frozenset extensions; SchemaError for a world
+    outside ``universe``."""
+    out = {}
+    for prop, ws in (valuation or {}).items():
+        ws = frozenset(ws)
+        bad = ws - universe
+        if bad:
+            raise SchemaError(f"valuation[{prop}]: unknown worlds {sorted(bad, key=by_id)}")
+        out[prop] = ws
+    return out
+
+
 def _cells_of(partition):
     return {w: cell for cell in partition for w in cell}
 
@@ -197,14 +210,7 @@ class KripkeModel(Structure):
         self._keep([box, _cells_of(self.choice_ags), *choices,
                     *(_cells_of(self.epistemic[a]) for a in self.agents)])
 
-        self.valuation = {}
-        for prop, ws in (valuation or {}).items():
-            ws = frozenset(ws)
-            bad = ws - universe
-            if bad:
-                raise SchemaError(f"valuation[{prop}]: unknown worlds {sorted(bad, key=by_id)}")
-            self.valuation[prop] = ws
-
+        self.valuation = _checked_valuation(valuation, universe)
         self._frame_reports = {}
         self._common_cells = None
         self._frame = None
@@ -250,9 +256,16 @@ class KripkeModel(Structure):
         return self._frame
 
     def with_valuation(self, valuation):
-        """Copy of this model with a replaced valuation."""
-        return KripkeModel(self.agents, self.worlds, self.r_box, self.succ,
-                           self.choice, self.epistemic, self.choice_ags, valuation)
+        """Copy of this model with a replaced valuation.  The copy shares
+        this model's checked partitions, cell maps and successor maps, and
+        checks only the new valuation; it builds its own dense frame and
+        frame reports on first use."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        copy.valuation = _checked_valuation(valuation, frozenset(self.worlds))
+        copy._frame_reports = {}
+        copy._frame = None
+        return copy
 
     def dumps(self):
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
@@ -276,7 +289,8 @@ class DenseFrame:
     Per family, named as in ``family_names``, ``cells[name][i]`` is the mask
     of world i's mates and ``pairs[name]`` lists each distinct cell with the
     mask of the worlds that hold it (the same mask, for a partition);
-    ``box``, ``ags``, ``choice[a]`` and ``epi[a]`` are the ``cells`` lists.
+    ``box``, ``ags``, ``choice[a]`` and ``epi[a]`` are the ``cells`` lists,
+    and ``choice_pairs[a]`` and ``epi_pairs[a]`` the ``pairs`` lists.
     ``atoms`` maps a proposition to its mask; ``succ`` and ``pred`` list
     successor and predecessor indices, None where the map is partial or not
     invertible.  A window has a mask per layer in ``layers`` and an interior;
@@ -286,7 +300,8 @@ class DenseFrame:
     """
 
     __slots__ = ("names", "index", "agents", "full", "interior", "layers", "cells", "pairs",
-                 "box", "ags", "choice", "epi", "atoms", "succ", "pred", "partitioned")
+                 "box", "ags", "choice", "epi", "choice_pairs", "epi_pairs", "atoms", "succ",
+                 "pred", "partitioned")
 
     def __init__(self, names, agents, relations, succ, pred, valuation,
                  interior=None, layer=None):
@@ -309,6 +324,8 @@ class DenseFrame:
         self.box, self.ags = self.cells["box"], self.cells["ags"]
         self.choice = {a: self.cells[f"choice:{a}"] for a in agents}
         self.epi = {a: self.cells[f"epi:{a}"] for a in agents}
+        self.choice_pairs = {a: self.pairs[f"choice:{a}"] for a in agents}
+        self.epi_pairs = {a: self.pairs[f"epi:{a}"] for a in agents}
         self.atoms = {p: self.mask(ws) for p, ws in valuation.items()}
         self.succ = [index.get(succ.get(w)) for w in names]
         self.pred = [index.get(pred.get(w)) for w in names]
@@ -727,7 +744,7 @@ def _check_unif_h(d, mode, n):
     for a in d.agents:
         meets = {}  # class key -> worlds with an epistemic mate in that class
         links = set()
-        for cell, hold in d.pairs[f"epi:{a}"]:
+        for cell, hold in d.epi_pairs[a]:
             for k in keys(cell):
                 meets[k] = meets.get(k, 0) | hold
             if hold & inner:

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from kxstit import formula as F
@@ -70,7 +73,92 @@ def test_random_formula_reach_zero_has_no_temporal_operators():
 
 def test_random_formula_deterministic_and_reach_bounded():
     assert random_formula(5, 3, ["p"], ["a"]) == random_formula(5, 3, ["p"], ["a"])
+    # one shared atom per proposition
+    assert random_formula(1, 0, ["p"], ["a"]) is random_formula(2, 0, ["p"], ["a"])
     for seed in range(300):
         f = random_formula(seed, 4, ["p", "q"], ["a", "b"], reach=(2, 1))
         dp = F.depth_profile(f)
         assert dp.forward_reach <= 2 and dp.backward_reach <= 1
+
+
+def reference_random_formula(seed, max_depth, props, agents, reach=(1, 1), include_sugar=False):
+    """The generator as it was written on ``random.Random(seed).choice``,
+    kept verbatim as the oracle for ``random_formula``."""
+    rng = random.Random(seed)
+    fwd, bwd = reach
+
+    def build(depth, offset):
+        ops = ["atom"]
+        if depth > 0:
+            ops += ["not", "and", "box", "stit", "knows", "stit_ags"]
+            if include_sugar:
+                ops += ["or", "implies", "diamond"]
+            if offset + 1 <= fwd:
+                ops.append("next")
+            if offset - 1 >= -bwd:
+                ops.append("yesterday")
+        op = rng.choice(ops)
+        if op == "atom":
+            return F.Atom(rng.choice(props))
+        if op == "not":
+            return F.Not(build(depth - 1, offset))
+        if op == "and":
+            return F.And(build(depth - 1, offset), build(depth - 1, offset))
+        if op == "or":
+            return F.Or(build(depth - 1, offset), build(depth - 1, offset))
+        if op == "implies":
+            return F.Implies(build(depth - 1, offset), build(depth - 1, offset))
+        if op == "box":
+            return F.Box(build(depth - 1, offset))
+        if op == "diamond":
+            return F.Diamond(build(depth - 1, offset))
+        if op == "next":
+            return F.Next(build(depth - 1, offset + 1))
+        if op == "yesterday":
+            return F.Yesterday(build(depth - 1, offset - 1))
+        if op == "stit":
+            return F.Stit(rng.choice(agents), build(depth - 1, offset))
+        if op == "stit_ags":
+            return F.StitAgs(build(depth - 1, offset))
+        if op == "knows":
+            return F.Knows(rng.choice(agents), build(depth - 1, offset))
+        raise AssertionError(op)
+
+    return build(max_depth, 0)
+
+
+ORACLE_PROPS = (["p"], ["p", "q"], ["p", "q", "r"])
+ORACLE_AGENTS = (["a0"], ["a0", "a1"], ["a0", "a1", "a2"])
+ORACLE_REACH = ((1, 1), (0, 0), (2, 1), (0, 2))
+
+
+def oracle_cases(seeds_per_shape=56):
+    """(seed, depth, props, agents, reach, sugar) over every shape: depths
+    0-4, four reaches, sugar off and on, 1-3 props and agents; the seeds
+    are spread over [0, 2**30) as the suites draw them."""
+    rng = random.Random(2024)
+    shapes = itertools.product(range(5), ORACLE_REACH, (False, True), ORACLE_PROPS, ORACLE_AGENTS)
+    for depth, reach, sugar, props, agents in shapes:
+        for _ in range(seeds_per_shape):
+            yield rng.randrange(1 << 30), depth, props, agents, reach, sugar
+
+
+def test_random_formula_draws_what_random_choice_draws():
+    count = 0
+    for seed, depth, props, agents, reach, sugar in oracle_cases():
+        got = random_formula(seed, depth, props, agents, reach=reach, include_sugar=sugar)
+        want = reference_random_formula(seed, depth, props, agents, reach=reach, include_sugar=sugar)
+        assert got == want, (seed, depth, props, agents, reach, sugar)
+        count += 1
+    assert count >= 20_000
+    # a seed that is not an int seeds random.Random as before
+    for seed in ("fills", "x" * 40):
+        assert (random_formula(seed, 3, ["p", "q"], ["a0", "a1"]) ==
+                reference_random_formula(seed, 3, ["p", "q"], ["a0", "a1"]))
+
+
+def test_random_formula_without_props_raises_index_error():
+    # every formula ends in an atom, so every depth draws from the props
+    for depth in (0, 3):
+        with pytest.raises(IndexError):
+            random_formula(7, depth, [], ["a"])

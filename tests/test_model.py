@@ -164,3 +164,23 @@ def test_generated_models_survive_a_round_trip(grid200):
     for m in grid200:
         text = m.dumps()
         assert load_model(text).dumps() == text
+
+
+def test_with_valuation_copies_match_fresh_models(grid200, fig1a):
+    for m in [*grid200[:40], fig1a]:
+        flipped = {p: set(m.worlds) - ws for p, ws in m.valuation.items()}
+        flipped["fresh"] = {m.worlds[-1]}
+        validate_frame(m, "actual", 2)
+        source_reports = dict(m._frame_reports)
+        copy = m.with_valuation(flipped)
+        fresh = KripkeModel(m.agents, m.worlds, m.r_box, m.succ, m.choice, m.epistemic,
+                            m.choice_ags, flipped)
+        assert copy.to_doc() == fresh.to_doc()
+        # the copy validates its own frame; the source keeps its reports
+        assert copy._frame is None and copy._frame_reports == {}
+        assert validate_frame(copy, "actual", 7).checks == validate_frame(fresh, "actual", 7).checks
+        assert m._frame_reports == source_reports and ("actual", 7) not in source_reports
+        assert (copy._dense().atoms["fresh"], "fresh" in m.valuation) == (
+            1 << len(m.worlds) - 1, False)
+    with pytest.raises(SchemaError, match="unknown worlds"):
+        fig1a.with_valuation({"p": ["nowhere"]})

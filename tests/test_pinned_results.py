@@ -1,13 +1,14 @@
-"""Digests of frame reports and window evaluations, pinned so that a change
-to the validators or evaluators that moves any verdict, witness or truth
-value shows up.  Each digest is the sha256 of the JSON dump of the records
-listed in its test."""
+"""Digests of frame reports, window evaluations and suite fills, pinned so
+that a change to the validators, evaluators or generators that moves any
+verdict, witness, truth value or drawn formula shows up.  Each digest is
+the sha256 of the JSON dump of the records listed in its test."""
 
 import hashlib
 import json
 
 import pytest
 
+from kxstit import axioms
 from kxstit import formula as F
 from kxstit.errors import DepthExceedsWindow
 from kxstit.gen import random_formula
@@ -139,3 +140,26 @@ def test_truth_preservation_onto_a_window_is_pinned():
     mat, mproj = actualize(win, n=3)
     rep = truth_preservation(mat, win, mproj, [F.parse(t) for t in MATRIX_TEXTS[:6]])
     assert (rep.compared, rep.mismatches, rep.skipped) == (3402, [], [])
+
+
+def test_suite_fills_are_pinned(grid200, monkeypatch):
+    # every instance that the soundness suite (policy seed 17) and the
+    # derived-theorem suite (seed 23) of the acceptance tests draw on the
+    # grid: model, schema, fills as text and agents, recorded in place of
+    # the validity check
+    drawn = []
+
+    def record(report, m, model_id, name, fills, agents, n=None):
+        drawn.append([model_id, name, [F.to_text(f) for f in fills], list(agents)])
+
+    monkeypatch.setattr(axioms, "_check_instance", record)
+    axioms.soundness_suite(grid200, axioms.SuitePolicy(seed=17, fills_per_schema=10,
+                                                       ia_max_agents=3),
+                           n_bounds=[2] * len(grid200))
+    sound, drawn[:] = list(drawn), []
+    axioms.derived_theorem_suite(grid200, axioms.SuitePolicy(seed=23, fills_per_schema=10),
+                                 n_bounds=[2] * len(grid200))
+    assert (len(sound), len(drawn)) == (55_995, 6_394)
+    assert [_digest(sound), _digest(drawn)] == [
+        "c7bc9539f5165bdb0b58dadcc686063b55d353f517e4fd796a888efd4a4d370d",
+        "e9b7f0f1d36e02c14caed948843199bd8684155c0e50e5f20a348f28a9849d13"]

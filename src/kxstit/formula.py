@@ -12,6 +12,8 @@ unless ``allow_common_knowledge=True``.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, fields
 
 from .errors import ArityMismatch, CommonKnowledgeDisabled, FormulaSyntaxError, UnknownMacro
@@ -25,8 +27,9 @@ class Formula:
 
     Each node computes its hash once, in its constructor, from its type tag
     and its fields, reading a child's cached hash, so hashing costs the same
-    at every depth.  The hash is never pickled: unpickling calls the
-    constructor, so a loaded node hashes like one built in the loading
+    at every depth.  The hash is never pickled: a node pickles as its
+    post-order list of node types and data fields, and unpickling calls the
+    constructors, so a loaded node hashes like one built in the loading
     process.  Equality stays structural, and walks a list of node pairs
     instead of recursing, so that deep formulas compare too.
     """
@@ -51,13 +54,27 @@ class Formula:
         return True
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        steps = []
+        fold(self, lambda g, kids: steps.append((type(g), *map(g.__dict__.get, g._data))))
+        return _from_steps, (steps,)
 
     def __str__(self):
         return to_text(self)
 
     def __repr__(self):
         return f"{type(self).__name__}({to_text(self)!r})"
+
+
+def _from_steps(steps):
+    """The formula of a post-order list of (node type, *data fields)."""
+    values = []
+    for cls, *data in steps:
+        k = len(cls._children)
+        if k:
+            data += values[-k:]
+            del values[-k:]
+        values.append(cls(*data))
+    return values[0]
 
 
 def _node(cls):
@@ -81,8 +98,11 @@ class _Unary(Formula):
         d["child"] = child
         d["_hash"] = hash((self._tag, child._hash))
 
+    def _kids(self):
+        return (self.child,)
 
-class _AgentUnary(Formula):
+
+class _AgentUnary(_Unary):
     def __init__(self, agent, child):
         d = self.__dict__
         d["agent"] = agent
@@ -97,6 +117,9 @@ class _Binary(Formula):
         d["right"] = right
         d["_hash"] = hash((self._tag, left._hash, right._hash))
 
+    def _kids(self):
+        return (self.left, self.right)
+
 
 @_node
 class Atom(Formula):
@@ -106,6 +129,9 @@ class Atom(Formula):
         d = self.__dict__
         d["name"] = name
         d["_hash"] = hash(("Atom", name))
+
+    def _kids(self):
+        return ()
 
 
 @_node
@@ -174,7 +200,7 @@ class CommonKnows(_Unary):
 
 
 @_node
-class Macro(Formula):
+class Macro(_Unary):
     """Unexpanded knowledge-stage macro; ``expand_macros`` removes these."""
 
     name: str
@@ -193,245 +219,220 @@ BINARY = (And, Or, Implies)
 _BIN_SYMBOL = {And: "&", Or: "|", Implies: "->"}
 
 
-def is_agent_name(token):
-    return bool(token) and token not in RESERVED and all(c.isalnum() or c == "_" for c in token) and not token[0].isdigit()
+# ---------------------------------------------------------------------------
+# the fold
+
+def children_of(f):
+    return f._kids()
+
+
+def fold(f, combine):
+    """``combine(g, values)`` for each node ``g`` of ``f``, children before
+    parents and left before right, where ``values`` are the results for
+    ``g``'s children; returns the result for ``f``.  One walk over an
+    explicit stack, so its depth is not bounded by Python's recursion
+    limit.  Like a recursive walk, it visits a subtree once per occurrence,
+    and it keeps only the results that a pending node still needs.
+    """
+    values = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:  # a node whose children are done
+            g, k = g
+            kids = values[-k:]
+            del values[-k:]
+            values.append(combine(g, kids))
+            continue
+        try:
+            kids = g._kids()
+        except AttributeError:
+            raise TypeError(f"not a formula: {g!r}") from None
+        if kids:
+            stack.append((g, len(kids)))
+            stack.extend(reversed(kids))
+        else:
+            values.append(combine(g, ()))
+    return values[0]
+
+
+def _same_or_rebuilt(g, kids):
+    """``g`` itself when ``kids`` are its children, else ``g`` rebuilt on
+    them."""
+    if all(map(operator.is_, kids, g._kids())):
+        return g
+    return type(g)(*map(g.__dict__.get, g._data), *kids)
 
 
 # ---------------------------------------------------------------------------
 # printing
+
+_OPEN = {Box: "[](", Diamond: "<>(", Next: "X(", Yesterday: "Y(", StitAgs: "[Ags](",
+         CommonKnows: "C(", Stit: "[{0.agent}](", Knows: "K{{{0.agent}}}(",
+         Macro: "{0.name}({0.agent}, "}
+
 
 def to_text(f):
     """Canonical text: unary operators wrap their argument in parentheses
     (except ~ before an atom or another ~), binary operands are parenthesized
     when they are themselves binary.  parse(to_text(f)) == f.
     """
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        if isinstance(f.child, (Atom, Not)):
-            return "~" + to_text(f.child)
-        return "~(" + to_text(f.child) + ")"
-    if isinstance(f, BINARY):
-        return f"{_operand(f.left)} {_BIN_SYMBOL[type(f)]} {_operand(f.right)}"
-    if isinstance(f, Box):
-        return "[](" + to_text(f.child) + ")"
-    if isinstance(f, Diamond):
-        return "<>(" + to_text(f.child) + ")"
-    if isinstance(f, Next):
-        return "X(" + to_text(f.child) + ")"
-    if isinstance(f, Yesterday):
-        return "Y(" + to_text(f.child) + ")"
-    if isinstance(f, Stit):
-        return f"[{f.agent}](" + to_text(f.child) + ")"
-    if isinstance(f, StitAgs):
-        return "[Ags](" + to_text(f.child) + ")"
-    if isinstance(f, Knows):
-        return f"K{{{f.agent}}}(" + to_text(f.child) + ")"
-    if isinstance(f, CommonKnows):
-        return "C(" + to_text(f.child) + ")"
-    if isinstance(f, Macro):
-        return f"{f.name}({f.agent}, {to_text(f.child)})"
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _text)
 
 
-def _operand(f):
-    text = to_text(f)
-    return f"({text})" if isinstance(f, BINARY) else text
+def _text(g, kids):
+    t = type(g)
+    if t is Atom:
+        return g.name
+    if t is Not:
+        return "~" + kids[0] if isinstance(g.child, (Atom, Not)) else "~(" + kids[0] + ")"
+    if t in _BIN_SYMBOL:
+        left, right = kids
+        if isinstance(g.left, BINARY):
+            left = f"({left})"
+        if isinstance(g.right, BINARY):
+            right = f"({right})"
+        return f"{left} {_BIN_SYMBOL[t]} {right}"
+    return _OPEN[t].format(g) + kids[0] + ")"
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-_PUNCT = ("->", "~", "&", "|", "(", ")", "[", "]", "{", "}", "<>", ",")
+# one token per match: punctuation, a name, or any other character, which is
+# an error wherever the parser meets it
+_TOKEN = re.compile(r"\s*(?:(->|<>|[~&|()\[\]{},])|(\w+)|(\S))")
+_PUNCT, _NAME, _BAD = 1, 2, 3
+# binary operators: (class, precedence, least precedence reduced before it);
+# -> is right-associative
+_BINARY_OPS = {"&": (And, 3, 3), "|": (Or, 2, 2), "->": (Implies, 1, 2)}
+_PREFIX = 4  # the tag of a pending prefix operator; 0 tags an open group
+_PREFIX_NAMES = {"X": Next, "Y": Yesterday, "C": CommonKnows}
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+def _expect(token, value):
+    kind, got, offset = token
+    if kind == _BAD:
+        raise FormulaSyntaxError(f"unexpected character {got!r}", offset)
+    if got != value:
+        raise FormulaSyntaxError(f"unexpected {got!r}", offset, {value})
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        """Return (kind, value, offset) without consuming."""
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ("eof", "", self.pos)
-        ch = self.text[self.pos]
-        for p in _PUNCT:
-            if self.text.startswith(p, self.pos):
-                return ("punct", p, self.pos)
-        if ch.isalnum() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("name", self.text[self.pos:j], self.pos)
-        return ("bad", ch, self.pos)
-
-    def next(self):
-        kind, value, offset = self.peek()
-        if kind == "bad":
-            raise FormulaSyntaxError(f"unexpected character {value!r}", offset)
-        self.pos = offset + len(value) if kind != "eof" else offset
-        return kind, value, offset
-
-    def expect(self, value, expected_label=None):
-        kind, got, offset = self.next()
-        if got != value:
-            raise FormulaSyntaxError(f"unexpected {got!r}", offset, {expected_label or value})
-        return offset
+def _agent(token):
+    """The agent name of ``token``, which follows ``K{`` or opens a macro."""
+    kind, agent, offset = token
+    if kind == _BAD:
+        raise FormulaSyntaxError(f"unexpected character {agent!r}", offset)
+    if kind != _NAME or agent in RESERVED or agent[0].isdigit():
+        raise FormulaSyntaxError(f"unexpected {agent!r}", offset, {"agent name"})
+    return agent
 
 
 def parse(text, allow_common_knowledge=False):
     """Parse formula text into a macro-free AST.
 
     Unary operators bind tighter than binary ones; precedence ~ > & > | > ->
-    with -> right-associative.  Macros are expanded during parsing, so the
-    returned tree is always macro-free.
+    with -> right-associative.  ``K`` not followed by ``{`` is an atom.  The
+    text is split into tokens by one regular expression, then parsed by
+    precedence climbing over an explicit operator stack (prefix operators,
+    binary operators, and open parentheses or macros), so nesting depth is
+    not bounded by Python's recursion limit.  Each macro is unfolded when
+    its closing parenthesis is read, so the returned tree is macro-free.
     """
-    lexer = _Lexer(text)
-    node = _parse_implies(lexer, allow_common_knowledge)
-    kind, value, offset = lexer.peek()
-    if kind != "eof":
-        raise FormulaSyntaxError(f"trailing input {value!r}", offset, {"end of input"})
-    return expand_macros(node)
-
-
-def _parse_implies(lexer, allow_c):
-    left = _parse_or(lexer, allow_c)
-    kind, value, _ = lexer.peek()
-    if value == "->":
-        lexer.next()
-        return Implies(left, _parse_implies(lexer, allow_c))
-    return left
-
-
-def _parse_or(lexer, allow_c):
-    node = _parse_and(lexer, allow_c)
-    while lexer.peek()[1] == "|":
-        lexer.next()
-        node = Or(node, _parse_and(lexer, allow_c))
-    return node
-
-
-def _parse_and(lexer, allow_c):
-    node = _parse_unary(lexer, allow_c)
-    while lexer.peek()[1] == "&":
-        lexer.next()
-        node = And(node, _parse_unary(lexer, allow_c))
-    return node
-
-
-def _parse_unary(lexer, allow_c):
-    kind, value, offset = lexer.peek()
-    if kind == "eof":
-        raise FormulaSyntaxError("unexpected end of input", offset, {"formula"})
-    if value == "~":
-        lexer.next()
-        return Not(_parse_unary(lexer, allow_c))
-    if value == "<>":
-        lexer.next()
-        return Diamond(_parse_unary(lexer, allow_c))
-    if value == "[":
-        lexer.next()
-        kind2, value2, offset2 = lexer.next()
-        if value2 == "]":
-            return Box(_parse_unary(lexer, allow_c))
-        if kind2 != "name":
-            raise FormulaSyntaxError(f"unexpected {value2!r}", offset2, {"]", "agent name", "Ags"})
-        lexer.expect("]")
-        if value2 == "Ags":
-            return StitAgs(_parse_unary(lexer, allow_c))
-        if not is_agent_name(value2):
-            raise FormulaSyntaxError(f"invalid agent name {value2!r}", offset2, {"agent name"})
-        return Stit(value2, _parse_unary(lexer, allow_c))
-    if value == "(":
-        lexer.next()
-        node = _parse_implies(lexer, allow_c)
-        lexer.expect(")")
-        return node
-    if kind == "name":
-        if value == "X":
-            lexer.next()
-            return Next(_parse_unary(lexer, allow_c))
-        if value == "Y":
-            lexer.next()
-            return Yesterday(_parse_unary(lexer, allow_c))
-        if value == "C":
-            if not allow_c:
-                raise CommonKnowledgeDisabled(offset)
-            lexer.next()
-            return CommonKnows(_parse_unary(lexer, allow_c))
-        if value == "K":
-            lexer.next()
-            if lexer.peek()[1] == "{":
-                lexer.next()
-                kind2, agent, offset2 = lexer.next()
-                if kind2 != "name" or not is_agent_name(agent):
-                    raise FormulaSyntaxError(f"unexpected {agent!r}", offset2, {"agent name"})
-                lexer.expect("}")
-                return Knows(agent, _parse_unary(lexer, allow_c))
-            return Atom("K")
-        lexer.next()
-        if lexer.peek()[1] == "(":
-            if value not in MACRO_NAMES:
-                raise UnknownMacro(value, offset)
-            lexer.next()
-            kind2, agent, offset2 = lexer.next()
-            if kind2 != "name" or not is_agent_name(agent):
-                raise FormulaSyntaxError(f"unexpected {agent!r}", offset2, {"agent name"})
-            lexer.expect(",")
-            body = _parse_implies(lexer, allow_c)
-            lexer.expect(")")
-            return Macro(value, agent, body)
-        if value in RESERVED:
-            raise FormulaSyntaxError(f"reserved word {value!r} cannot be an atom", offset, {"atom"})
-        return Atom(value)
-    raise FormulaSyntaxError(f"unexpected {value!r}", offset, {"formula"})
+    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
+    tokens.append((0, "", len(text)))
+    ops = []   # (_PREFIX, class, agent or None), (precedence, class), (0, macro or None)
+    operands = []
+    i = 0
+    while True:
+        # an operand: prefix operators up to an atom or an opening parenthesis
+        kind, value, offset = tokens[i]
+        i += 1
+        if kind == _NAME:
+            if value in _PREFIX_NAMES:
+                if value == "C" and not allow_common_knowledge:
+                    raise CommonKnowledgeDisabled(offset)
+                ops.append((_PREFIX, _PREFIX_NAMES[value], None))
+                continue
+            if value == "K" and tokens[i][1] == "{":
+                agent = _agent(tokens[i + 1])
+                _expect(tokens[i + 2], "}")
+                ops.append((_PREFIX, Knows, agent))
+                i += 3
+                continue
+            if value != "K" and tokens[i][1] == "(":
+                if value not in MACRO_NAMES:
+                    raise UnknownMacro(value, offset)
+                agent = _agent(tokens[i + 1])
+                _expect(tokens[i + 2], ",")
+                ops.append((0, (value, agent)))
+                i += 3
+                continue
+            if value in RESERVED:
+                raise FormulaSyntaxError(f"reserved word {value!r} cannot be an atom", offset,
+                                         {"atom"})
+            f = Atom(value)
+        elif value == "~" or value == "<>":
+            ops.append((_PREFIX, Not if value == "~" else Diamond, None))
+            continue
+        elif value == "(":
+            ops.append((0, None))
+            continue
+        elif value == "[":
+            kind, value, offset = tokens[i]
+            if kind == _BAD:
+                raise FormulaSyntaxError(f"unexpected character {value!r}", offset)
+            if value == "]":
+                ops.append((_PREFIX, Box, None))
+                i += 1
+                continue
+            if kind != _NAME:
+                raise FormulaSyntaxError(f"unexpected {value!r}", offset, {"]", "agent name", "Ags"})
+            _expect(tokens[i + 1], "]")
+            if value == "Ags":
+                ops.append((_PREFIX, StitAgs, None))
+            elif value in RESERVED or value[0].isdigit():
+                raise FormulaSyntaxError(f"invalid agent name {value!r}", offset, {"agent name"})
+            else:
+                ops.append((_PREFIX, Stit, value))
+            i += 2
+            continue
+        elif kind == 0:
+            raise FormulaSyntaxError("unexpected end of input", offset, {"formula"})
+        else:
+            raise FormulaSyntaxError(f"unexpected {value!r}", offset, {"formula"})
+        # the operand is complete: apply the prefix operators before it, then
+        # read a binary operator, or close groups while the text closes them
+        while True:
+            while ops and ops[-1][0] == _PREFIX:
+                _, cls, agent = ops.pop()
+                f = cls(f) if agent is None else cls(agent, f)
+            kind, value, offset = tokens[i]
+            op = _BINARY_OPS.get(value)
+            if op is not None:
+                cls, prec, least = op
+                while ops and ops[-1][0] >= least:
+                    f = ops.pop()[1](operands.pop(), f)
+                ops.append((prec, cls))
+                operands.append(f)
+                i += 1
+                break
+            while ops and ops[-1][0]:
+                f = ops.pop()[1](operands.pop(), f)
+            if not ops:
+                if kind:
+                    raise FormulaSyntaxError(f"trailing input {value!r}", offset,
+                                             {"end of input"})
+                return f
+            _expect(tokens[i], ")")
+            i += 1
+            macro = ops.pop()[1]
+            if macro is not None:
+                f = _unfold(*macro, f)
 
 
 # ---------------------------------------------------------------------------
 # structural operations
-
-def _rebuild(f, *children):
-    if isinstance(f, (Atom,)):
-        return f
-    if isinstance(f, Not):
-        return Not(children[0])
-    if isinstance(f, And):
-        return And(*children)
-    if isinstance(f, Or):
-        return Or(*children)
-    if isinstance(f, Implies):
-        return Implies(*children)
-    if isinstance(f, Box):
-        return Box(children[0])
-    if isinstance(f, Diamond):
-        return Diamond(children[0])
-    if isinstance(f, Next):
-        return Next(children[0])
-    if isinstance(f, Yesterday):
-        return Yesterday(children[0])
-    if isinstance(f, Stit):
-        return Stit(f.agent, children[0])
-    if isinstance(f, StitAgs):
-        return StitAgs(children[0])
-    if isinstance(f, Knows):
-        return Knows(f.agent, children[0])
-    if isinstance(f, CommonKnows):
-        return CommonKnows(children[0])
-    raise TypeError(f"cannot rebuild {f!r}")
-
-
-def children_of(f):
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, BINARY):
-        return (f.left, f.right)
-    return (f.child,)
-
 
 def expand_macros(f):
     """Replace every Macro node by its defining formula; idempotent.
@@ -441,14 +442,13 @@ def expand_macros(f):
     ExPost(a, p)   -> X(K{a}(Y([Ags](X(p)))))
     Kh(a, p)       -> [](K{a}(<>(K{a}([a](X(p))))))
     """
-    if isinstance(f, Macro):
-        return _unfold(f.name, f.agent, expand_macros(f.child))
-    if isinstance(f, Atom):
-        return f
-    kids = tuple(expand_macros(c) for c in children_of(f))
-    if kids == children_of(f):
-        return f
-    return _rebuild(f, *kids)
+    return fold(f, _expanded)
+
+
+def _expanded(g, kids):
+    if type(g) is Macro:
+        return _unfold(g.name, g.agent, kids[0])
+    return _same_or_rebuilt(g, kids) if kids else g
 
 
 def _unfold(name, a, body):
@@ -468,22 +468,21 @@ def _unfold(name, a, body):
 
 def normalize(f):
     """Rewrite | -> <> into the primitive base (~, &, [], X, Y, stit, K);
-    idempotent and meaning-preserving under evaluation.
+    idempotent and meaning-preserving under evaluation.  Macros are
+    expanded first.
     """
-    if isinstance(f, Macro):
-        return normalize(expand_macros(f))
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Or):
-        return Not(And(Not(normalize(f.left)), Not(normalize(f.right))))
-    if isinstance(f, Implies):
-        return Not(And(normalize(f.left), Not(normalize(f.right))))
-    if isinstance(f, Diamond):
-        return Not(Box(Not(normalize(f.child))))
-    kids = tuple(normalize(c) for c in children_of(f))
-    if kids == children_of(f):
-        return f
-    return _rebuild(f, *kids)
+    return fold(expand_macros(f), _normal)
+
+
+def _normal(g, kids):
+    t = type(g)
+    if t is Or:
+        return Not(And(Not(kids[0]), Not(kids[1])))
+    if t is Implies:
+        return Not(And(kids[0], Not(kids[1])))
+    if t is Diamond:
+        return Not(Box(Not(kids[0])))
+    return _same_or_rebuilt(g, kids) if kids else g
 
 
 @dataclass(frozen=True)
@@ -500,23 +499,16 @@ def depth_profile(f):
     """Maximum and |minimum| of the running X-minus-Y offset over all
     root-to-leaf paths; non-temporal operators contribute zero.
     """
-    hi, lo = _offsets(f, 0)
-    return DepthProfile(max(hi, 0), max(-lo, 0))
+    return DepthProfile(*fold(f, _reach))
 
 
-def _offsets(f, at):
-    hi = lo = at
-    if isinstance(f, Next):
-        at += 1
-    elif isinstance(f, Yesterday):
-        at -= 1
-    hi = max(hi, at)
-    lo = min(lo, at)
-    for c in children_of(f):
-        chi, clo = _offsets(c, at)
-        hi = max(hi, chi)
-        lo = min(lo, clo)
-    return hi, lo
+def _reach(g, kids):
+    """(forward, backward) reach of ``g``: the greatest and the negated
+    least offset reached below it, both at least 0."""
+    step = 1 if type(g) is Next else -1 if type(g) is Yesterday else 0
+    fwd = max(fwd for fwd, _ in kids) if kids else 0
+    bwd = max(bwd for _, bwd in kids) if kids else 0
+    return max(fwd + step, 0), max(bwd - step, 0)
 
 
 def subformulas(f):
@@ -524,16 +516,5 @@ def subformulas(f):
     deduplicated (first occurrence kept).
     """
     seen = {}
-    order = []
-
-    def walk(g):
-        if g in seen:
-            return
-        for c in children_of(g):
-            walk(c)
-        seen[g] = True
-        order.append(g)
-
-    walk(f)
-    return order
-
+    fold(f, lambda g, kids: seen.setdefault(g, None))
+    return list(seen)

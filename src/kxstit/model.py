@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from operator import and_, eq, itemgetter, ne, or_
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, compress, product
 from math import prod
 
 from .errors import PartitionError, SchemaError, SuccNotTotal
@@ -252,7 +253,7 @@ class KripkeModel(Structure):
             partitions = [self.r_box, self.choice_ags, *(self.choice[a] for a in self.agents),
                           *(self.epistemic[a] for a in self.agents)]
             self._frame = DenseFrame(self.worlds, self.agents, partitions, self.succ,
-                                      self.pred or {}, self.valuation)
+                                     self.pred or {}, self.valuation)
         return self._frame
 
     def with_valuation(self, valuation):
@@ -293,15 +294,16 @@ class DenseFrame:
     and ``choice_pairs[a]`` and ``epi_pairs[a]`` the ``pairs`` lists.
     ``atoms`` maps a proposition to its mask; ``succ`` and ``pred`` list
     successor and predecessor indices, None where the map is partial or not
-    invertible.  A window has a mask per layer in ``layers`` and an interior;
-    a model has no layers, and its interior is every world.  ``partitioned``
-    says that every family is a partition; a ``plain`` frame is also all
+    invertible.  A window has a mask per layer in ``layers`` and an
+    interior; a model has no layers, and its interior is every world.
+    ``inner`` lists the interior indices in order.  ``partitioned`` says
+    that every family is a partition; a ``plain`` frame is also all
     interior, as a model is.
     """
 
-    __slots__ = ("names", "index", "agents", "full", "interior", "layers", "cells", "pairs",
-                 "box", "ags", "choice", "epi", "choice_pairs", "epi_pairs", "atoms", "succ",
-                 "pred", "partitioned")
+    __slots__ = ("names", "index", "agents", "full", "interior", "inner", "layers", "cells",
+                 "pairs", "box", "ags", "choice", "epi", "choice_pairs", "epi_pairs", "atoms",
+                 "succ", "pred", "partitioned", "_members")
 
     def __init__(self, names, agents, relations, succ, pred, valuation,
                  interior=None, layer=None):
@@ -313,11 +315,17 @@ class DenseFrame:
         self.agents = agents
         index = self.index = dict(zip(names, range(len(names))))
         self.full = (1 << len(names)) - 1
-        self.interior = self.full if interior is None else self.mask(interior)
-        self.layers = {}
+        if interior is None:
+            self.interior, self.inner = self.full, range(len(names))
+        else:
+            self.inner = sorted(map(index.__getitem__, interior))
+            self.interior = sum(map(_BIT, self.inner))
+        by_layer = {}
         for w, lv in (layer or {}).items():
-            self.layers[lv] = self.layers.get(lv, 0) | 1 << index[w]
-        self.cells, self.pairs = {}, {}
+            by_layer.setdefault(lv, []).append(w)
+        self.layers = {lv: self.mask(ws) for lv, ws in by_layer.items()}
+        self.cells, self.pairs, self._members = {}, {}, {}
+        self.partitioned = True
         for name, rel in zip(family_names(agents), relations):
             self.cells[name], self.pairs[name] = (
                 self._neighbours(rel) if isinstance(rel, dict) else self._partition(rel))
@@ -329,20 +337,26 @@ class DenseFrame:
         self.atoms = {p: self.mask(ws) for p, ws in valuation.items()}
         self.succ = [index.get(succ.get(w)) for w in names]
         self.pred = [index.get(pred.get(w)) for w in names]
-        self.partitioned = all(c == h for pairs in self.pairs.values() for c, h in pairs)
 
     @property
     def plain(self):
         return self.partitioned and self.interior == self.full
 
     def mask(self, ws):
-        index = self.index
-        out = 0
-        for w in ws:
-            out |= 1 << index[w]
-        return out
+        return sum(map(_BIT, set(map(self.index.__getitem__, ws))))
+
+    def members(self, mask):
+        """The indices of the worlds of ``mask``, lowest first; kept per
+        mask, as the checks read a cell's members more than once."""
+        got = self._members.get(mask)
+        if got is None:
+            got = self._members[mask] = list(_bits(mask))
+        return got
 
     def _partition(self, partition):
+        if len(partition) == len(self.names):  # the singletons
+            cells = list(map(_BIT, range(len(self.names))))
+            return cells, list(zip(cells, cells))
         index, cells, pairs = self.index, [0] * len(self.names), []
         for cell in partition:
             cm = 0
@@ -360,8 +374,10 @@ class DenseFrame:
             if cm is None:
                 cm = masks[mates[w]] = self.mask(mates[w])
             cells.append(cm)
-            holders[cm] = holders.get(cm, 0) | 1 << i
-        return cells, list(holders.items())
+            holders.setdefault(cm, []).append(i)
+        pairs = [(cm, sum(map(_BIT, held))) for cm, held in holders.items()]
+        self.partitioned = self.partitioned and all(c == h for c, h in pairs)
+        return cells, pairs
 
     def fit(self, reach, bound):
         """Mask of the worlds from which a formula of temporal ``reach``
@@ -514,6 +530,9 @@ def check_frame(d, mode, n):
     return FrameReport(mode, n, [checks[c] for c in CONDITIONS])
 
 
+_BIT = (1).__lshift__  # _BIT(i) is the mask of world i
+
+
 def _bits(mask):
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -539,7 +558,7 @@ def _check_eq(d, mode, n):
         if all(cell == hold for cell, hold in pairs):
             continue
         holders = dict(pairs)
-        for u in _bits(inner):
+        for u in d.inner:
             cell = cells[u]
             if not cell >> u & 1:
                 yield "EQ", [u], f"{name} not reflexive"
@@ -554,7 +573,7 @@ def _check_eq(d, mode, n):
                     yield "EQ", [u, v, _low(extra)], f"{name} not transitive"
                     return
     targets = {}
-    for u in _bits(inner):
+    for u in d.inner:
         s = d.succ[u]
         if s is None:
             yield "EQ", [u], "succ undefined on an interior world"
@@ -570,7 +589,7 @@ def _check_eq(d, mode, n):
 
 
 def _check_inverse(d, mode, n):
-    for u in _bits(d.interior):
+    for u in d.inner:
         s, p = d.succ[u], d.pred[u]
         if s is not None and d.pred[s] != u:
             yield "INVERSE", [u], "pred(succ) is not identity"
@@ -581,13 +600,17 @@ def _check_inverse(d, mode, n):
 
 
 def _check_set(d, mode, n):
-    for u in _bits(d.interior):
-        box = d.box[u]
+    box = d.box
+    # in bulk: every choice and coalition cell of every world lies in its
+    # settledness class
+    if all(list(map(or_, cells, box)) == box for cells in (*d.choice.values(), d.ags)):
+        return
+    for u in d.inner:
         for a in d.agents:
-            if d.choice[a][u] & ~box:
+            if d.choice[a][u] & ~box[u]:
                 yield "SET", [u], f"choice cell of {a} leaves the settledness class"
                 return
-        if d.ags[u] & ~box:
+        if d.ags[u] & ~box[u]:
             yield "SET", [u], "coalition cell leaves the settledness class"
             return
 
@@ -602,7 +625,7 @@ def _classes(d):
         key = _low(box)
         if key not in seen:
             seen.add(key)
-            yield key, box, list(_bits(box & inner))
+            yield key, box, [i for i in d.members(box) if inner >> i & 1]
 
 
 def _met(cells, members):
@@ -615,15 +638,19 @@ def _met(cells, members):
 
 
 def _check_additivity(d, mode, n):
-    for u in _bits(d.interior):
-        inter = d.box[u]
-        for a in d.agents:
-            inter &= d.choice[a][u]
-        ags = d.ags[u]
-        if mode == "actual" and ags != inter:
+    inter = d.box
+    for cells in d.choice.values():
+        inter = list(map(and_, inter, cells))
+    ags = d.ags
+    actual = mode == "actual"
+    # in bulk over every world, then walked over the interior to name a fault
+    if ags == inter if actual else list(map(or_, ags, inter)) == inter:
+        return
+    for u in d.inner:
+        if actual and ags[u] != inter[u]:
             yield "ADDITIVITY", [u], "coalition cell differs from the intersection of agent cells"
             return
-        if mode == "super_additive" and ags & ~inter:
+        if not actual and ags[u] & ~inter[u]:
             yield "ADDITIVITY", [u], "coalition cell not contained in the intersection of agent cells"
             return
 
@@ -665,95 +692,123 @@ def _classes_pass(d, n):
     choices = list(d.choice.values())
     if len(set(zip(d.box, d.ags, *choices))) == len(d.pairs["box"]):
         return True  # one profile per class
-    counts = [Counter(box for box, _ in set(zip(d.box, cells))) for cells in (d.ags, *choices)]
-    if any(k > n for count in counts for k in count.values()):
+
+    def per_class(cells):
+        return Counter(map(itemgetter(0), set(zip(d.box, cells))))
+
+    # a class meets more than n cells of a family only if the family has more
+    if any(len(d.pairs[name]) > n and max(per_class(d.cells[name]).values()) > n
+           for name in family_names(d.agents)[1:len(choices) + 2]):
         return False
-    realized = Counter(t[0] for t in set(zip(d.box, *choices)))
-    return all(k == prod(count[box] for count in counts[1:]) for box, k in realized.items())
-
-
-def _preimage(d):
-    """Function from a mask to the mask of worlds whose predecessor lies in
-    it, cached by mask."""
-    back = [0] * len(d.names)
-    for v, p in enumerate(d.pred):
-        if p is not None:
-            back[p] |= 1 << v
-    # one predecessor per world, so the preimages of distinct worlds are disjoint
-    return cache(lambda mask: sum(back[x] for x in _bits(mask)))
+    realized = per_class(list(zip(*choices)))
+    counts = [per_class(cells) for cells in choices]
+    selections = map(prod, zip(*(map(count.__getitem__, realized) for count in counts)))
+    return all(map(eq, selections, realized.values()))
 
 
 def _check_past(d, mode, n):
     # NX / NA / NAGS: interior box-related pairs have related predecessors;
-    # NOF: so do interior epistemically related pairs.  A plain frame passes
-    # in bulk when pred takes each cell into one cell of its target family.
-    pred = d.pred
-    if d.plain and None not in pred and all(
-            len(set(zip(cells, *(map(t.__getitem__, pred) for t in targets)))) == len(set(cells))
-            for cells, targets in [(d.box, [d.box, d.ags, *d.choice.values()]),
-                                   *((e, [e]) for e in d.epi.values())]):
-        return
-    pre = _preimage(d)
-    has_pred = d.interior & sum(1 << v for v, p in enumerate(d.pred) if p is not None)
+    # NOF: so do interior epistemically related pairs
+    has_pred = [u for u in d.inner if d.pred[u] is not None]
+    walk = _Past(d, has_pred, d.box)
     for cond, targets, text in (("NX", [d.box], "settledness-related"),
                                 ("NAGS", [d.ags], "coalition-choice-related"),
                                 ("NA", list(d.choice.values()), "choice-related for {}")):
-        hit = _unrelated(d, pre, has_pred, d.box, targets)
+        hit = walk.unrelated(targets)
         if hit:
             u, v, i = hit
             yield cond, [u, v], (f"predecessors {d.names[d.pred[u]]}, {d.names[d.pred[v]]} "
                                  f"not {text.format(d.agents[i])}")
     for a in d.agents:
-        hit = _unrelated(d, pre, has_pred, d.epi[a], [d.epi[a]])
+        hit = _Past(d, has_pred, d.epi[a]).unrelated([d.epi[a]])
         if hit:
             yield "NOF", list(hit[:2]), f"predecessors not epistemically related for {a}"
             return
 
 
-def _unrelated(d, pre, has_pred, cells, targets):
-    """(u, v, i) for the first u of ``has_pred`` and the first later v of
-    ``has_pred`` in its cell of ``cells`` such that the ``targets[i]`` cell
-    of pred(u) misses pred(v); None when there is none.  With partitions,
-    a cell whose least world in ``has_pred`` passes passes as a whole, so
-    the walk visits only those worlds."""
-    pred = d.pred
-    walk = has_pred
-    if d.partitioned:
-        walk = sum(c & has_pred & -(c & has_pred) for c in set(cells))
-    for u in _bits(walk):
-        pu = pred[u]
-        later = (cells[u] & has_pred) >> (u + 1) << (u + 1)
-        bad = 0
-        for t in targets if later else ():
-            bad |= later & ~pre(t[pu])
-        if bad:
-            v = _low(bad)
-            return u, v, next(i for i, t in enumerate(targets) if not pre(t[pu]) >> v & 1)
-    return None
+class _Past:
+    """Pairs u < v of ``has_pred`` that share a cell of ``cells``, whose
+    predecessors a target family must relate."""
+
+    def __init__(self, d, has_pred, cells):
+        self.d, self.has_pred, self.cells = d, has_pred, cells
+        self.preds = list(map(d.pred.__getitem__, has_pred))
+        if d.partitioned:
+            # the position in has_pred of the first world of each one's cell
+            own = list(map(cells.__getitem__, has_pred))
+            first = dict(zip(reversed(own), range(len(own) - 1, -1, -1)))
+            self.firsts = list(map(first.__getitem__, own))
+
+    def unrelated(self, targets):
+        """(u, v, i) for the first u and the first later v in its cell such
+        that the ``targets[i]`` cell of pred(u) misses pred(v); None when
+        there is none."""
+        d, has_pred = self.d, self.has_pred
+        if not d.partitioned:
+            later = sum(map(_BIT, has_pred))
+            for u, pu in zip(has_pred, self.preds):
+                later &= ~(1 << u)
+                for v in _bits(self.cells[u] & later):
+                    for i, t in enumerate(targets):
+                        if not t[pu] >> d.pred[v] & 1:
+                            return u, v, i
+            return None
+        # on partitions pred(v) lies in the target cell of pred(u) exactly
+        # when both have the same target cells: compare each world's row of
+        # target cells with that of the first world of its cell
+        rows = list(zip(*(map(t.__getitem__, self.preds) for t in targets)))
+        firsts = self.firsts
+        bad = list(compress(range(len(rows)), map(ne, rows, map(rows.__getitem__, firsts))))
+        if not bad:
+            return None
+        lead, j = min((firsts[j], j) for j in bad)
+        i = next(i for i, (a, b) in enumerate(zip(rows[lead], rows[j])) if a != b)
+        return has_pred[lead], has_pred[j], i
 
 
 def _check_unif_h(d, mode, n):
     # interior-witnessed links extend from interior worlds, with frame-wide
-    # witnesses; read per distinct cell and the worlds that hold it
+    # witnesses; read per distinct cell and the worlds that hold it.  A
+    # plain frame passes in bulk first
+    if d.plain and all(_same_classes_met(d.box, d.epi[a]) for a in d.agents):
+        return
     inner = d.interior
-    key = [_low(box) for box in d.box]
+    key = [_low(box) for box in d.box]  # least world of each world's class
     box_by_key = {}
     for cell, _ in d.pairs["box"]:
         box_by_key.setdefault(_low(cell), cell)
-    keys = cache(lambda mask: {key[v] for v in _bits(mask)})  # class keys a mask meets
+
+    def keys(mask):
+        """The class keys that the worlds of ``mask`` have."""
+        return set(map(key.__getitem__, d.members(mask)))
+
     for a in d.agents:
         meets = {}  # class key -> worlds with an epistemic mate in that class
         links = set()
         for cell, hold in d.epi_pairs[a]:
-            for k in keys(cell):
+            met = keys(cell)
+            for k in met:
                 meets[k] = meets.get(k, 0) | hold
             if hold & inner:
-                links.update(product(keys(hold & inner), keys(cell & inner)))
+                links.update(product(met if hold & inner == cell else keys(hold & inner),
+                                     met if cell & inner == cell else keys(cell & inner)))
         for k1, k2 in sorted(links):
             bad = box_by_key[k1] & inner & ~meets[k2]
             if bad:
                 yield "UNIF_H", [_low(bad)], f"no epistemic mate for {a} in class of {d.names[k2]}"
                 return
+
+
+def _same_classes_met(box, epi):
+    """Unif-H for one agent on a plain frame: the epistemic cells that meet
+    a settledness class all meet the same classes, so that each world of
+    the class has mates in every class that any of them reaches."""
+    if list(map(or_, epi, box)) == box:
+        return True  # every epistemic cell lies in one class
+    met = {}  # epistemic cell -> the union of the classes it meets
+    for b, e in set(zip(box, epi)):
+        met[e] = met.get(e, 0) | b
+    return len(set(zip(box, map(met.__getitem__, epi)))) == len(set(box))
 
 
 _CHECKS = (_check_eq, _check_inverse, _check_set, _check_additivity,

@@ -24,6 +24,7 @@ from .model import (FORMAT_VERSION, KripkeModel, by_id, cell_list, cell_map, che
                     table_of)
 
 import json
+from math import prod
 
 
 class BDTScenario:
@@ -61,14 +62,19 @@ class BDTScenario:
                 children[self.parent[m]].append(m)
         self.children = children
 
-        # cycle check
-        for m in self.moments:
-            seen, cur = set(), m
-            while cur in self.parent:
-                if cur in seen:
-                    raise SchemaError(f"parent map has a cycle through {cur}")
-                seen.add(cur)
-                cur = self.parent[cur]
+        # with one root, the parent map has no cycle exactly when the child
+        # links reach every moment from the root; the walk names a cycle
+        reached = [self.root]
+        for m in reached:
+            reached.extend(children[m])
+        if len(reached) != len(self.moments):
+            for m in self.moments:
+                seen, cur = set(), m
+                while cur in self.parent:
+                    if cur in seen:
+                        raise SchemaError(f"parent map has a cycle through {cur}")
+                    seen.add(cur)
+                    cur = self.parent[cur]
 
         leaves = [m for m in self.moments if not children[m]]
         names = history_names or [f"h{i + 1}" for i in range(len(leaves))]
@@ -95,7 +101,7 @@ class BDTScenario:
                     raise SchemaError(f"situation {w!r} names both (moment, history) "
                                       f"{named[w]} and {(m, name)}")
         self.moment_histories = {m: tuple(hs) for m, hs in moment_histories.items()}
-        self.situations = frozenset(w for path in self.history_sits.values() for w in path)
+        self.situations = frozenset(named)
 
         _no_unknown_keys(choice_at, self.agents, "choice_at", "agent")
         through = {m: frozenset(hs) for m, hs in moment_histories.items()}
@@ -103,28 +109,18 @@ class BDTScenario:
         for a in self.agents:
             table = choice_at.get(a, {})
             _no_unknown_keys(table, through, f"choice_at[{a}]", "moment")
-            self.choice_at[a] = {}
-            for m in self.moments:
-                hs, cells = through[m], table.get(m)
-                if cells is None:
-                    self.choice_at[a][m] = (hs,)
-                    continue
-                norm = frozen_cells(cells, f"choice_at[{a}][{m}]")
-                if not is_partition(norm, hs):
-                    raise SchemaError(f"choice_at[{a}][{m}] is not a partition of the histories through {m}")
-                self.choice_at[a][m] = tuple(sorted(norm, key=min))
+            self.choice_at[a] = {
+                m: (through[m],) if table.get(m) is None else _partition(
+                    table[m], through[m], f"choice_at[{a}][{m}]",
+                    f"the histories through {m}") for m in self.moments}
 
         _no_unknown_keys(epistemic_sit, self.agents, "epistemic_sit", "agent")
         self.epistemic_sit = {}
         for a in self.agents:
             cells = epistemic_sit.get(a)
-            if cells is None:
-                norm = [frozenset([s]) for s in self.situations]
-            else:
-                norm = frozen_cells(cells, f"epistemic_sit[{a}]")
-                if not is_partition(norm, self.situations):
-                    raise SchemaError(f"epistemic_sit[{a}] is not a partition of the situations")
-            self.epistemic_sit[a] = tuple(sorted(norm, key=min))
+            self.epistemic_sit[a] = (
+                tuple(frozenset((s,)) for s in sorted(self.situations)) if cells is None else
+                _partition(cells, self.situations, f"epistemic_sit[{a}]", "the situations"))
 
         self.valuation_sit = {p: frozenset(sits) for p, sits in valuation_sit.items()}
         for p, sits in self.valuation_sit.items():
@@ -148,43 +144,47 @@ class BDTScenario:
         """Raise BDTInvariantViolation on the first failed tree-frame
         condition: no choice between undivided histories, independence of
         agency, and the no-forget condition on the situation relation.
+
+        Each condition is accepted in bulk; its walk runs only to name the
+        first fault.  A one-cell table splits nothing and constrains no
+        selection, so only tables of several cells are read.
         """
+        split = {m: [a for a in self.agents if len(self.choice_at[a][m]) > 1]
+                 for m in self.moments}
         # undivided histories: h, h' sharing a moment strictly after m lie in
         # the same cell of every agent's partition at m
         for m in self.moments:
-            for child in self.children[m]:
+            for child in self.children[m] if split[m] else ():
                 hs = self.moment_histories[child]
-                for a in self.agents:
+                for a in split[m]:
                     if not self.choice_cell(a, m, hs[0]).issuperset(hs):
                         raise BDTInvariantViolation(
                             "no_choice_between_undivided_histories",
                             list(hs), f"histories through {child} split at {m} for {a}")
 
-        # independence of agency: every selection of one cell per agent meets
+        # independence of agency: every selection of one cell per agent
+        # meets, that is, the histories through m realize as many cell
+        # profiles as there are selections
         for m in self.moments:
-            hs = set(self.moment_histories[m])
-            sel = [None] * len(self.agents)
-
-            def walk(i, current):
-                if not current:
-                    raise BDTInvariantViolation(
-                        "independence_of_agency",
-                        [m], f"empty selection {[min(c) for c in sel[:i]]} at {m}")
-                if i == len(self.agents):
-                    return
-                for cell in self.choice_at[self.agents[i]][m]:
-                    sel[i] = cell
-                    walk(i + 1, current & cell)
-
-            walk(0, hs)
+            if len(split[m]) < 2:
+                continue
+            tables = [self.choice_at[a][m] for a in split[m]]
+            index = [{h: i for i, cell in enumerate(t) for h in cell} for t in tables]
+            realized = {tuple(ix[h] for ix in index) for h in self.moment_histories[m]}
+            if len(realized) != prod(map(len, tables)):
+                self._name_empty_selection(m)
 
         # no forget: related successors force related predecessors, whenever
-        # both predecessors exist in the finite tree
+        # both predecessors exist in the finite tree; in bulk, each cell's
+        # situations with a predecessor have their predecessors in one cell
         pred_sit = {}
         for path in self.history_sits.values():
             pred_sit.update(zip(path[1:], path))
         for a in self.agents:
             cell_of = {s: i for i, cell in enumerate(self.epistemic_sit[a]) for s in cell}
+            moved = {(cell_of[s], cell_of[p]) for s, p in pred_sit.items()}
+            if len(moved) == len({c for c, _ in moved}):
+                continue
             for cell in self.epistemic_sit[a]:
                 withpred = sorted(s for s in cell if s in pred_sit)
                 for s in withpred[1:]:
@@ -192,6 +192,24 @@ class BDTScenario:
                         raise BDTInvariantViolation(
                             "no_forget", [withpred[0], s],
                             f"predecessors not epistemically related for {a}")
+
+    def _name_empty_selection(self, m):
+        """Raise for the first selection of one cell per agent at ``m``, in
+        cell order, whose cells do not meet."""
+        sel = [None] * len(self.agents)
+
+        def walk(i, current):
+            if not current:
+                raise BDTInvariantViolation(
+                    "independence_of_agency",
+                    [m], f"empty selection {[min(c) for c in sel[:i]]} at {m}")
+            if i == len(self.agents):
+                return
+            for cell in self.choice_at[self.agents[i]][m]:
+                sel[i] = cell
+                walk(i + 1, current & cell)
+
+        walk(0, set(self.moment_histories[m]))
 
     # -- serialization ------------------------------------------------------
     def to_doc(self):
@@ -210,6 +228,18 @@ class BDTScenario:
 
     def dumps(self):
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
+
+
+def _partition(cells, universe, what, whole):
+    """The cells as frozensets sorted by least member, when they partition
+    ``universe``; one cell equal to ``universe`` gives ``universe`` itself.
+    SchemaError names ``what`` otherwise, as a partition of ``whole``."""
+    norm = frozen_cells(cells, what)
+    if len(norm) == 1 and norm[0] == universe:
+        return (universe,)
+    if not is_partition(norm, universe):
+        raise SchemaError(f"{what} is not a partition of {whole}")
+    return tuple(sorted(norm, key=min))
 
 
 def _no_unknown_keys(table, known, what, kind):

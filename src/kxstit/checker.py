@@ -41,18 +41,18 @@ def eval_formula(m, w, f):
     """Truth of ``f`` at world ``w`` (top-down recursion).
 
     Total on structurally well-formed models whether or not they pass frame
-    validation; macros are expanded up front, sugar is evaluated by its own
+    validation; a macro is evaluated as its definition, sugar by its own
     clause.  Each call keeps its own memo of (subformula, world) results.
     """
     _check_world(m, w)
-    return _eval(m, w, F.expand_macros(f), {})
+    return _eval(m, w, f, {})
 
 
 def _eval(m, w, f, memo):
-    """Truth of the macro-free ``f`` at ``w``.  ``memo`` maps (subformula,
-    world) to the results completed so far, so each pair is evaluated at
-    most once; quantifiers visit a cell in its own order and stop at the
-    first world that decides them.
+    """Truth of ``f`` at ``w``.  ``memo`` maps (subformula, world) to the
+    results completed so far, so each pair is evaluated at most once;
+    quantifiers visit a cell in its own order and stop at the first world
+    that decides them.
     """
     key = (f, w)
     v = memo.get(key)
@@ -73,6 +73,8 @@ def _eval(m, w, f, memo):
         v = _eval(m, m.succ[w], f.child, memo)
     elif t is F.Yesterday:
         v = _eval(m, _pred(m, w), f.child, memo)
+    elif t is F.Macro:
+        v = _eval(m, w, F._unfold(f.name, f.agent, f.child), memo)
     else:
         if t is F.Box or t is F.Diamond:
             cell = m.box_cell(w)
@@ -297,7 +299,7 @@ def knowledge_report(m, w, agent, target):
     }
     # the stages share [a] X target and K{a} [a] X target, so one memo
     memo = {}
-    flags = {name: _eval(m, w, F.expand_macros(g), memo) for name, g in stages.items()}
+    flags = {name: _eval(m, w, g, memo) for name, g in stages.items()}
     warnings = []
     report = validate_frame(m, "actual", max(len(m.choice_ags), 1))
     if not report.ok:

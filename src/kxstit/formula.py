@@ -69,10 +69,9 @@ def _from_steps(steps):
     """The formula of a post-order list of (node type, *data fields)."""
     values = []
     for cls, *data in steps:
-        k = len(cls._children)
-        if k:
-            data += values[-k:]
-            del values[-k:]
+        k = len(values) - len(cls._children)
+        data += values[k:]
+        del values[k:]
         values.append(cls(*data))
     return values[0]
 
@@ -222,43 +221,36 @@ _BIN_SYMBOL = {And: "&", Or: "|", Implies: "->"}
 # ---------------------------------------------------------------------------
 # the fold
 
-def children_of(f):
-    return f._kids()
+children_of = operator.methodcaller("_kids")  # a node's children, left first
 
 
 def fold(f, combine):
-    """``combine(g, values)`` for each node ``g`` of ``f``, children before
-    parents and left before right, where ``values`` are the results for
-    ``g``'s children; returns the result for ``f``.  One walk over an
-    explicit stack, so its depth is not bounded by Python's recursion
-    limit.  Like a recursive walk, it visits a subtree once per occurrence,
-    and it keeps only the results that a pending node still needs.
-    """
-    values = []
+    """``combine(g, values)`` for each node ``g`` of ``f`` in post-order
+    (children before parents, left before right), where ``values`` are the
+    results for ``g``'s children; returns the result for ``f``.  The nodes
+    are listed root, right, left on an explicit stack, then combined
+    backwards over a stack of values, so depth is not bounded by Python's
+    recursion limit.  A subtree is visited once per occurrence."""
+    order = []
     stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is tuple:  # a node whose children are done
-            g, k = g
-            kids = values[-k:]
-            del values[-k:]
-            values.append(combine(g, kids))
-            continue
-        try:
-            kids = g._kids()
-        except AttributeError:
-            raise TypeError(f"not a formula: {g!r}") from None
-        if kids:
-            stack.append((g, len(kids)))
-            stack.extend(reversed(kids))
-        else:
-            values.append(combine(g, ()))
+    try:
+        while stack:
+            g = stack.pop()
+            order.append(g)
+            stack.extend(g._kids())
+    except AttributeError:
+        raise TypeError(f"not a formula: {g!r}") from None
+    values = []
+    for g in reversed(order):
+        k = len(values) - len(g._children)
+        kids = values[k:]
+        del values[k:]
+        values.append(combine(g, kids))
     return values[0]
 
 
 def _same_or_rebuilt(g, kids):
-    """``g`` itself when ``kids`` are its children, else ``g`` rebuilt on
-    them."""
+    """``g`` itself when ``kids`` are its children, else ``g`` on ``kids``."""
     if all(map(operator.is_, kids, g._kids())):
         return g
     return type(g)(*map(g.__dict__.get, g._data), *kids)
@@ -268,32 +260,48 @@ def _same_or_rebuilt(g, kids):
 # printing
 
 _OPEN = {Box: "[](", Diamond: "<>(", Next: "X(", Yesterday: "Y(", StitAgs: "[Ags](",
-         CommonKnows: "C(", Stit: "[{0.agent}](", Knows: "K{{{0.agent}}}(",
-         Macro: "{0.name}({0.agent}, "}
+         CommonKnows: "C(", Not: "~("}
 
 
 def to_text(f):
     """Canonical text: unary operators wrap their argument in parentheses
     (except ~ before an atom or another ~), binary operands are parenthesized
     when they are themselves binary.  parse(to_text(f)) == f.
+
+    One walk over an explicit stack of nodes and pieces of text, in the
+    order they are written, so the time is linear in the length of the
+    text and the depth is not bounded by Python's recursion limit.
     """
-    return fold(f, _text)
-
-
-def _text(g, kids):
-    t = type(g)
-    if t is Atom:
-        return g.name
-    if t is Not:
-        return "~" + kids[0] if isinstance(g.child, (Atom, Not)) else "~(" + kids[0] + ")"
-    if t in _BIN_SYMBOL:
-        left, right = kids
-        if isinstance(g.left, BINARY):
-            left = f"({left})"
-        if isinstance(g.right, BINARY):
-            right = f"({right})"
-        return f"{left} {_BIN_SYMBOL[t]} {right}"
-    return _OPEN[t].format(g) + kids[0] + ")"
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+        elif t is Atom:
+            out.append(g.name)
+        elif t in _BIN_SYMBOL:
+            symbol = f" {_BIN_SYMBOL[t]} "
+            if isinstance(g.right, BINARY):
+                stack += ")", g.right, symbol + "("
+            else:
+                stack += g.right, symbol
+            if isinstance(g.left, BINARY):
+                stack += ")", g.left, "("
+            else:
+                stack.append(g.left)
+        elif t is Not and isinstance(g.child, (Atom, Not)):
+            out.append("~")
+            stack.append(g.child)
+        elif isinstance(g, Formula):
+            out.append(_OPEN.get(t) or (f"[{g.agent}](" if t is Stit else
+                                        f"K{{{g.agent}}}(" if t is Knows else
+                                        f"{g.name}({g.agent}, "))
+            stack += ")", g.child
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +310,28 @@ def _text(g, kids):
 # one token per match: punctuation, a name, or any other character, which is
 # an error wherever the parser meets it
 _TOKEN = re.compile(r"\s*(?:(->|<>|[~&|()\[\]{},])|(\w+)|(\S))")
-_PUNCT, _NAME, _BAD = 1, 2, 3
+_NAME, _BAD = 2, 3
 # binary operators: (class, precedence, least precedence reduced before it);
 # -> is right-associative
 _BINARY_OPS = {"&": (And, 3, 3), "|": (Or, 2, 2), "->": (Implies, 1, 2)}
 _PREFIX = 4  # the tag of a pending prefix operator; 0 tags an open group
-_PREFIX_NAMES = {"X": Next, "Y": Yesterday, "C": CommonKnows}
+_PREFIX_OPS = {"~": Not, "<>": Diamond, "X": Next, "Y": Yesterday, "C": CommonKnows}
 
 
-def _expect(token, value):
+def _read(token, value=None):
+    """``token``, unless it is a character that is no token, or other than
+    ``value``."""
     kind, got, offset = token
     if kind == _BAD:
         raise FormulaSyntaxError(f"unexpected character {got!r}", offset)
-    if got != value:
+    if value is not None and got != value:
         raise FormulaSyntaxError(f"unexpected {got!r}", offset, {value})
+    return token
 
 
 def _agent(token):
     """The agent name of ``token``, which follows ``K{`` or opens a macro."""
-    kind, agent, offset = token
-    if kind == _BAD:
-        raise FormulaSyntaxError(f"unexpected character {agent!r}", offset)
+    kind, agent, offset = _read(token)
     if kind != _NAME or agent in RESERVED or agent[0].isdigit():
         raise FormulaSyntaxError(f"unexpected {agent!r}", offset, {"agent name"})
     return agent
@@ -348,59 +357,48 @@ def parse(text, allow_common_knowledge=False):
         # an operand: prefix operators up to an atom or an opening parenthesis
         kind, value, offset = tokens[i]
         i += 1
-        if kind == _NAME:
-            if value in _PREFIX_NAMES:
-                if value == "C" and not allow_common_knowledge:
-                    raise CommonKnowledgeDisabled(offset)
-                ops.append((_PREFIX, _PREFIX_NAMES[value], None))
-                continue
-            if value == "K" and tokens[i][1] == "{":
-                agent = _agent(tokens[i + 1])
-                _expect(tokens[i + 2], "}")
-                ops.append((_PREFIX, Knows, agent))
-                i += 3
-                continue
-            if value != "K" and tokens[i][1] == "(":
-                if value not in MACRO_NAMES:
-                    raise UnknownMacro(value, offset)
-                agent = _agent(tokens[i + 1])
-                _expect(tokens[i + 2], ",")
-                ops.append((0, (value, agent)))
-                i += 3
-                continue
-            if value in RESERVED:
-                raise FormulaSyntaxError(f"reserved word {value!r} cannot be an atom", offset,
-                                         {"atom"})
-            f = Atom(value)
-        elif value == "~" or value == "<>":
-            ops.append((_PREFIX, Not if value == "~" else Diamond, None))
+        if value in _PREFIX_OPS:
+            if value == "C" and not allow_common_knowledge:
+                raise CommonKnowledgeDisabled(offset)
+            ops.append((_PREFIX, _PREFIX_OPS[value], None))
             continue
-        elif value == "(":
+        if value == "(":
             ops.append((0, None))
             continue
-        elif value == "[":
-            kind, value, offset = tokens[i]
-            if kind == _BAD:
-                raise FormulaSyntaxError(f"unexpected character {value!r}", offset)
+        if value == "[":
+            kind, value, offset = _read(tokens[i])
             if value == "]":
                 ops.append((_PREFIX, Box, None))
                 i += 1
                 continue
             if kind != _NAME:
                 raise FormulaSyntaxError(f"unexpected {value!r}", offset, {"]", "agent name", "Ags"})
-            _expect(tokens[i + 1], "]")
-            if value == "Ags":
-                ops.append((_PREFIX, StitAgs, None))
-            elif value in RESERVED or value[0].isdigit():
+            _read(tokens[i + 1], "]")
+            if value != "Ags" and (value in RESERVED or value[0].isdigit()):
                 raise FormulaSyntaxError(f"invalid agent name {value!r}", offset, {"agent name"})
-            else:
-                ops.append((_PREFIX, Stit, value))
+            ops.append((_PREFIX, StitAgs, None) if value == "Ags" else (_PREFIX, Stit, value))
             i += 2
             continue
-        elif kind == 0:
-            raise FormulaSyntaxError("unexpected end of input", offset, {"formula"})
-        else:
-            raise FormulaSyntaxError(f"unexpected {value!r}", offset, {"formula"})
+        if kind != _NAME:
+            raise FormulaSyntaxError(f"unexpected {value!r}" if kind else "unexpected end of input",
+                                     offset, {"formula"})
+        if value == "K" and tokens[i][1] == "{":
+            agent = _agent(tokens[i + 1])
+            _read(tokens[i + 2], "}")
+            ops.append((_PREFIX, Knows, agent))
+            i += 3
+            continue
+        if value != "K" and tokens[i][1] == "(":
+            if value not in MACRO_NAMES:
+                raise UnknownMacro(value, offset)
+            agent = _agent(tokens[i + 1])
+            _read(tokens[i + 2], ",")
+            ops.append((0, (value, agent)))
+            i += 3
+            continue
+        if value in RESERVED:
+            raise FormulaSyntaxError(f"reserved word {value!r} cannot be an atom", offset, {"atom"})
+        f = Atom(value)
         # the operand is complete: apply the prefix operators before it, then
         # read a binary operator, or close groups while the text closes them
         while True:
@@ -424,7 +422,7 @@ def parse(text, allow_common_knowledge=False):
                     raise FormulaSyntaxError(f"trailing input {value!r}", offset,
                                              {"end of input"})
                 return f
-            _expect(tokens[i], ")")
+            _read(tokens[i], ")")
             i += 1
             macro = ops.pop()[1]
             if macro is not None:
@@ -448,7 +446,7 @@ def expand_macros(f):
 def _expanded(g, kids):
     if type(g) is Macro:
         return _unfold(g.name, g.agent, kids[0])
-    return _same_or_rebuilt(g, kids) if kids else g
+    return _same_or_rebuilt(g, kids)
 
 
 def _unfold(name, a, body):
@@ -482,7 +480,7 @@ def _normal(g, kids):
         return Not(And(kids[0], Not(kids[1])))
     if t is Diamond:
         return Not(Box(Not(kids[0])))
-    return _same_or_rebuilt(g, kids) if kids else g
+    return _same_or_rebuilt(g, kids)
 
 
 @dataclass(frozen=True)
@@ -503,8 +501,7 @@ def depth_profile(f):
 
 
 def _reach(g, kids):
-    """(forward, backward) reach of ``g``: the greatest and the negated
-    least offset reached below it, both at least 0."""
+    """(forward, backward) reach of ``g``: its greatest and -least offset."""
     step = 1 if type(g) is Next else -1 if type(g) is Yesterday else 0
     fwd = max(fwd for fwd, _ in kids) if kids else 0
     bwd = max(bwd for _, bwd in kids) if kids else 0

@@ -54,15 +54,6 @@ def by_id(x):
     return type(x).__name__, x
 
 
-def frozen_cells(cells, what):
-    """The cells as frozensets; SchemaError when an id in a cell is a list or
-    an object."""
-    try:
-        return [frozenset(c) for c in cells]
-    except TypeError:
-        raise SchemaError(f"{what}: cells must hold ids, not lists or objects") from None
-
-
 def make_partition(cells, universe, what):
     """Normalize and check a partition: non-empty pairwise-disjoint cells
     covering ``universe`` exactly, sorted by least world.
@@ -70,7 +61,10 @@ def make_partition(cells, universe, what):
     A partition is accepted in one bulk test; the cell-by-cell walk runs only
     to name the first faulty cell.
     """
-    norm = frozen_cells(cells, what)
+    try:
+        norm = [frozenset(c) for c in cells]
+    except TypeError:
+        raise SchemaError(f"{what}: cells must hold ids, not lists or objects") from None
     if is_partition(norm, universe):
         return tuple(sorted(norm, key=min))
     seen = set()
@@ -180,15 +174,14 @@ class KripkeModel(Structure):
         missing = universe - set(self.succ)
         if missing:
             raise SuccNotTotal(f"succ missing for {sorted(missing)}")
-        bad = {w: v for w, v in self.succ.items() if v not in universe or w not in universe}
-        if bad:
+        if len(self.succ) != len(universe) or not universe.issuperset(self.succ.values()):
+            bad = {w: v for w, v in self.succ.items() if v not in universe or w not in universe}
             raise SchemaError(f"succ references unknown worlds: {bad}")
         # pred is defined only when succ is a bijection; validation reports
         # the failure, evaluation of Y requires invertibility
         self.pred = None
-        targets = set(self.succ.values())
-        if len(targets) == len(self.worlds):
-            self.pred = {v: w for w, v in self.succ.items()}
+        if len(set(self.succ.values())) == len(self.worlds):
+            self.pred = dict(zip(self.succ.values(), self.succ))
 
         self.choice = {}
         for a in self.agents:
@@ -303,7 +296,7 @@ class DenseFrame:
 
     __slots__ = ("names", "index", "agents", "full", "interior", "inner", "layers", "cells",
                  "pairs", "box", "ags", "choice", "epi", "choice_pairs", "epi_pairs", "atoms",
-                 "succ", "pred", "partitioned", "_members")
+                 "succ", "pred", "partitioned")
 
     def __init__(self, names, agents, relations, succ, pred, valuation,
                  interior=None, layer=None):
@@ -315,16 +308,13 @@ class DenseFrame:
         self.agents = agents
         index = self.index = dict(zip(names, range(len(names))))
         self.full = (1 << len(names)) - 1
-        if interior is None:
-            self.interior, self.inner = self.full, range(len(names))
-        else:
-            self.inner = sorted(map(index.__getitem__, interior))
-            self.interior = sum(map(_BIT, self.inner))
+        self.inner = range(len(names)) if interior is None else sorted(map(index.__getitem__, interior))
+        self.interior = self.full if interior is None else sum(map(_BIT, self.inner))
         by_layer = {}
         for w, lv in (layer or {}).items():
             by_layer.setdefault(lv, []).append(w)
         self.layers = {lv: self.mask(ws) for lv, ws in by_layer.items()}
-        self.cells, self.pairs, self._members = {}, {}, {}
+        self.cells, self.pairs = {}, {}
         self.partitioned = True
         for name, rel in zip(family_names(agents), relations):
             self.cells[name], self.pairs[name] = (
@@ -344,14 +334,6 @@ class DenseFrame:
 
     def mask(self, ws):
         return sum(map(_BIT, set(map(self.index.__getitem__, ws))))
-
-    def members(self, mask):
-        """The indices of the worlds of ``mask``, lowest first; kept per
-        mask, as the checks read a cell's members more than once."""
-        got = self._members.get(mask)
-        if got is None:
-            got = self._members[mask] = list(_bits(mask))
-        return got
 
     def _partition(self, partition):
         if len(partition) == len(self.names):  # the singletons
@@ -625,7 +607,7 @@ def _classes(d):
         key = _low(box)
         if key not in seen:
             seen.add(key)
-            yield key, box, [i for i in d.members(box) if inner >> i & 1]
+            yield key, box, list(_bits(box & inner))
 
 
 def _met(cells, members):
@@ -693,9 +675,7 @@ def _classes_pass(d, n):
     if len(set(zip(d.box, d.ags, *choices))) == len(d.pairs["box"]):
         return True  # one profile per class
 
-    def per_class(cells):
-        return Counter(map(itemgetter(0), set(zip(d.box, cells))))
-
+    per_class = lambda cells: Counter(map(itemgetter(0), set(zip(d.box, cells))))
     # a class meets more than n cells of a family only if the family has more
     if any(len(d.pairs[name]) > n and max(per_class(d.cells[name]).values()) > n
            for name in family_names(d.agents)[1:len(choices) + 2]):
@@ -710,60 +690,49 @@ def _check_past(d, mode, n):
     # NX / NA / NAGS: interior box-related pairs have related predecessors;
     # NOF: so do interior epistemically related pairs
     has_pred = [u for u in d.inner if d.pred[u] is not None]
-    walk = _Past(d, has_pred, d.box)
-    for cond, targets, text in (("NX", [d.box], "settledness-related"),
-                                ("NAGS", [d.ags], "coalition-choice-related"),
-                                ("NA", list(d.choice.values()), "choice-related for {}")):
-        hit = walk.unrelated(targets)
+    preds = list(map(d.pred.__getitem__, has_pred))
+    for cond, cells, targets, text in (
+            ("NX", d.box, [d.box], "settledness-related"),
+            ("NAGS", d.box, [d.ags], "coalition-choice-related"),
+            ("NA", d.box, list(d.choice.values()), "choice-related for {}"),
+            *(("NOF", d.epi[a], [d.epi[a]], a) for a in d.agents)):
+        hit = _unrelated(d, has_pred, preds, cells, targets)
+        if hit and cond == "NOF":
+            yield cond, list(hit[:2]), f"predecessors not epistemically related for {text}"
+            return
         if hit:
             u, v, i = hit
             yield cond, [u, v], (f"predecessors {d.names[d.pred[u]]}, {d.names[d.pred[v]]} "
                                  f"not {text.format(d.agents[i])}")
-    for a in d.agents:
-        hit = _Past(d, has_pred, d.epi[a]).unrelated([d.epi[a]])
-        if hit:
-            yield "NOF", list(hit[:2]), f"predecessors not epistemically related for {a}"
-            return
 
 
-class _Past:
-    """Pairs u < v of ``has_pred`` that share a cell of ``cells``, whose
-    predecessors a target family must relate."""
-
-    def __init__(self, d, has_pred, cells):
-        self.d, self.has_pred, self.cells = d, has_pred, cells
-        self.preds = list(map(d.pred.__getitem__, has_pred))
-        if d.partitioned:
-            # the position in has_pred of the first world of each one's cell
-            own = list(map(cells.__getitem__, has_pred))
-            first = dict(zip(reversed(own), range(len(own) - 1, -1, -1)))
-            self.firsts = list(map(first.__getitem__, own))
-
-    def unrelated(self, targets):
-        """(u, v, i) for the first u and the first later v in its cell such
-        that the ``targets[i]`` cell of pred(u) misses pred(v); None when
-        there is none."""
-        d, has_pred = self.d, self.has_pred
-        if not d.partitioned:
-            later = sum(map(_BIT, has_pred))
-            for u, pu in zip(has_pred, self.preds):
-                later &= ~(1 << u)
-                for v in _bits(self.cells[u] & later):
-                    for i, t in enumerate(targets):
-                        if not t[pu] >> d.pred[v] & 1:
-                            return u, v, i
-            return None
-        # on partitions pred(v) lies in the target cell of pred(u) exactly
-        # when both have the same target cells: compare each world's row of
-        # target cells with that of the first world of its cell
-        rows = list(zip(*(map(t.__getitem__, self.preds) for t in targets)))
-        firsts = self.firsts
-        bad = list(compress(range(len(rows)), map(ne, rows, map(rows.__getitem__, firsts))))
-        if not bad:
-            return None
-        lead, j = min((firsts[j], j) for j in bad)
-        i = next(i for i, (a, b) in enumerate(zip(rows[lead], rows[j])) if a != b)
-        return has_pred[lead], has_pred[j], i
+def _unrelated(d, has_pred, preds, cells, targets):
+    """(u, v, i) for the first u of ``has_pred`` and the first later v of
+    ``has_pred`` in its cell of ``cells`` such that the ``targets[i]`` cell
+    of pred(u) misses pred(v); None when there is none.  ``preds`` lists
+    the predecessors of ``has_pred``."""
+    if not d.partitioned:
+        later = sum(map(_BIT, has_pred))
+        for u, pu in zip(has_pred, preds):
+            later &= ~(1 << u)
+            for v in _bits(cells[u] & later):
+                for i, t in enumerate(targets):
+                    if not t[pu] >> d.pred[v] & 1:
+                        return u, v, i
+        return None
+    # On partitions pred(v) lies in the target cell of pred(u) exactly when
+    # both have the same target cells: each world's row of target cells is
+    # compared with that of the first world of its cell in has_pred
+    rows = list(zip(*(map(t.__getitem__, preds) for t in targets)))
+    own = list(map(cells.__getitem__, has_pred))
+    first = dict(zip(reversed(own), range(len(own) - 1, -1, -1)))  # cell -> its first position
+    firsts = list(map(first.__getitem__, own))
+    bad = list(compress(range(len(rows)), map(ne, rows, map(rows.__getitem__, firsts))))
+    if not bad:
+        return None
+    lead, j = min((firsts[j], j) for j in bad)
+    i = next(i for i, (a, b) in enumerate(zip(rows[lead], rows[j])) if a != b)
+    return has_pred[lead], has_pred[j], i
 
 
 def _check_unif_h(d, mode, n):
@@ -777,11 +746,7 @@ def _check_unif_h(d, mode, n):
     box_by_key = {}
     for cell, _ in d.pairs["box"]:
         box_by_key.setdefault(_low(cell), cell)
-
-    def keys(mask):
-        """The class keys that the worlds of ``mask`` have."""
-        return set(map(key.__getitem__, d.members(mask)))
-
+    keys = lambda mask: {key[v] for v in _bits(mask)}  # class keys a mask meets
     for a in d.agents:
         meets = {}  # class key -> worlds with an epistemic mate in that class
         links = set()
@@ -801,8 +766,7 @@ def _check_unif_h(d, mode, n):
 
 def _same_classes_met(box, epi):
     """Unif-H for one agent on a plain frame: the epistemic cells that meet
-    a settledness class all meet the same classes, so that each world of
-    the class has mates in every class that any of them reaches."""
+    a settledness class all meet the same classes."""
     if list(map(or_, epi, box)) == box:
         return True  # every epistemic cell lies in one class
     met = {}  # epistemic cell -> the union of the classes it meets

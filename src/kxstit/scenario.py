@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import BDTInvariantViolation, SchemaError
 from .model import (FORMAT_VERSION, KripkeModel, by_id, cell_list, cell_map, check_fields,
-                    frozen_cells, id_list, id_map, is_partition, optional, read_document,
+                    id_list, id_map, is_partition, optional, read_document,
                     table_of)
 
 import json
@@ -67,14 +67,13 @@ class BDTScenario:
         reached = [self.root]
         for m in reached:
             reached.extend(children[m])
-        if len(reached) != len(self.moments):
-            for m in self.moments:
-                seen, cur = set(), m
-                while cur in self.parent:
-                    if cur in seen:
-                        raise SchemaError(f"parent map has a cycle through {cur}")
-                    seen.add(cur)
-                    cur = self.parent[cur]
+        for m in self.moments if len(reached) != len(self.moments) else ():
+            seen, cur = set(), m
+            while cur in self.parent:
+                if cur in seen:
+                    raise SchemaError(f"parent map has a cycle through {cur}")
+                seen.add(cur)
+                cur = self.parent[cur]
 
         leaves = [m for m in self.moments if not children[m]]
         names = history_names or [f"h{i + 1}" for i in range(len(leaves))]
@@ -94,7 +93,7 @@ class BDTScenario:
                 path.append(self.parent[path[-1]])
             path.reverse()
             self.history_moments[name] = tuple(path)
-            self.history_sits[name] = tuple(self.sit(m, name) for m in path)
+            self.history_sits[name] = tuple([f"{m}_{name}" for m in path])
             for m, w in zip(path, self.history_sits[name]):
                 moment_histories[m].append(name)
                 if named.setdefault(w, (m, name)) != (m, name):
@@ -109,18 +108,18 @@ class BDTScenario:
         for a in self.agents:
             table = choice_at.get(a, {})
             _no_unknown_keys(table, through, f"choice_at[{a}]", "moment")
-            self.choice_at[a] = {
-                m: (through[m],) if table.get(m) is None else _partition(
-                    table[m], through[m], f"choice_at[{a}][{m}]",
-                    f"the histories through {m}") for m in self.moments}
+            self.choice_at[a] = row = {m: (hs,) for m, hs in through.items()}
+            for m in self.moments:
+                if table.get(m) is not None:
+                    row[m] = _partition(table[m], through[m], "choice_at", a, m)
 
         _no_unknown_keys(epistemic_sit, self.agents, "epistemic_sit", "agent")
         self.epistemic_sit = {}
         for a in self.agents:
             cells = epistemic_sit.get(a)
             self.epistemic_sit[a] = (
-                tuple(frozenset((s,)) for s in sorted(self.situations)) if cells is None else
-                _partition(cells, self.situations, f"epistemic_sit[{a}]", "the situations"))
+                tuple(map(frozenset, zip(sorted(self.situations)))) if cells is None else
+                _partition(cells, self.situations, "epistemic_sit", a))
 
         self.valuation_sit = {p: frozenset(sits) for p, sits in valuation_sit.items()}
         for p, sits in self.valuation_sit.items():
@@ -143,12 +142,10 @@ class BDTScenario:
     def check_invariants(self):
         """Raise BDTInvariantViolation on the first failed tree-frame
         condition: no choice between undivided histories, independence of
-        agency, and the no-forget condition on the situation relation.
-
-        Each condition is accepted in bulk; its walk runs only to name the
-        first fault.  A one-cell table splits nothing and constrains no
-        selection, so only tables of several cells are read.
+        agency, and the no-forget condition on the situation relation.  Each
+        is tested in bulk, and walked only to name its first fault.
         """
+        # one-cell tables split nothing and constrain no selection
         split = {m: [a for a in self.agents if len(self.choice_at[a][m]) > 1]
                  for m in self.moments}
         # undivided histories: h, h' sharing a moment strictly after m lie in
@@ -170,9 +167,23 @@ class BDTScenario:
                 continue
             tables = [self.choice_at[a][m] for a in split[m]]
             index = [{h: i for i, cell in enumerate(t) for h in cell} for t in tables]
-            realized = {tuple(ix[h] for ix in index) for h in self.moment_histories[m]}
-            if len(realized) != prod(map(len, tables)):
-                self._name_empty_selection(m)
+            if len({tuple(ix[h] for ix in index)
+                    for h in self.moment_histories[m]}) == prod(map(len, tables)):
+                continue
+            sel = [None] * len(self.agents)
+
+            def walk(i, current):
+                if not current:
+                    raise BDTInvariantViolation(
+                        "independence_of_agency",
+                        [m], f"empty selection {[min(c) for c in sel[:i]]} at {m}")
+                if i == len(self.agents):
+                    return
+                for cell in self.choice_at[self.agents[i]][m]:
+                    sel[i] = cell
+                    walk(i + 1, current & cell)
+
+            walk(0, set(self.moment_histories[m]))
 
         # no forget: related successors force related predecessors, whenever
         # both predecessors exist in the finite tree; in bulk, each cell's
@@ -193,24 +204,6 @@ class BDTScenario:
                             "no_forget", [withpred[0], s],
                             f"predecessors not epistemically related for {a}")
 
-    def _name_empty_selection(self, m):
-        """Raise for the first selection of one cell per agent at ``m``, in
-        cell order, whose cells do not meet."""
-        sel = [None] * len(self.agents)
-
-        def walk(i, current):
-            if not current:
-                raise BDTInvariantViolation(
-                    "independence_of_agency",
-                    [m], f"empty selection {[min(c) for c in sel[:i]]} at {m}")
-            if i == len(self.agents):
-                return
-            for cell in self.choice_at[self.agents[i]][m]:
-                sel[i] = cell
-                walk(i + 1, current & cell)
-
-        walk(0, set(self.moment_histories[m]))
-
     # -- serialization ------------------------------------------------------
     def to_doc(self):
         return {
@@ -230,16 +223,21 @@ class BDTScenario:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
-def _partition(cells, universe, what, whole):
-    """The cells as frozensets sorted by least member, when they partition
-    ``universe``; one cell equal to ``universe`` gives ``universe`` itself.
-    SchemaError names ``what`` otherwise, as a partition of ``whole``."""
-    norm = frozen_cells(cells, what)
-    if len(norm) == 1 and norm[0] == universe:
-        return (universe,)
-    if not is_partition(norm, universe):
-        raise SchemaError(f"{what} is not a partition of {whole}")
-    return tuple(sorted(norm, key=min))
+def _partition(cells, universe, table, agent, moment=None):
+    """The cells as frozensets sorted by least member, or ``universe`` alone
+    for one cell equal to it; SchemaError names ``table[agent][moment]``
+    (``table[agent]`` without a moment) when they do not partition it."""
+    try:
+        if len(cells) == 1 and frozenset(cells[0]) == universe:
+            return (universe,)
+        norm = [frozenset(c) for c in cells]
+        if is_partition(norm, universe):
+            return tuple(sorted(norm, key=min))
+        fault = " is not a partition of " + (
+            "the situations" if moment is None else f"the histories through {moment}")
+    except TypeError:
+        fault = ": cells must hold ids, not lists or objects"
+    raise SchemaError(f"{table}[{agent}]" + ("" if moment is None else f"[{moment}]") + fault)
 
 
 def _no_unknown_keys(table, known, what, kind):
@@ -314,9 +312,10 @@ def bdt_to_kripke(scenario):
     for a in s.agents:
         cells = list(stutter_cells)
         for m, part in s.choice_at[a].items():
-            row = at[m]
-            cells.extend([box[m]] if len(part) == 1 else
-                         (frozenset(map(row.__getitem__, cell)) for cell in part))
+            if len(part) == 1:
+                cells.append(box[m])
+            else:
+                cells.extend(frozenset(map(at[m].__getitem__, cell)) for cell in part)
         choice[a] = cells
 
     # stutter layers mirror the adjacent real layer, never linking to it

@@ -319,8 +319,7 @@ _PREFIX_OPS = {"~": Not, "<>": Diamond, "X": Next, "Y": Yesterday, "C": CommonKn
 
 
 def _read(token, value=None):
-    """``token``, unless it is a character that is no token, or other than
-    ``value``."""
+    """``token``, unless it is no token or other than a given ``value``."""
     kind, got, offset = token
     if kind == _BAD:
         raise FormulaSyntaxError(f"unexpected character {got!r}", offset)
@@ -341,12 +340,10 @@ def parse(text, allow_common_knowledge=False):
     """Parse formula text into a macro-free AST.
 
     Unary operators bind tighter than binary ones; precedence ~ > & > | > ->
-    with -> right-associative.  ``K`` not followed by ``{`` is an atom.  The
-    text is split into tokens by one regular expression, then parsed by
-    precedence climbing over an explicit operator stack (prefix operators,
-    binary operators, and open parentheses or macros), so nesting depth is
-    not bounded by Python's recursion limit.  Each macro is unfolded when
-    its closing parenthesis is read, so the returned tree is macro-free.
+    with -> right-associative.  ``K`` not followed by ``{`` is an atom.  One
+    regular expression splits the tokens; precedence climbing over explicit
+    operator and operand stacks parses them, at any nesting depth.  Each
+    macro is unfolded when its closing parenthesis is read.
     """
     tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
     tokens.append((0, "", len(text)))

@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from operator import and_, eq, itemgetter, ne, or_
+from operator import and_, eq, invert, itemgetter, ne, or_
 from collections import Counter
-from itertools import chain, compress, product
+from itertools import chain, product
 from math import prod
 
 from .errors import PartitionError, SchemaError, SuccNotTotal
@@ -308,17 +308,18 @@ class DenseFrame:
         self.agents = agents
         index = self.index = dict(zip(names, range(len(names))))
         self.full = (1 << len(names)) - 1
-        self.inner = range(len(names)) if interior is None else sorted(map(index.__getitem__, interior))
-        self.interior = self.full if interior is None else sum(map(_BIT, self.inner))
-        by_layer = {}
+        self.interior = self.full if interior is None else self.mask(interior)
+        self.inner = range(len(names)) if interior is None else list(_bits(self.interior))
+        self.layers = {}
         for w, lv in (layer or {}).items():
-            by_layer.setdefault(lv, []).append(w)
-        self.layers = {lv: self.mask(ws) for lv, ws in by_layer.items()}
+            self.layers[lv] = self.layers.get(lv, 0) | 1 << index[w]
         self.cells, self.pairs = {}, {}
-        self.partitioned = True
         for name, rel in zip(family_names(agents), relations):
             self.cells[name], self.pairs[name] = (
                 self._neighbours(rel) if isinstance(rel, dict) else self._partition(rel))
+        # a window's family is a partition when each cell is held by its members
+        self.partitioned = not isinstance(relations[0], dict) or all(
+            c == h for pairs in self.pairs.values() for c, h in pairs)
         self.box, self.ags = self.cells["box"], self.cells["ags"]
         self.choice = {a: self.cells[f"choice:{a}"] for a in agents}
         self.epi = {a: self.cells[f"epi:{a}"] for a in agents}
@@ -333,11 +334,15 @@ class DenseFrame:
         return self.partitioned and self.interior == self.full
 
     def mask(self, ws):
-        return sum(map(_BIT, set(map(self.index.__getitem__, ws))))
+        index = self.index
+        out = 0
+        for w in ws:
+            out |= 1 << index[w]
+        return out
 
     def _partition(self, partition):
         if len(partition) == len(self.names):  # the singletons
-            cells = list(map(_BIT, range(len(self.names))))
+            cells = [1 << i for i in range(len(self.names))]
             return cells, list(zip(cells, cells))
         index, cells, pairs = self.index, [0] * len(self.names), []
         for cell in partition:
@@ -356,10 +361,8 @@ class DenseFrame:
             if cm is None:
                 cm = masks[mates[w]] = self.mask(mates[w])
             cells.append(cm)
-            holders.setdefault(cm, []).append(i)
-        pairs = [(cm, sum(map(_BIT, held))) for cm, held in holders.items()]
-        self.partitioned = self.partitioned and all(c == h for c, h in pairs)
-        return cells, pairs
+            holders[cm] = holders.get(cm, 0) | 1 << i
+        return cells, list(holders.items())
 
     def fit(self, reach, bound):
         """Mask of the worlds from which a formula of temporal ``reach``
@@ -512,9 +515,6 @@ def check_frame(d, mode, n):
     return FrameReport(mode, n, [checks[c] for c in CONDITIONS])
 
 
-_BIT = (1).__lshift__  # _BIT(i) is the mask of world i
-
-
 def _bits(mask):
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -583,8 +583,7 @@ def _check_inverse(d, mode, n):
 
 def _check_set(d, mode, n):
     box = d.box
-    # in bulk: every choice and coalition cell of every world lies in its
-    # settledness class
+    # in bulk: every world's choice and coalition cells lie in its class
     if all(list(map(or_, cells, box)) == box for cells in (*d.choice.values(), d.ags)):
         return
     for u in d.inner:
@@ -623,18 +622,16 @@ def _check_additivity(d, mode, n):
     inter = d.box
     for cells in d.choice.values():
         inter = list(map(and_, inter, cells))
-    ags = d.ags
-    actual = mode == "actual"
-    # in bulk over every world, then walked over the interior to name a fault
-    if ags == inter if actual else list(map(or_, ags, inter)) == inter:
-        return
-    for u in d.inner:
-        if actual and ags[u] != inter[u]:
-            yield "ADDITIVITY", [u], "coalition cell differs from the intersection of agent cells"
-            return
-        if not actual and ags[u] & ~inter[u]:
-            yield "ADDITIVITY", [u], "coalition cell not contained in the intersection of agent cells"
-            return
+    if mode == "actual":
+        bad = list(map(ne, d.ags, inter))
+        text = "coalition cell differs from the intersection of agent cells"
+    else:
+        bad = list(map(and_, d.ags, map(invert, inter)))
+        text = "coalition cell not contained in the intersection of agent cells"
+    # in bulk over every world, then walked over the interior
+    u = next((u for u in d.inner if bad[u]), None) if any(bad) else None
+    if u is not None:
+        yield "ADDITIVITY", [u], text
 
 
 def _check_classes(d, mode, n):
@@ -688,51 +685,56 @@ def _classes_pass(d, n):
 
 def _check_past(d, mode, n):
     # NX / NA / NAGS: interior box-related pairs have related predecessors;
-    # NOF: so do interior epistemically related pairs
-    has_pred = [u for u in d.inner if d.pred[u] is not None]
-    preds = list(map(d.pred.__getitem__, has_pred))
+    # NOF: so do interior epistemically related pairs.  A plain frame passes
+    # in bulk when pred takes each cell into one cell of its target family.
+    pred = d.pred
+    if d.plain and None not in pred and all(
+            len(set(zip(cells, *(map(t.__getitem__, pred) for t in targets)))) == len(set(cells))
+            for cells, targets in [(d.box, [d.box, d.ags, *d.choice.values()]),
+                                   *((e, [e]) for e in d.epi.values())]):
+        return
+    back = [0] * len(d.names)  # world -> the worlds whose predecessor it is
+    for v, p in enumerate(pred):
+        if p is not None:
+            back[p] |= 1 << v
+    pre = {}  # mask -> the worlds whose predecessor lies in it, as needed
+    has_pred = d.interior & sum(back)  # one predecessor per world: disjoint
     for cond, cells, targets, text in (
             ("NX", d.box, [d.box], "settledness-related"),
             ("NAGS", d.box, [d.ags], "coalition-choice-related"),
             ("NA", d.box, list(d.choice.values()), "choice-related for {}"),
             *(("NOF", d.epi[a], [d.epi[a]], a) for a in d.agents)):
-        hit = _unrelated(d, has_pred, preds, cells, targets)
+        hit = _unrelated(d, back, pre, has_pred, cells, targets)
         if hit and cond == "NOF":
             yield cond, list(hit[:2]), f"predecessors not epistemically related for {text}"
             return
         if hit:
             u, v, i = hit
-            yield cond, [u, v], (f"predecessors {d.names[d.pred[u]]}, {d.names[d.pred[v]]} "
+            yield cond, [u, v], (f"predecessors {d.names[pred[u]]}, {d.names[pred[v]]} "
                                  f"not {text.format(d.agents[i])}")
 
 
-def _unrelated(d, has_pred, preds, cells, targets):
+def _unrelated(d, back, pre, has_pred, cells, targets):
     """(u, v, i) for the first u of ``has_pred`` and the first later v of
     ``has_pred`` in its cell of ``cells`` such that the ``targets[i]`` cell
-    of pred(u) misses pred(v); None when there is none.  ``preds`` lists
-    the predecessors of ``has_pred``."""
-    if not d.partitioned:
-        later = sum(map(_BIT, has_pred))
-        for u, pu in zip(has_pred, preds):
-            later &= ~(1 << u)
-            for v in _bits(cells[u] & later):
-                for i, t in enumerate(targets):
-                    if not t[pu] >> d.pred[v] & 1:
-                        return u, v, i
-        return None
-    # On partitions pred(v) lies in the target cell of pred(u) exactly when
-    # both have the same target cells: each world's row of target cells is
-    # compared with that of the first world of its cell in has_pred
-    rows = list(zip(*(map(t.__getitem__, preds) for t in targets)))
-    own = list(map(cells.__getitem__, has_pred))
-    first = dict(zip(reversed(own), range(len(own) - 1, -1, -1)))  # cell -> its first position
-    firsts = list(map(first.__getitem__, own))
-    bad = list(compress(range(len(rows)), map(ne, rows, map(rows.__getitem__, firsts))))
-    if not bad:
-        return None
-    lead, j = min((firsts[j], j) for j in bad)
-    i = next(i for i, (a, b) in enumerate(zip(rows[lead], rows[j])) if a != b)
-    return has_pred[lead], has_pred[j], i
+    of pred(u) misses pred(v); None when there is none.  With partitions,
+    a cell whose least world in ``has_pred`` passes passes as a whole, so
+    the walk visits only those worlds."""
+    walk = has_pred
+    if d.partitioned:
+        walk = sum(c & has_pred & -(c & has_pred) for c in set(cells))
+    for u in _bits(walk):
+        pu = d.pred[u]
+        later = (cells[u] & has_pred) >> (u + 1) << (u + 1)
+        bad = 0
+        for t in targets if later else ():
+            if t[pu] not in pre:
+                pre[t[pu]] = sum(back[x] for x in _bits(t[pu]))
+            bad |= later & ~pre[t[pu]]
+        if bad:
+            v = _low(bad)
+            return u, v, next(i for i, t in enumerate(targets) if not pre[t[pu]] >> v & 1)
+    return None
 
 
 def _check_unif_h(d, mode, n):
@@ -746,17 +748,21 @@ def _check_unif_h(d, mode, n):
     box_by_key = {}
     for cell, _ in d.pairs["box"]:
         box_by_key.setdefault(_low(cell), cell)
-    keys = lambda mask: {key[v] for v in _bits(mask)}  # class keys a mask meets
+    met = {}  # mask -> the class keys its worlds have
+
+    def keys(mask):
+        if mask not in met:
+            met[mask] = {key[v] for v in _bits(mask)}
+        return met[mask]
+
     for a in d.agents:
         meets = {}  # class key -> worlds with an epistemic mate in that class
         links = set()
         for cell, hold in d.epi_pairs[a]:
-            met = keys(cell)
-            for k in met:
+            for k in keys(cell):
                 meets[k] = meets.get(k, 0) | hold
             if hold & inner:
-                links.update(product(met if hold & inner == cell else keys(hold & inner),
-                                     met if cell & inner == cell else keys(cell & inner)))
+                links.update(product(keys(hold & inner), keys(cell & inner)))
         for k1, k2 in sorted(links):
             bad = box_by_key[k1] & inner & ~meets[k2]
             if bad:

@@ -62,8 +62,7 @@ class BDTScenario:
                 children[self.parent[m]].append(m)
         self.children = children
 
-        # with one root, the parent map has no cycle exactly when the child
-        # links reach every moment from the root; the walk names a cycle
+        # with one root, no cycle exactly when child links reach every moment
         reached = [self.root]
         for m in reached:
             reached.extend(children[m])

@@ -246,7 +246,7 @@ class KripkeModel(Structure):
             partitions = [self.r_box, self.choice_ags, *(self.choice[a] for a in self.agents),
                           *(self.epistemic[a] for a in self.agents)]
             self._frame = DenseFrame(self.worlds, self.agents, partitions, self.succ,
-                                     self.pred or {}, self.valuation)
+                                      self.pred or {}, self.valuation)
         return self._frame
 
     def with_valuation(self, valuation):

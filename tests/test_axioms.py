@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from kxstit import formula as F
-from kxstit.axioms import (SuitePolicy, derived_theorem_suite, instantiate, saturating_atoms,
-                           soundness_suite)
+from kxstit.axioms import (SuitePolicy, _below, derived_theorem_suite, instantiate,
+                           saturating_atoms, soundness_suite)
 from kxstit.checker import valid_on_model
 from kxstit.errors import ArityMismatch, DuplicateAgents, InvalidModelInSuite
 from kxstit.gen import GenParams, model_grid, random_model
@@ -171,3 +173,13 @@ def test_necessitation_and_modus_ponens_preserve_validity():
         # modus ponens: both premises valid forces the conclusion valid
         impl = F.parse("p | ~p")
         assert valid_on_model(m, F.Implies(taut, impl))[0] and valid_on_model(m, impl)[0]
+
+
+def test_suite_draws_match_randrange_and_choice():
+    # the suites draw fill seeds and agent picks from getrandbits by
+    # CPython's rule, which must give what randrange and choice give
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 7, 1 << 30):
+            assert _below(ours, n) == theirs.randrange(n)
+            assert _below(ours, n) == theirs.choice(range(n))

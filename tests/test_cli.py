@@ -128,6 +128,12 @@ def test_check_too_deep_formula_is_internal_error(fig1a_path, capsys):
     assert record["message"]
 
 
+def test_expand_prints_a_ten_thousand_deep_formula_back(capsys):
+    deep = "~" * 10_000 + "p"
+    assert main(["expand", "--formula", deep]) == 0
+    assert capsys.readouterr().out.strip() == deep
+
+
 def test_parser_is_built_once_and_not_changed_by_parsing():
     parser = build_parser()
     assert build_parser() is parser

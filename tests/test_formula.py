@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 
@@ -186,3 +187,38 @@ def test_normalize_idempotent_and_primitive(f):
     assert F.normalize(n) == n
     for g in F.subformulas(n):
         assert not isinstance(g, (F.Or, F.Implies, F.Diamond, F.Macro))
+
+
+def _chain(depth, leaf="p"):
+    """A chain of ~, X, [a] and K{a}, in turn, over ``leaf``."""
+    f = F.Atom(leaf)
+    for i in range(depth):
+        f = (F.Not, F.Next, lambda c: F.Stit("a", c), lambda c: F.Knows("a", c))[i % 4](f)
+    return f
+
+
+def test_deep_chains_expand_print_normalize_and_pickle():
+    f = _chain(10_000)
+    assert F.expand_macros(f) is f and F.normalize(f) is f
+    text = F.to_text(f)
+    assert F.parse(text) == f
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert F.depth_profile(f) == F.DepthProfile(2_500, 0)
+    assert len(F.subformulas(f)) == 10_001
+    kh = F.Atom("p")
+    for _ in range(1_000):
+        kh = F.Macro("Kh", "a", kh)
+    expanded = F.expand_macros(kh)
+    assert F.parse(F.to_text(kh)) == expanded
+    assert F.depth_profile(expanded) == F.DepthProfile(1_000, 0)
+
+
+def test_parse_at_ten_thousand_levels():
+    assert F.to_text(F.parse("~" * 10_000 + "p")) == "~" * 10_000 + "p"
+    assert F.parse("(" * 10_000 + "p" + ")" * 10_000) == F.Atom("p")
+    nested = F.parse("X(" * 10_000 + "p" + ")" * 10_000)
+    assert F.depth_profile(nested) == F.DepthProfile(10_000, 0)
+    with pytest.raises(FormulaSyntaxError) as e:
+        F.parse("(" * 10_000 + "p")
+    assert (str(e.value), e.value.offset) == (
+        "unexpected '' at offset 10001 (expected one of: ))", 10_001)

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
 from kxstit.errors import PartitionError, SchemaError, SuccNotTotal
 from kxstit.gen import GenParams, random_model
-from kxstit.model import KripkeModel, load_model, make_partition, validate_frame
+from kxstit.model import (DenseFrame, KripkeModel, check_frame, load_model, make_partition,
+                          validate_frame)
 
 
 def doc_of(m):
@@ -184,3 +186,46 @@ def test_with_valuation_copies_match_fresh_models(grid200, fig1a):
             1 << len(m.worlds) - 1, False)
     with pytest.raises(SchemaError, match="unknown worlds"):
         fig1a.with_valuation({"p": ["nowhere"]})
+
+
+def _mutants(models, seed):
+    """Each model, then copies with two cells of a family merged, a cell
+    split, or two successors swapped, drawn from ``seed``."""
+    rng = random.Random(seed)
+    for m in models:
+        yield m
+        for _ in range(3):
+            doc = doc_of(m)
+            fam = rng.choice(["r_box", "choice_ags", "choice", "epistemic"])
+            cells = doc[fam][rng.choice(sorted(doc[fam]))] if fam in ("choice", "epistemic") \
+                else doc[fam]
+            kind = rng.randrange(3)
+            if kind == 0 and len(cells) > 1:
+                i, j = rng.sample(range(len(cells)), 2)
+                cells[i] += cells[j]
+                del cells[j]
+            elif kind == 1 and max(map(len, cells)) > 1:
+                cell = max(cells, key=len)
+                cells.append([cell.pop()])
+            else:
+                u, v = rng.sample(doc["worlds"], 2) if len(doc["worlds"]) > 1 else doc["worlds"] * 2
+                doc["succ"][u], doc["succ"][v] = doc["succ"][v], doc["succ"][u]
+            yield load_model(json.dumps(doc))
+
+
+def test_bulk_frame_checks_agree_with_the_walks(grid200, fig1a, fig1b):
+    # on a partitioned frame the checks first test each condition in bulk;
+    # read as a frame that is not known to be partitioned, the same frame
+    # takes the walks alone, and every verdict, witness and explanation
+    # must come out the same
+    failed = set()
+    for m in _mutants([*grid200[::4], fig1a, fig1b], seed=12):
+        walked = DenseFrame(m.worlds, m.agents, [m.r_box, m.choice_ags, *m.choice.values(),
+                                                 *m.epistemic.values()], m.succ, m.pred or {},
+                            m.valuation)
+        walked.partitioned = False
+        for mode, n in (("actual", 1), ("super_additive", 2)):
+            report = check_frame(m._dense(), mode, n)
+            assert report == check_frame(walked, mode, n), (m.dumps(), mode, n)
+            failed.update(c.condition for c in report.failed())
+    assert failed == {"ADDITIVITY", "CARD", "IA", "NA", "NAGS", "NOF", "NX", "SET", "UNIF_H"}

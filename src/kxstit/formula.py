@@ -342,13 +342,14 @@ def parse(text, allow_common_knowledge=False):
     Unary operators bind tighter than binary ones; precedence ~ > & > | > ->
     with -> right-associative.  ``K`` not followed by ``{`` is an atom.  One
     regular expression splits the tokens; precedence climbing over explicit
-    operator and operand stacks parses them, at any nesting depth.  Each
-    macro is unfolded when its closing parenthesis is read.
+    operator and operand stacks parses them, at any nesting depth.  A text
+    with macros is read with Macro nodes, then expanded once.
     """
     tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
     tokens.append((0, "", len(text)))
     ops = []   # (_PREFIX, class, agent or None), (precedence, class), (0, macro or None)
     operands = []
+    macros = False
     i = 0
     while True:
         # an operand: prefix operators up to an atom or an opening parenthesis
@@ -391,6 +392,7 @@ def parse(text, allow_common_knowledge=False):
             agent = _agent(tokens[i + 1])
             _read(tokens[i + 2], ",")
             ops.append((0, (value, agent)))
+            macros = True
             i += 3
             continue
         if value in RESERVED:
@@ -418,12 +420,12 @@ def parse(text, allow_common_knowledge=False):
                 if kind:
                     raise FormulaSyntaxError(f"trailing input {value!r}", offset,
                                              {"end of input"})
-                return f
+                return expand_macros(f) if macros else f
             _read(tokens[i], ")")
             i += 1
             macro = ops.pop()[1]
             if macro is not None:
-                f = _unfold(*macro, f)
+                f = Macro(*macro, f)
 
 
 # ---------------------------------------------------------------------------

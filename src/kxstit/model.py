@@ -341,9 +341,6 @@ class DenseFrame:
         return out
 
     def _partition(self, partition):
-        if len(partition) == len(self.names):  # the singletons
-            cells = [1 << i for i in range(len(self.names))]
-            return cells, list(zip(cells, cells))
         index, cells, pairs = self.index, [0] * len(self.names), []
         for cell in partition:
             cm = 0
@@ -582,18 +579,18 @@ def _check_inverse(d, mode, n):
 
 
 def _check_set(d, mode, n):
-    box = d.box
-    # in bulk: every world's choice and coalition cells lie in its class
-    if all(list(map(or_, cells, box)) == box for cells in (*d.choice.values(), d.ags)):
-        return
-    for u in d.inner:
-        for a in d.agents:
-            if d.choice[a][u] & ~box[u]:
-                yield "SET", [u], f"choice cell of {a} leaves the settledness class"
-                return
-        if d.ags[u] & ~box[u]:
-            yield "SET", [u], "coalition cell leaves the settledness class"
-            return
+    # the union of each world's choice and coalition cells must lie in its
+    # class; in bulk over every world, then walked over the interior
+    families = (*d.choice.values(), d.ags)
+    union = d.ags
+    for cells in d.choice.values():
+        union = list(map(or_, union, cells))
+    bad = list(map(and_, union, map(invert, d.box)))
+    u = next((u for u in d.inner if bad[u]), None) if any(bad) else None
+    if u is not None:
+        i = next(i for i, cells in enumerate(families) if cells[u] & ~d.box[u])
+        yield "SET", [u], (f"choice cell of {d.agents[i]} leaves the settledness class"
+                           if i < len(d.agents) else "coalition cell leaves the settledness class")
 
 
 def _classes(d):

@@ -3,57 +3,12 @@ import random
 import pytest
 
 from kxstit import formula as F
-from kxstit.axioms import (SuitePolicy, _below, derived_theorem_suite, instantiate,
-                           saturating_atoms, soundness_suite)
+from kxstit.axioms import (SuitePolicy, _below, cell_bound_detector, derived_theorem_suite,
+                           instantiate, nof_detector, soundness_suite)
 from kxstit.checker import valid_on_model
 from kxstit.errors import ArityMismatch, DuplicateAgents, InvalidModelInSuite
 from kxstit.gen import GenParams, model_grid, random_model
 from kxstit.model import KripkeModel, validate_frame
-
-
-# The two detectors read a frame condition off the validity of axiom
-# instances with indicator fills; the tests below check them against the
-# frame checks.
-
-def cell_bound_detector(m, n, agent=None):
-    """True when the saturating action-cardinality instance for bound ``n``
-    is valid on ``m``; agrees with the cell-count frame check by
-    construction of the indicator fills.
-    """
-    sat, names = saturating_atoms(m)
-    verdicts = []
-    cells, atoms = (m.choice_ags, names["ags"]) if agent is None else \
-        (m.choice[agent], names["choice"][agent])
-    for box in m.r_box:
-        fills = [F.Atom(atom) for atom, cell in zip(atoms, cells) if not box.isdisjoint(cell)][:n]
-        while len(fills) < n:
-            fills.append(fills[-1])
-        name = "AgsPC" if agent is None else "APC"
-        inst = instantiate(name, fills, [agent] if agent else [], n)
-        ok, _ = valid_on_model(sat, inst)
-        verdicts.append(ok)
-    return all(verdicts)
-
-
-def nof_detector(m, agent):
-    """True when the no-forget instance built from the successor image of
-    each epistemic cell is valid; agrees with the no-forget frame check.
-    """
-    if m.pred is None:
-        return False
-    valuation = {p: set(ws) for p, ws in m.valuation.items()}
-    fills = []
-    for i, cell in enumerate(m.epistemic[agent]):
-        atom = f"_succE{i}"
-        valuation[atom] = {m.succ[w] for w in cell}
-        fills.append(F.Atom(atom))
-    sat = m.with_valuation(valuation)
-    for f in fills:
-        inst = instantiate("NoF", [f], [agent])
-        ok, _ = valid_on_model(sat, inst)
-        if not ok:
-            return False
-    return True
 
 
 p, q = F.Atom("p"), F.Atom("q")

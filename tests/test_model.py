@@ -5,8 +5,9 @@ import pytest
 
 from kxstit.errors import PartitionError, SchemaError, SuccNotTotal
 from kxstit.gen import GenParams, random_model
-from kxstit.model import (DenseFrame, KripkeModel, check_frame, load_model, make_partition,
-                          validate_frame)
+from kxstit.model import (DenseFrame, KripkeModel, _check_additivity, _check_set, check_frame,
+                          load_model, make_partition, validate_frame)
+from kxstit.transform import unravel
 
 
 def doc_of(m):
@@ -214,10 +215,10 @@ def _mutants(models, seed):
 
 
 def test_bulk_frame_checks_agree_with_the_walks(grid200, fig1a, fig1b):
-    # on a partitioned frame the checks first test each condition in bulk;
-    # read as a frame that is not known to be partitioned, the same frame
-    # takes the walks alone, and every verdict, witness and explanation
-    # must come out the same
+    # on a partitioned frame EQ, IA/CARD, NX/NA/NAGS/NOF and (on a plain
+    # frame) UNIF_H first test the condition in bulk; read as a frame that
+    # is not known to be partitioned, the same frame takes the walks alone,
+    # and every verdict, witness and explanation must come out the same
     failed = set()
     for m in _mutants([*grid200[::4], fig1a, fig1b], seed=12):
         walked = DenseFrame(m.worlds, m.agents, [m.r_box, m.choice_ags, *m.choice.values(),
@@ -229,3 +230,62 @@ def test_bulk_frame_checks_agree_with_the_walks(grid200, fig1a, fig1b):
             assert report == check_frame(walked, mode, n), (m.dumps(), mode, n)
             failed.update(c.condition for c in report.failed())
     assert failed == {"ADDITIVITY", "CARD", "IA", "NA", "NAGS", "NOF", "NX", "SET", "UNIF_H"}
+
+
+def _set_walk(d, mode, n):
+    """SET as a walk over the interior worlds, each agent, then the coalition."""
+    for u in d.inner:
+        for a in d.agents:
+            if d.choice[a][u] & ~d.box[u]:
+                return [("SET", [u], f"choice cell of {a} leaves the settledness class")]
+        if d.ags[u] & ~d.box[u]:
+            return [("SET", [u], "coalition cell leaves the settledness class")]
+    return []
+
+
+def _additivity_walk(d, mode, n):
+    """ADDITIVITY as a walk over the interior worlds."""
+    for u in d.inner:
+        inter = d.box[u]
+        for a in d.agents:
+            inter &= d.choice[a][u]
+        if mode == "actual" and d.ags[u] != inter:
+            return [("ADDITIVITY", [u],
+                     "coalition cell differs from the intersection of agent cells")]
+        if mode == "super_additive" and d.ags[u] & ~inter:
+            return [("ADDITIVITY", [u],
+                     "coalition cell not contained in the intersection of agent cells")]
+    return []
+
+
+def test_set_and_additivity_agree_with_per_world_walks(grid200, fig1a, fig1b):
+    # SET and ADDITIVITY read every world's cells in bulk and then name the
+    # first interior world that fails; a plain walk over the interior must
+    # give the same fault, on models and on windows, whose boundary worlds
+    # may fail without counting
+    frames, boundary = [], 0
+    for m in _mutants([*grid200[::4], fig1a, fig1b], seed=13):
+        frames.append(m._dense())
+        if len(m.worlds) >= 20:
+            continue
+        win = unravel(m, m.worlds[0], 1, require_valid=False)[0]
+        frames.append(win._dense())
+        # the same window with a boundary world's cells widened past its class
+        d = win._dense()
+        u = next((u for u in range(len(d.names)) if not d.interior >> u & 1), None)
+        outside = 0 if u is None else d.full & ~d.box[u]
+        if outside:
+            d.ags[u] |= outside & -outside
+            d.choice[d.agents[0]][u] |= outside & -outside
+            frames.append(d)
+            boundary += 1
+    assert boundary >= 10
+    failed = {"SET": 0, "ADDITIVITY": 0}
+    for d in frames:
+        for mode, n in (("actual", 1), ("super_additive", 2)):
+            for check, walk in ((_check_set, _set_walk), (_check_additivity, _additivity_walk)):
+                got = list(check(d, mode, n))
+                assert got == walk(d, mode, n), (d.names, mode)
+                if got:
+                    failed[got[0][0]] += 1
+    assert min(failed.values()) >= 10, failed

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -48,6 +49,27 @@ def test_grid_coverage_includes_multicycle_and_coarse_knowledge():
             coarse = True
         del classes
     assert multicycle and coarse
+
+
+def _documents_digest(models):
+    h = hashlib.sha256()
+    for m in models:
+        h.update(m.dumps().encode())
+    return h.hexdigest()
+
+
+def test_generated_model_documents_are_pinned(grid200):
+    # the sha256 of the serialized documents, in order: a change to the
+    # generator's draws or to its merge test shows up here
+    assert _documents_digest(grid200) == \
+        "467fd800e31076206871ea0f936700b4569a105bae939259cf3699c067e6bf90"
+    assert _documents_digest(model_grid(200, base_seed=5000)) == \
+        "28f9657755a9673f52132d21d9acc17f2b71057b0c67c3ced88d7c2842f0b112"
+    # every merge attempted, over five classes: the most merges tested
+    coarse = [random_model(GenParams(seed=s, agent_count=1 + s % 3, box_class_count=5,
+                                     epistemic_coarseness=1.0)) for s in range(300)]
+    assert _documents_digest(coarse) == \
+        "8d5c30a13b41caf3222aa1e389a9a6daf24934dff6c3e64a4d1a63083ae278ef"
 
 
 def test_cycle_structure_respected():

@@ -318,43 +318,3 @@ def derived_theorem_suite(models, policy=None, n_bounds=None):
             _check_instance(report, sat, model_id, "APC", sat_fills, [a], n)
     return report
 
-
-def cell_bound_detector(m, n, agent=None):
-    """True when the saturating action-cardinality instance for bound ``n``
-    is valid on ``m``; agrees with the cell-count frame check by
-    construction of the indicator fills.
-    """
-    sat, names = saturating_atoms(m)
-    verdicts = []
-    cells, atoms = (m.choice_ags, names["ags"]) if agent is None else \
-        (m.choice[agent], names["choice"][agent])
-    for box in m.r_box:
-        fills = [F.Atom(atom) for atom, cell in zip(atoms, cells) if not box.isdisjoint(cell)][:n]
-        while len(fills) < n:
-            fills.append(fills[-1])
-        name = "AgsPC" if agent is None else "APC"
-        inst = instantiate(name, fills, [agent] if agent else [], n)
-        ok, _ = valid_on_model(sat, inst)
-        verdicts.append(ok)
-    return all(verdicts)
-
-
-def nof_detector(m, agent):
-    """True when the no-forget instance built from the successor image of
-    each epistemic cell is valid; agrees with the no-forget frame check.
-    """
-    if m.pred is None:
-        return False
-    valuation = {p: set(ws) for p, ws in m.valuation.items()}
-    fills = []
-    for i, cell in enumerate(m.epistemic[agent]):
-        atom = f"_succE{i}"
-        valuation[atom] = {m.succ[w] for w in cell}
-        fills.append(F.Atom(atom))
-    sat = m.with_valuation(valuation)
-    for f in fills:
-        inst = instantiate("NoF", [f], [agent])
-        ok, _ = valid_on_model(sat, inst)
-        if not ok:
-            return False
-    return True

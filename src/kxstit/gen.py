@@ -151,15 +151,12 @@ def _random_epistemic(rng, worlds, succ, r_box, coarseness):
             box_of[w] = i
 
     def uniform_ok(cells):
+        # the epistemic cells that meet a class all meet the same classes
+        met = {}  # class -> the classes met by a cell that meets it
         for cell in cells:
             boxes = {box_of[w] for w in cell}
-            for b in boxes:
-                # every world in box b must reach every box linked from b
-                for target in boxes:
-                    for v in r_box[b]:
-                        vc = next(c for c in cells if v in c)
-                        if not any(box_of[u] == target for u in vc):
-                            return False
+            if any(met.setdefault(b, boxes) != boxes for b in boxes):
+                return False
         return True
 
     attempts = max(0, int(round(coarseness * len(worlds))))

@@ -3,12 +3,10 @@ import random
 import pytest
 
 from kxstit import formula as F
-from kxstit.axioms import (SuitePolicy, _below, cell_bound_detector, derived_theorem_suite,
-                           instantiate, nof_detector, soundness_suite)
+from kxstit.axioms import SuitePolicy, _below, derived_theorem_suite, instantiate, soundness_suite
 from kxstit.checker import valid_on_model
 from kxstit.errors import ArityMismatch, DuplicateAgents, InvalidModelInSuite
 from kxstit.gen import GenParams, model_grid, random_model
-from kxstit.model import KripkeModel, validate_frame
 
 
 p, q = F.Atom("p"), F.Atom("q")
@@ -69,51 +67,6 @@ def test_soundness_small_grid():
     models = model_grid(30, base_seed=77)
     rep = soundness_suite(models, SuitePolicy(seed=3, fills_per_schema=4), n_bounds=[2] * 30)
     assert rep.ok, rep.lines()
-
-
-def test_mutated_model_breaks_nof_and_detectors_agree():
-    m = random_model(GenParams(seed=9, agent_count=1, box_class_count=2,
-                               epistemic_coarseness=1.0, max_class_size=3))
-    a = m.agents[0]
-    assert nof_detector(m, a)
-    # delete one epistemic merge: split a single world out of a merged cell
-    cells = [set(c) for c in m.epistemic[a]]
-    big = next((c for c in cells if len(c) > 1), None)
-    if big is None:
-        pytest.skip("seed produced the identity partition")
-    w = sorted(big)[0]
-    big.remove(w)
-    cells.append({w})
-    mutated = KripkeModel(m.agents, m.worlds, m.r_box, m.succ, m.choice,
-                          {a: [sorted(c) for c in cells]}, m.choice_ags, m.valuation)
-    frame = validate_frame(mutated, "actual", 2)
-    byname = {c.condition: c for c in frame.checks}
-    assert not byname["NOF"].passed
-    assert not nof_detector(mutated, a)
-
-
-def test_apc_and_card_detectors_agree():
-    # a model whose agent has two choice cells in one class fails both the
-    # cell-count check at n=1 and the saturated APC_1 instance
-    m = KripkeModel(["a"], ["u", "v"], [["u", "v"]], {"u": "v", "v": "u"},
-                    {"a": [["u"], ["v"]]}, {"a": [["u"], ["v"]]})
-    frame = validate_frame(m, "actual", 1)
-    byname = {c.condition: c for c in frame.checks}
-    assert not byname["CARD"].passed
-    assert not cell_bound_detector(m, 1, agent="a")
-    assert not cell_bound_detector(m, 1)  # coalition cells inherit the split
-    # the same detectors accept the bound n=2
-    assert cell_bound_detector(m, 2, agent="a")
-    assert cell_bound_detector(m, 2)
-
-
-def test_detector_agreement_on_valid_models():
-    for seed in range(10):
-        m = random_model(GenParams(seed=seed, agent_count=2, box_class_count=2))
-        assert cell_bound_detector(m, 2)
-        for a in m.agents:
-            assert cell_bound_detector(m, 2, agent=a)
-            assert nof_detector(m, a)
 
 
 def test_necessitation_and_modus_ponens_preserve_validity():

@@ -1,17 +1,14 @@
 import json
-import random
 
 import pytest
+
+from conftest import mutants
 
 from kxstit.errors import PartitionError, SchemaError, SuccNotTotal
 from kxstit.gen import GenParams, random_model
 from kxstit.model import (DenseFrame, KripkeModel, _check_additivity, _check_set, check_frame,
                           load_model, make_partition, validate_frame)
 from kxstit.transform import unravel
-
-
-def doc_of(m):
-    return json.loads(m.dumps())
 
 
 def test_smallest_legal_model_loads_and_validates(one_world):
@@ -189,38 +186,13 @@ def test_with_valuation_copies_match_fresh_models(grid200, fig1a):
         fig1a.with_valuation({"p": ["nowhere"]})
 
 
-def _mutants(models, seed):
-    """Each model, then copies with two cells of a family merged, a cell
-    split, or two successors swapped, drawn from ``seed``."""
-    rng = random.Random(seed)
-    for m in models:
-        yield m
-        for _ in range(3):
-            doc = doc_of(m)
-            fam = rng.choice(["r_box", "choice_ags", "choice", "epistemic"])
-            cells = doc[fam][rng.choice(sorted(doc[fam]))] if fam in ("choice", "epistemic") \
-                else doc[fam]
-            kind = rng.randrange(3)
-            if kind == 0 and len(cells) > 1:
-                i, j = rng.sample(range(len(cells)), 2)
-                cells[i] += cells[j]
-                del cells[j]
-            elif kind == 1 and max(map(len, cells)) > 1:
-                cell = max(cells, key=len)
-                cells.append([cell.pop()])
-            else:
-                u, v = rng.sample(doc["worlds"], 2) if len(doc["worlds"]) > 1 else doc["worlds"] * 2
-                doc["succ"][u], doc["succ"][v] = doc["succ"][v], doc["succ"][u]
-            yield load_model(json.dumps(doc))
-
-
 def test_bulk_frame_checks_agree_with_the_walks(grid200, fig1a, fig1b):
     # on a partitioned frame EQ, IA/CARD, NX/NA/NAGS/NOF and (on a plain
     # frame) UNIF_H first test the condition in bulk; read as a frame that
     # is not known to be partitioned, the same frame takes the walks alone,
     # and every verdict, witness and explanation must come out the same
     failed = set()
-    for m in _mutants([*grid200[::4], fig1a, fig1b], seed=12):
+    for m in mutants([*grid200[::4], fig1a, fig1b], seed=12):
         walked = DenseFrame(m.worlds, m.agents, [m.r_box, m.choice_ags, *m.choice.values(),
                                                  *m.epistemic.values()], m.succ, m.pred or {},
                             m.valuation)
@@ -264,7 +236,7 @@ def test_set_and_additivity_agree_with_per_world_walks(grid200, fig1a, fig1b):
     # give the same fault, on models and on windows, whose boundary worlds
     # may fail without counting
     frames, boundary = [], 0
-    for m in _mutants([*grid200[::4], fig1a, fig1b], seed=13):
+    for m in mutants([*grid200[::4], fig1a, fig1b], seed=13):
         frames.append(m._dense())
         if len(m.worlds) >= 20:
             continue

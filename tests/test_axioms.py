@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from test_correspondence import detector_models, schemas_valid
+
 from kxstit import formula as F
 from kxstit.axioms import SuitePolicy, _below, derived_theorem_suite, instantiate, soundness_suite
 from kxstit.checker import valid_on_model
 from kxstit.errors import ArityMismatch, DuplicateAgents, InvalidModelInSuite
 from kxstit.gen import GenParams, model_grid, random_model
+from kxstit.model import validate_frame
 
 
 p, q = F.Atom("p"), F.Atom("q")
@@ -67,6 +70,34 @@ def test_soundness_small_grid():
     models = model_grid(30, base_seed=77)
     rep = soundness_suite(models, SuitePolicy(seed=3, fills_per_schema=4), n_bounds=[2] * 30)
     assert rep.ok, rep.lines()
+
+
+def _passes(m, cond, n):
+    return {c.condition: c.passed for c in validate_frame(m, "actual", n).checks}[cond]
+
+
+def test_mutated_model_breaks_nof_and_detectors_agree():
+    # the seed-9 model, then a copy with one world split out of a merged
+    # epistemic cell: the NOF check and the NoF schemas both reject the copy
+    m, split = detector_models()[10:12]
+    for model, ok in ((m, True), (split, False)):
+        assert _passes(model, "NOF", 2) is ok
+        assert schemas_valid(model, "NOF", 2) is ok
+
+
+def test_apc_and_card_detectors_agree():
+    # an agent with two choice cells in one class fails the cell-count check
+    # and the saturated APC_1 and AgsPC_1 instances at n=1, and passes at n=2
+    m = detector_models()[12]
+    for n, ok in ((1, False), (2, True)):
+        assert _passes(m, "CARD", n) is ok
+        assert schemas_valid(m, "CARD", n) is ok
+
+
+def test_detector_agreement_on_valid_models():
+    for m in detector_models()[:11]:
+        assert validate_frame(m, "actual", 2).ok
+        assert schemas_valid(m, "CARD", 2) and schemas_valid(m, "NOF", 2)
 
 
 def test_necessitation_and_modus_ponens_preserve_validity():

@@ -94,11 +94,18 @@ ROWS = {
 }
 
 
-def _detector_inputs():
-    """The models of the tests that the table replaced: ten valid models;
-    the seed-9 one-agent model, then a copy with one world split out of a
-    merged epistemic cell (NOF fails); and a two-world model whose agent has
-    two choice cells in one class (CARD fails at n=1, passes at n=2)."""
+def schemas_valid(m, cond, n):
+    """Whether every instance of ``cond``'s schemas, filled minimally, is
+    valid on ``m``."""
+    sat, fills = _minimal_fill(m)
+    return all(valid_on_model(sat, f)[0] for f in ROWS[cond](m, fills, n))
+
+
+def detector_models():
+    """The models of the detector tests in ``test_axioms.py``: ten valid
+    models; the seed-9 one-agent model, then a copy with one world split out
+    of a merged epistemic cell (NOF fails); and a two-world model whose agent
+    has two choice cells in one class (CARD fails at n=1, passes at n=2)."""
     models = [random_model(GenParams(seed=seed, agent_count=2, box_class_count=2))
               for seed in range(10)]
     m = random_model(GenParams(seed=9, agent_count=1, box_class_count=2,
@@ -117,9 +124,8 @@ def _detector_inputs():
 
 
 def test_each_condition_matches_its_schemas(fig1a, fig1b):
-    inputs = _detector_inputs()
     models = [*mutants([*model_grid(120, base_seed=2000), fig1a, fig1b], seed=2000, count=5),
-              *inputs]
+              *detector_models()]
     failed = dict.fromkeys([*ROWS, "CARD@2"], 0)
     for m in models:
         sat, fills = _minimal_fill(m)
@@ -133,11 +139,6 @@ def test_each_condition_matches_its_schemas(fig1a, fig1b):
                 assert valid == passed[cond], (cond, n, m.dumps())
                 failed[cond if n == 1 else "CARD@2"] += not valid
     assert min(failed.values()) >= 10, failed
-    # the replaced tests' verdicts
-    assert all(validate_frame(m, "actual", 2).ok for m in inputs[:11])
-    fails = lambda m, n: {c.condition for c in validate_frame(m, "actual", n).failed()}
-    assert "NOF" in fails(inputs[11], 2)
-    assert "CARD" in fails(inputs[12], 1) and "CARD" not in fails(inputs[12], 2)
 
 
 def _renamed(m, names):

@@ -111,8 +111,8 @@ def valid_on_model(m, f):
     """(True, None) when ``f`` holds at every world, else (False, least
     world where it fails) in the canonical world order.
     """
-    mask, _ = _truth_mask(m, f)
-    failing = m._dense().full & ~mask
+    d = m._dense()
+    failing = d.full & ~_truth_mask(m, f, d=d)[0]
     if not failing:
         return True, None
     return False, m.worlds[(failing & -failing).bit_length() - 1]
@@ -120,6 +120,7 @@ def valid_on_model(m, f):
 
 _UNARY = {F.Not, F.Box, F.Diamond, F.Next, F.Yesterday, F.Stit, F.StitAgs, F.Knows,
           F.CommonKnows}
+_CLOSE = object()  # below it on the walk's stack: a node whose children are done
 
 
 def _quantify(pairs, bad):
@@ -136,10 +137,12 @@ def _truth_mask(m, f, bound=None, d=None):
     window ``m`` (by default ``m._dense()``): bit i of the mask stands for
     world ``m.worlds[i]``.
 
-    One post-order walk on an explicit stack: a node is evaluated once its
-    children are in the table, left child first, and a subformula already in
-    the table is not walked again.  A macro node takes the mask of its
-    definition, unfolded where it is met.
+    One post-order walk on an explicit stack, left child first, with the
+    children's masks on a second stack.  Each node object is evaluated once,
+    by identity: the memo is keyed by ``id``, so equal subtrees built apart
+    are evaluated once each.  A macro node takes the mask of its definition,
+    unfolded where it is met and kept until the walk ends, so that no id is
+    reused.
 
     With a ``bound`` the frame is a window of layers [-bound, bound]: each
     node also gets its temporal reach (forward, backward), the one
@@ -153,24 +156,34 @@ def _truth_mask(m, f, bound=None, d=None):
         d = m._dense()
     full = d.full
     windowed = bound is not None
-    table = {}
-    reach = {}
+    memo = {}   # id(node) -> mask
+    reach = {}  # id(node) -> (forward, backward), windowed only
     fits = {}
-    stack = [f]
+    defs = {}   # id(macro) -> its definition, alive until the walk ends
+    masks, stack = [], [f]
     while stack:
-        g = stack[-1]
-        if g in table:
-            stack.pop()
+        g = stack.pop()
+        closing = g is _CLOSE
+        if closing:
+            g = stack.pop()
+        elif id(g) in memo:
+            masks.append(memo[id(g)])
             continue
         t = type(g)
         if t is F.Atom:
             v = d.atoms.get(g.name, 0)
+        elif not closing:
+            if t in _UNARY:
+                stack += g, _CLOSE, g.child
+            elif t in F.BINARY:
+                stack += g, _CLOSE, g.right, g.left
+            elif t is F.Macro:
+                stack += g, _CLOSE, defs.setdefault(id(g), F._unfold(g.name, g.agent, g.child))
+            else:
+                raise TypeError(f"cannot evaluate {g!r}")
+            continue
         elif t in _UNARY:
-            c = g.child
-            child = table.get(c)
-            if child is None:
-                stack.append(c)
-                continue
+            child = masks.pop()
             if t is F.Not:
                 v = full & ~child
             elif t is F.Next or t is F.Yesterday:
@@ -196,59 +209,46 @@ def _truth_mask(m, f, bound=None, d=None):
                     raise TypeError(f"cannot evaluate {g!r}")
                 else:
                     pairs = [(c, c) for c in map(d.mask, set(map(m.common_cell, m.worlds)))]
-                fit = full
-                if windowed:
-                    fit = fits.get(reach[c])
-                    if fit is None:
-                        fit = fits[reach[c]] = d.fit(reach[c], bound)
+                fit = fits.get(reach[id(g.child)]) if windowed else full
+                if fit is None:
+                    r = reach[id(g.child)]
+                    fit = fits[r] = d.fit(r, bound)
                 if t is F.Diamond:
                     v = full & ~_quantify(pairs, fit & child)
                 else:
                     v = _quantify(pairs, fit & ~child)
-        elif t in F.BINARY:
-            left = table.get(g.left)
-            right = table.get(g.right)
-            if left is None or right is None:
-                if right is None:
-                    stack.append(g.right)
-                if left is None:
-                    stack.append(g.left)
-                continue
+        elif t is F.Macro:
+            v = masks.pop()
+        else:
+            right = masks.pop()
+            left = masks.pop()
             if t is F.And:
                 v = left & right
             elif t is F.Implies:
                 v = (full & ~left) | right
             else:
                 v = left | right
-        elif t is F.Macro:
-            unfolded = F._unfold(g.name, g.agent, g.child)
-            v = table.get(unfolded)
-            if v is None:
-                stack.append(unfolded)
-                continue
-        else:
-            raise TypeError(f"cannot evaluate {g!r}")
-        table[g] = v
+        memo[id(g)] = v
+        masks.append(v)
         if windowed:
             # forward and backward reach, as formula.depth_profile counts them
             if t is F.Atom:
-                reach[g] = 0, 0
+                reach[id(g)] = 0, 0
             elif t in F.BINARY:
-                (lf, lb), (rf, rb) = reach[g.left], reach[g.right]
-                reach[g] = max(lf, rf), max(lb, rb)
+                (lf, lb), (rf, rb) = reach[id(g.left)], reach[id(g.right)]
+                reach[id(g)] = max(lf, rf), max(lb, rb)
             elif t is F.Macro:
-                reach[g] = reach[unfolded]
+                reach[id(g)] = reach[id(defs[id(g)])]
             else:
-                fwd, bwd = reach[g.child]
-                reach[g] = ((fwd + 1, max(bwd - 1, 0)) if t is F.Next else
-                            (max(fwd - 1, 0), bwd + 1) if t is F.Yesterday else (fwd, bwd))
+                fwd, bwd = reach[id(g.child)]
+                r = reach[id(g)] = ((fwd + 1, max(bwd - 1, 0)) if t is F.Next else
+                                    (max(fwd - 1, 0), bwd + 1) if t is F.Yesterday else (fwd, bwd))
                 if (t is F.Next or t is F.Yesterday) and gaps:
-                    gap = gaps & d.fit(reach[g], bound)
+                    gap = gaps & d.fit(r, bound)
                     if gap:
                         raise DepthExceedsWindow(f"{'succ' if t is F.Next else 'pred'} "
                                                  f"undefined at {d.names[_low(gap)]}")
-        stack.pop()
-    return table[f], reach[f] if windowed else None
+    return masks[0], reach[id(f)] if windowed else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The bitset walk (``checker._truth_mask``) on shapes that the random
 suites rarely draw: sibling macros, shared deep DAGs and windows with
-several undefined steps; and truth along accepted bounded morphisms.
+several undefined steps; that it hashes no formula node; and truth along
+accepted bounded morphisms.
 
 The module needs neither pytest nor hypothesis, so it also runs as a plain
 script: ``PYTHONPATH=src python tests/test_walk.py``.
@@ -51,6 +52,26 @@ def test_sibling_macros_with_different_bodies(fig1a):
     for seed in range(200):
         f = _six_macros(seed, props, agents)
         assert extension(fig1a, f) == extension(fig1a, F.expand_macros(f)), F.to_text(f)
+
+
+def test_walk_hashes_no_formula(fig1a, one_world):
+    # the memo is keyed by node identity, so no Formula.__hash__ runs
+    calls = []
+    hashed = F.Formula.__hash__
+    F.Formula.__hash__ = lambda g: calls.append(g) or hashed(g)
+    try:
+        props, agents = sorted(fig1a.valuation), list(fig1a.agents)
+        formulas = [_six_macros(seed, props, agents) for seed in range(10)]
+        assert hash(formulas[0]) == hashed(formulas[0]) and calls, "the wrapper is not called"
+        calls.clear()
+        for f in formulas:
+            extension(fig1a, f)
+            valid_on_model(fig1a, f)
+        win, _ = unravel(one_world, "w", 2)
+        window_eval(win, "w;1", F.Macro("ExPost", "a", F.parse("p & Y p")))
+    finally:
+        F.Formula.__hash__ = hashed
+    assert calls == []
 
 
 def test_shared_dag_is_walked_once_per_node(one_world):

@@ -120,7 +120,7 @@ def valid_on_model(m, f):
 
 _UNARY = {F.Not, F.Box, F.Diamond, F.Next, F.Yesterday, F.Stit, F.StitAgs, F.Knows,
           F.CommonKnows}
-_CLOSE = object()  # below it on the walk's stack: a node whose children are done
+_CLOSE = object()  # on the walk's stack above a node; popped once its children are done
 
 
 def _quantify(pairs, bad):

@@ -1,5 +1,5 @@
-"""Digests of what the parser, the scenario loader and compiler, and the
-``report`` command give on seeded input corpora, faulty inputs included, so
+"""Digests of what the parser, the model loader, the scenario loader and
+compiler, and the ``report`` command give on seeded input corpora, faulty inputs included, so
 that a rewrite of any of them that moves a tree, a compiled document, an
 error's class, message, offset or expected set, or a report line shows up.
 Each digest is the sha256 of the JSON dump of the records listed in its
@@ -15,7 +15,8 @@ import re
 from kxstit import cli
 from kxstit import formula as F
 from kxstit.errors import KxstitError
-from kxstit.gen import random_formula
+from kxstit.gen import model_grid, random_formula
+from kxstit.model import load_model
 from kxstit.scenario import bdt_to_kripke, figure1_scenario, load_scenario
 
 
@@ -229,6 +230,91 @@ def test_scenario_corpus_results_are_pinned():
     assert kinds == {"ok", "SchemaError", "independence_of_agency",
                      "no_choice_between_undivided_histories", "no_forget"}, kinds
     assert _digest(records) == "7fa14c39e452c89e1a03077ef6d05e11436fec702ddf578a070ece3ef6d2c6b5"
+
+
+# ---------------------------------------------------------------------------
+# model corpus
+
+# planted faults of a model document's cells: an unknown id, an overlap, a
+# world left out, an empty cell, ids of other JSON types, and a repeated id
+# (read as one today)
+CELL_FAULTS = ("unknown", "overlap", "missing", "empty", "int", "null", "float", "bool", "repeat")
+DOC_FAULTS = ("world_int", "world_twice", "succ_missing", "succ_unknown", "valuation_unknown",
+              "agent_missing", "agents_repeated")
+
+
+def _cell_lists(doc):
+    """The cell lists of a model document's partitions."""
+    return [doc["r_box"], doc.get("choice_ags"), *(doc["choice"][a] for a in sorted(doc["choice"])),
+            *(doc["epistemic"][a] for a in sorted(doc["epistemic"]))]
+
+
+def _plant_cell_fault(rng, cells, fault):
+    cell = cells[rng.randrange(len(cells))]
+    if fault == "unknown":
+        cell.insert(rng.randrange(len(cell) + 1), "ghost")
+    elif fault == "overlap":
+        cells.insert(rng.randrange(len(cells) + 1), [rng.choice(cell)])
+    elif fault == "missing":
+        cell.remove(rng.choice(cell))
+    elif fault == "empty":
+        cells.insert(rng.randrange(len(cells) + 1), [])
+    elif fault == "repeat":
+        cell.append(rng.choice(cell))
+    else:
+        cell.append({"int": 7, "null": None, "float": 1.5, "bool": True}[fault])
+
+
+def random_model_doc(models, seed):
+    """A model document drawn from ``seed``: one of ``models`` as a document,
+    half of them without their coalition cells (so the loader refines
+    them), and about two in three with a planted fault in one cell list
+    or in the worlds, successors, valuation or agents."""
+    rng = random.Random(seed)
+    doc = models[rng.randrange(len(models))].to_doc()
+    if rng.random() < 0.5:
+        del doc["choice_ags"]
+    if rng.random() < 0.35:
+        return doc
+    if rng.random() < 0.7:
+        cells = rng.choice([c for c in _cell_lists(doc) if c])
+        _plant_cell_fault(rng, cells, rng.choice(CELL_FAULTS))
+        return doc
+    fault = rng.choice(DOC_FAULTS)
+    worlds = doc["worlds"]
+    w = rng.choice(worlds)
+    if fault == "world_int":
+        worlds[worlds.index(w)] = 3
+    elif fault == "world_twice":
+        worlds.append(w)
+    elif fault == "succ_missing":
+        del doc["succ"][w]
+    elif fault == "succ_unknown":
+        doc["succ"][w] = "ghost"
+    elif fault == "valuation_unknown":
+        doc["valuation"]["p"] = [w, "ghost"]
+    elif fault == "agent_missing":
+        del doc[rng.choice(["choice", "epistemic"])][rng.choice(doc["agents"])]
+    else:
+        doc["agents"].append(doc["agents"][0])
+    return doc
+
+
+def _model_record(doc):
+    try:
+        return ["ok", hashlib.sha256(load_model(json.dumps(doc)).dumps().encode()).hexdigest()]
+    except KxstitError as e:
+        return [type(e).__name__, str(e)]
+
+
+def test_model_corpus_results_are_pinned(fig1a, fig1b):
+    models = [*model_grid(40, base_seed=3000), fig1a, fig1b]
+    records = [_model_record(random_model_doc(models, seed)) for seed in range(600)]
+    records += [_model_record(m.to_doc()) for m in models]
+    kinds = {r[0] for r in records}
+    assert kinds == {"ok", "SchemaError", "PartitionError", "SuccNotTotal"}, kinds
+    assert sum(r[0] == "ok" for r in records) > 250
+    assert _digest(records) == "28ef1d821b0f0975caa309bcceaa38ed3f8165dff1408d7f1c2fadcb1ee7e760"
 
 
 # ---------------------------------------------------------------------------

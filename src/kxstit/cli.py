@@ -18,7 +18,7 @@ from . import formula as F
 from .axioms import SuitePolicy, derived_theorem_suite, soundness_suite
 from .checker import eval_formula, knowledge_report
 from .dot import to_dot
-from .errors import KxstitError
+from .errors import KxstitError, SchemaError
 from .gen import GenParams, model_grid, random_model
 from .model import load_model, read_document, validate_frame
 from .scenario import bdt_to_kripke, figure1_scenario, load_scenario
@@ -26,8 +26,12 @@ from .transform import MAX_MATRIX_WORLDS, actualize, check_bounded_morphism, unr
 
 
 def _read_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = read_document(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"not valid UTF-8: {e}") from None
+    doc = read_document(text)
     if isinstance(doc, dict) and "moments" in doc:
         return bdt_to_kripke(load_scenario(doc))
     return load_model(doc)

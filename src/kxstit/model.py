@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from operator import and_, eq, invert, itemgetter, ne, or_
 from collections import Counter
-from itertools import chain, product
+from collections.abc import Mapping
+from itertools import chain, product, repeat
 from math import prod
 
 from .errors import PartitionError, SchemaError, SuccNotTotal
@@ -55,18 +56,18 @@ def by_id(x):
 
 
 def make_partition(cells, universe, what):
-    """Normalize and check a partition: non-empty pairwise-disjoint cells
-    covering ``universe`` exactly, sorted by least world.
+    """The cells as a list of frozensets, checked to be non-empty, pairwise
+    disjoint and to cover ``universe`` exactly.
 
     A partition is accepted in one bulk test; the cell-by-cell walk runs only
     to name the first faulty cell.
     """
     try:
-        norm = [frozenset(c) for c in cells]
+        norm = list(map(frozenset, cells))
     except TypeError:
         raise SchemaError(f"{what}: cells must hold ids, not lists or objects") from None
     if is_partition(norm, universe):
-        return tuple(sorted(norm, key=min))
+        return norm
     seen = set()
     for fs in norm:
         if not fs:
@@ -80,32 +81,59 @@ def make_partition(cells, universe, what):
     raise PartitionError(f"{what}: worlds not covered: {sorted(universe - seen)}")
 
 
-class Structure:
-    """Worlds and one relation store: ``rel`` maps each family name (as in
-    ``family_names``) to {world: its cell}, the frozenset of its mates.
-    Models and windows answer the cell lookups from it alike; per-agent maps
-    of the choice and knowledge families let a lookup skip building the
-    family name.
+class Partitions(Mapping):
+    """A model's checked partitions by family name, as in ``family_names``.
+    Looking a family up gives {world: its cell}, so a model's ``rel`` reads
+    as a window's plain dict does; ``order`` gives the family's cells sorted
+    by least world.  Each is built on first use and kept, and a model's
+    ``with_valuation`` copies share them.
     """
 
-    def _keep(self, relations):
-        """Store ``relations``, one map per family in ``family_names`` order."""
-        k = len(self.agents)
-        self.rel = dict(zip(family_names(self.agents), relations))
-        self._choice_rel = dict(zip(self.agents, relations[2:2 + k]))
-        self._epi_rel = dict(zip(self.agents, relations[2 + k:]))
+    __slots__ = ("cells", "maps", "orders")
+
+    def __init__(self, cells):
+        self.cells, self.maps, self.orders = cells, {}, {}
+
+    def __getitem__(self, name):
+        cells = self.maps.get(name)
+        if cells is None:
+            cells = self.maps[name] = {w: cell for cell in self.cells[name] for w in cell}
+        return cells
+
+    def __contains__(self, name):
+        return name in self.cells
+
+    def __iter__(self):
+        return iter(self.cells)
+
+    def __len__(self):
+        return len(self.cells)
+
+    def order(self, name):
+        cells = self.orders.get(name)
+        if cells is None:
+            cells = self.orders[name] = tuple(sorted(self.cells[name], key=min))
+        return cells
+
+
+class Structure:
+    """Worlds and one relation store: ``rel`` maps each family name (as in
+    ``family_names``) to {world: its cell}, the frozenset of its mates.  A
+    window's ``rel`` is a plain dict and a model's its ``Partitions``; both
+    answer the cell lookups alike.
+    """
 
     def box_cell(self, w):
         return self.rel["box"][w]
 
     def choice_cell(self, agent, w):
-        return self._choice_rel[agent][w]
+        return self.rel[f"choice:{agent}"][w]
 
     def ags_cell(self, w):
         return self.rel["ags"][w]
 
     def epi_cell(self, agent, w):
-        return self._epi_rel[agent][w]
+        return self.rel[f"epi:{agent}"][w]
 
     def holds(self, prop, w):
         return w in self.valuation.get(prop, frozenset())
@@ -140,16 +168,13 @@ def _checked_valuation(valuation, universe):
     return out
 
 
-def _cells_of(partition):
-    return {w: cell for cell in partition for w in cell}
-
-
 class KripkeModel(Structure):
     """Finite Kripke-exstit structure.
 
     Structural well-formedness (partitions cover, successor total) is enforced
-    at construction; frame validity is a separate concern checked by
-    ``validate_frame``.
+    at construction; each family's cell map and its cells in order of least
+    world are built on first use (``Partitions``).  Frame validity is a
+    separate concern checked by ``validate_frame``.
     """
 
     def __init__(self, agents, worlds, r_box, succ, choice, epistemic,
@@ -160,18 +185,20 @@ class KripkeModel(Structure):
         # ids must be strings: they are sorted here, and window validation
         # reads the least id of a set as the lowest bit of its mask
         worlds = tuple(worlds)
-        odd = next((w for w in worlds if not isinstance(w, str)), None)
-        if odd is not None:
+        if not all(map(isinstance, worlds, repeat(str))):
+            odd = next(w for w in worlds if not isinstance(w, str))
             raise SchemaError(f"world ids must be strings, got {odd!r}")
         self.worlds = tuple(sorted(worlds))
         if len(set(self.worlds)) != len(self.worlds) or not self.worlds:
             raise SchemaError("worlds must be a non-empty list of distinct ids")
         universe = frozenset(self.worlds)
-
-        self.r_box = make_partition(r_box, universe, "r_box")
+        # every family is checked here; its map and order are built on first use
+        names = family_names(self.agents)
+        cells = dict.fromkeys(names)
+        cells["box"] = make_partition(r_box, universe, "r_box")
 
         self.succ = dict(succ)
-        missing = universe - set(self.succ)
+        missing = universe.difference(self.succ)
         if missing:
             raise SuccNotTotal(f"succ missing for {sorted(missing)}")
         if len(self.succ) != len(universe) or not universe.issuperset(self.succ.values()):
@@ -179,47 +206,43 @@ class KripkeModel(Structure):
             raise SchemaError(f"succ references unknown worlds: {bad}")
         # pred is defined only when succ is a bijection; validation reports
         # the failure, evaluation of Y requires invertibility
-        self.pred = None
-        if len(set(self.succ.values())) == len(self.worlds):
-            self.pred = dict(zip(self.succ.values(), self.succ))
+        self.pred = dict(zip(self.succ.values(), self.succ))
+        if len(self.pred) != len(self.worlds):
+            self.pred = None
 
-        self.choice = {}
-        for a in self.agents:
-            if a not in choice:
-                raise SchemaError(f"choice partition missing for agent {a}")
-            self.choice[a] = make_partition(choice[a], universe, f"choice[{a}]")
+        k = len(self.agents)
+        for what, table, fams in (("choice", choice, names[2:2 + k]),
+                                  ("epistemic", epistemic, names[2 + k:])):
+            for a, name in zip(self.agents, fams):
+                if a not in table:
+                    raise SchemaError(f"{what} partition missing for agent {a}")
+                cells[name] = make_partition(table[a], universe, f"{what}[{a}]")
 
-        self.epistemic = {}
-        for a in self.agents:
-            if a not in epistemic:
-                raise SchemaError(f"epistemic partition missing for agent {a}")
-            self.epistemic[a] = make_partition(epistemic[a], universe, f"epistemic[{a}]")
-
-        box = _cells_of(self.r_box)
-        choices = [_cells_of(self.choice[a]) for a in self.agents]
-        if choice_ags is None:
-            self.choice_ags = self._refine_choice_ags([box, *choices])
-        else:
-            self.choice_ags = make_partition(choice_ags, universe, "choice_ags")
-        self._keep([box, _cells_of(self.choice_ags), *choices,
-                    *(_cells_of(self.epistemic[a]) for a in self.agents)])
-
+        self.rel = Partitions(cells)
+        cells["ags"] = (self._refine_choice_ags() if choice_ags is None else
+                        make_partition(choice_ags, universe, "choice_ags"))
         self.valuation = _checked_valuation(valuation, universe)
         self._frame_reports = {}
         self._common_cells = None
         self._frame = None
 
-    def _refine_choice_ags(self, families):
+    # the partitions, each sorted by least world
+    r_box = property(lambda self: self.rel.order("box"))
+    choice_ags = property(lambda self: self.rel.order("ags"))
+    choice = property(lambda self: {a: self.rel.order(f"choice:{a}") for a in self.agents})
+    epistemic = property(lambda self: {a: self.rel.order(f"epi:{a}") for a in self.agents})
+
+    def _refine_choice_ags(self):
         """Common refinement of the per-agent partitions restricted to each
         settledness class (the default grand-coalition partition), from the
-        box and choice cell maps ``families``.
+        box and choice cell maps.
         """
+        families = [self.rel["box"], *(self.rel[f"choice:{a}"] for a in self.agents)]
         keys = zip(*(map(cells.__getitem__, self.worlds) for cells in families))
         cells = {}
         for w, key in zip(self.worlds, keys):
             cells.setdefault(key, []).append(w)
-        # worlds are sorted, so cells come in order of their least world
-        return tuple(map(frozenset, cells.values()))
+        return list(map(frozenset, cells.values()))
 
     def common_cell(self, w):
         """Cell of w under the reflexive-transitive closure of the union of
@@ -227,13 +250,14 @@ class KripkeModel(Structure):
         """
         if self._common_cells is None:
             self._common_cells = {}
+            epis = [self.rel[f"epi:{a}"] for a in self.agents]
             for start in self.worlds:
                 if start in self._common_cells:
                     continue
                 group, todo = {start}, [start]
                 while todo:
                     x = todo.pop()
-                    for cells in self._epi_rel.values():
+                    for cells in epis:
                         todo.extend(cells[x] - group)
                         group |= cells[x]
                 cell = frozenset(group)
@@ -243,17 +267,17 @@ class KripkeModel(Structure):
     def _dense(self):
         """The model's dense frame, built on first use."""
         if self._frame is None:
-            partitions = [self.r_box, self.choice_ags, *(self.choice[a] for a in self.agents),
-                          *(self.epistemic[a] for a in self.agents)]
+            partitions = list(map(self.rel.order, self.rel))
             self._frame = DenseFrame(self.worlds, self.agents, partitions, self.succ,
                                       self.pred or {}, self.valuation)
         return self._frame
 
     def with_valuation(self, valuation):
         """Copy of this model with a replaced valuation.  The copy shares
-        this model's checked partitions, cell maps and successor maps, and
-        checks only the new valuation; it builds its own dense frame and
-        frame reports on first use."""
+        this model's checked partitions, with the cell maps and orders built
+        from them so far or later, and its successor maps, and checks only
+        the new valuation; it builds its own dense frame and frame reports
+        on first use."""
         copy = object.__new__(type(self))
         copy.__dict__.update(self.__dict__)
         copy.valuation = _checked_valuation(valuation, frozenset(self.worlds))

@@ -24,6 +24,7 @@ from .model import (FORMAT_VERSION, KripkeModel, by_id, cell_list, cell_map, che
                     table_of)
 
 import json
+from itertools import product
 from math import prod
 
 
@@ -307,15 +308,24 @@ def bdt_to_kripke(scenario):
     box = {m: frozenset(row.values()) for m, row in at.items()}
     r_box = [*box.values(), *stutter_cells]
 
-    choice = {}
+    choice, splits = {}, {}  # splits: moment -> the tables of the agents who split it
     for a in s.agents:
         cells = list(stutter_cells)
         for m, part in s.choice_at[a].items():
             if len(part) == 1:
                 cells.append(box[m])
             else:
+                splits.setdefault(m, []).append(part)
                 cells.extend(frozenset(map(at[m].__getitem__, cell)) for cell in part)
         choice[a] = cells
+    # a coalition cell is a moment's class where no agent splits it, and
+    # else one selection of a cell per splitting agent, which meet by
+    # independence of agency; a stutter class is every agent's one cell
+    choice_ags = [*stutter_cells, *(box[m] for m in s.moments if m not in splits)]
+    for m, parts in splits.items():
+        row = at[m]
+        choice_ags.extend(frozenset(map(row.__getitem__, frozenset.intersection(*sel)))
+                          for sel in product(*parts))
 
     # stutter layers mirror the adjacent real layer, never linking to it
     epistemic = {}
@@ -332,7 +342,7 @@ def bdt_to_kripke(scenario):
                  for prop, sits in s.valuation_sit.items()}
 
     return KripkeModel(s.agents, [*s.situations, *pre, *post], r_box, succ, choice, epistemic,
-                       choice_ags=None, valuation=valuation)
+                       choice_ags, valuation)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ class WindowModel(Structure):
         self.root = root
         self.succ = dict(succ)
         self.pred = dict(pred)
-        self._keep([rel[name] for name in family_names(self.agents)])
+        self.rel = {name: rel[name] for name in family_names(self.agents)}
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
         self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
         self.tables = tables  # least world of a source class -> ChoiceProfileTable
@@ -93,8 +93,9 @@ def unravel(m, root, horizon, require_valid=True):
     if m.pred is None:
         raise InvalidModel("successor map is not invertible")
     if require_valid:
+        families = (m.choice_ags, *m.choice.values())
         n = max(sum(not box.isdisjoint(cell) for cell in cells) for box in m.r_box
-                for cells in (m.choice_ags, *m.choice.values()))
+                for cells in families)
         report = validate_frame(m, "super_additive", n)
         if not report.ok:
             raise InvalidModel(

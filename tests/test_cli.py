@@ -120,6 +120,34 @@ def test_validate_non_string_world_ids_is_schema_error(tmp_path, capsys):
     assert record["error"] == "SchemaError" and "world ids must be strings" in record["message"]
 
 
+def test_validate_null_world_id_is_schema_error(tmp_path, capsys):
+    # a null id is an id that is not a string, not the absence of one
+    path = tmp_path / "null.model"
+    doc = _fig1a_doc()
+    doc["worlds"][0] = None
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--world", "m1_h1", "--formula", "p"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "SchemaError", "message": "world ids must be strings, got None"}
+
+
+@pytest.mark.parametrize("kind", ["model", "scenario"])
+def test_file_that_is_not_utf8_is_schema_error(tmp_path, capsys, kind):
+    text = json.dumps(_fig1a_doc(scenario=kind == "scenario")).encode()
+    bad, bom = tmp_path / f"bad.{kind}", tmp_path / f"bom.{kind}"
+    bad.write_bytes(b"\xff\xfe" + text)
+    bom.write_bytes(b"\xef\xbb\xbf" + text)
+    assert main(["check", str(bad), "--world", "m1_h1", "--formula", "p"]) == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "SchemaError", "message": "not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                           "in position 0: invalid start byte"}
+    # a UTF-8 byte-order mark decodes, and the JSON reader refuses it
+    assert main(["check", str(bom), "--world", "m1_h1", "--formula", "p"]) == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "SchemaError", "message": "not valid JSON: Unexpected UTF-8 BOM (decode using "
+                                           "utf-8-sig): line 1 column 1 (char 0)"}
+
+
 def test_check_too_deep_formula_is_internal_error(fig1a_path, capsys):
     formula = "~" * 2000 + "p"
     assert main(["check", fig1a_path, "--world", "m1_h1", "--formula", formula]) == 2

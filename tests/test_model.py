@@ -5,9 +5,10 @@ import pytest
 from conftest import mutants
 
 from kxstit.errors import PartitionError, SchemaError, SuccNotTotal
-from kxstit.gen import GenParams, random_model
+from kxstit.gen import GenParams, model_grid, random_model
 from kxstit.model import (DenseFrame, KripkeModel, _check_additivity, _check_set, check_frame,
-                          load_model, make_partition, validate_frame)
+                          family_names, load_model, make_partition, validate_frame)
+from kxstit.scenario import bdt_to_kripke, figure1_scenario
 from kxstit.transform import unravel
 
 
@@ -261,3 +262,128 @@ def test_set_and_additivity_agree_with_per_world_walks(grid200, fig1a, fig1b):
                 if got:
                     failed[got[0][0]] += 1
     assert min(failed.values()) >= 10, failed
+
+
+# A model checks every partition at load and builds each family's cell map
+# and order on first use.  The probes below each touch one of those first.
+PROBES = {
+    "box_cell": lambda m: m.box_cell(m.worlds[0]),
+    "choice_cell": lambda m: m.choice_cell(m.agents[-1], m.worlds[-1]),
+    "ags_cell": lambda m: m.ags_cell(m.worlds[-1]),
+    "epi_cell": lambda m: m.epi_cell(m.agents[0], m.worlds[0]),
+    "rel": lambda m: m.rel[f"epi:{m.agents[-1]}"],
+    "rel.items": lambda m: dict(m.rel.items()),
+    "r_box": lambda m: m.r_box,
+    "choice_ags": lambda m: m.choice_ags,
+    "choice": lambda m: m.choice,
+    "epistemic": lambda m: m.epistemic,
+    "common_cell": lambda m: m.common_cell(m.worlds[-1]),
+    "to_doc": lambda m: m.to_doc(),
+    "dense": lambda m: m._dense(),
+}
+
+
+def _eager(m):
+    """Each family's cells sorted by least world and its map from world to
+    cell, built at once from the checked cells of a model that has not been
+    read yet."""
+    order = {name: tuple(sorted(cells, key=min)) for name, cells in m.rel.cells.items()}
+    return order, {name: {w: c for c in cells for w in c} for name, cells in order.items()}
+
+
+def _assert_built_as_eager(m, order, rel):
+    names = list(family_names(m.agents))
+    assert list(m.rel) == names and len(m.rel) == len(names) and "ags" in m.rel
+    assert {name: m.rel[name] for name in names} == rel and m.rel == rel
+    assert (m.r_box, m.choice_ags) == (order["box"], order["ags"])
+    assert m.choice == {a: order[f"choice:{a}"] for a in m.agents}
+    assert m.epistemic == {a: order[f"epi:{a}"] for a in m.agents}
+    for w in m.worlds:
+        assert (m.box_cell(w), m.ags_cell(w)) == (rel["box"][w], rel["ags"][w])
+        for a in m.agents:
+            assert m.choice_cell(a, w) == rel[f"choice:{a}"][w]
+            assert m.epi_cell(a, w) == rel[f"epi:{a}"][w]
+        group, todo = {w}, [w]
+        while todo:
+            x = todo.pop()
+            for a in m.agents:
+                todo.extend(rel[f"epi:{a}"][x] - group)
+                group |= rel[f"epi:{a}"][x]
+        assert m.common_cell(w) == group
+    cells = lambda name: [sorted(c) for c in order[name]]
+    assert m.to_doc() == {
+        "format_version": 1, "agents": sorted(m.agents), "worlds": list(m.worlds),
+        "succ": dict(sorted(m.succ.items())), "r_box": cells("box"),
+        "choice": {a: cells(f"choice:{a}") for a in sorted(m.agents)},
+        "choice_ags": cells("ags"), "epistemic": {a: cells(f"epi:{a}") for a in sorted(m.agents)},
+        "valuation": {p: sorted(ws) for p, ws in sorted(m.valuation.items())}}
+    frame = DenseFrame(m.worlds, m.agents, [order[name] for name in names], m.succ,
+                       m.pred or {}, m.valuation)
+    built = m._dense()
+    assert all(getattr(built, s) == getattr(frame, s) for s in DenseFrame.__slots__)
+
+
+def _reversed_cells(doc):
+    """``doc`` with the cells of every partition, and the ids of every cell,
+    in reverse order."""
+    flip = lambda cells: [c[::-1] for c in cells[::-1]]
+    return {**doc, "r_box": flip(doc["r_box"]), "choice_ags": flip(doc["choice_ags"]),
+            "choice": {a: flip(cells) for a, cells in doc["choice"].items()},
+            "epistemic": {a: flip(cells) for a, cells in doc["epistemic"].items()}}
+
+
+def test_maps_and_orders_built_on_first_use_equal_an_eager_build(fig1a, fig1b):
+    # fresh loads of model_grid(120) documents (their cells reversed), with
+    # and without their coalition cells, and of the figure-1 documents, and
+    # fresh compilations
+    # of the figure-1 scenarios, each with a with_valuation copy made before
+    # anything is read; one probe touches the source first and another the
+    # copy, and every family map, order, common cell, document and dense
+    # frame must then equal the eager build, on both
+    sources = [(_reversed_cells(m.to_doc()), i) for i, m in enumerate(model_grid(120))]
+    sources += [(m.to_doc(), i) for m in (fig1a, fig1b) for i in range(len(PROBES))]
+    loaded = [lambda doc=doc: load_model(doc) for doc, _ in sources]
+    loaded += [lambda doc=doc: load_model({k: v for k, v in doc.items() if k != "choice_ags"})
+               for doc, _ in sources[:120]]
+    probes = [i for _, i in sources] + list(range(5, 125))
+    for case in "ab":
+        loaded += [lambda case=case: bdt_to_kripke(figure1_scenario(case))] * len(PROBES)
+        probes += range(len(PROBES))
+    touched = set()
+    for build, i in zip(loaded, probes):
+        m = build()
+        order, rel = _eager(m)
+        flipped = {p: set(m.worlds) - ws for p, ws in m.valuation.items()}
+        copy = m.with_valuation(flipped)
+        # only a refinement of the coalition cells reads maps at load
+        assert copy.rel is m.rel and m.rel.orders == {}
+        assert set(m.rel.maps) <= {"box", *(f"choice:{a}" for a in m.agents)}
+        names = list(PROBES)
+        first, second = names[i % len(names)], names[(i + 5) % len(names)]
+        PROBES[first](m)
+        PROBES[second](copy)
+        touched.add((first, second))
+        _assert_built_as_eager(copy, order, rel)
+        _assert_built_as_eager(m, order, rel)
+    assert {first for first, _ in touched} == set(PROBES) == {second for _, second in touched}
+
+
+@pytest.mark.parametrize("family, fault", [
+    ("r_box", "overlap"), ("choice_ags", "unknown"), ("choice", "empty"),
+    ("epistemic", "missing"), ("epistemic", "overlap")])
+def test_faulty_partition_raises_at_load(fig1a, family, fault):
+    doc = fig1a.to_doc()
+    cells = doc[family][sorted(doc[family])[-1]] if family in ("choice", "epistemic") \
+        else doc[family]
+    big = max(cells, key=len)
+    if fault == "overlap":
+        cells.append(big[:1])
+    elif fault == "unknown":
+        big.append("ghost")
+    elif fault == "empty":
+        cells.append([])
+    else:
+        big.pop()
+    with pytest.raises(SchemaError) as e:
+        load_model(doc)
+    assert type(e.value) is (SchemaError if fault == "unknown" else PartitionError)

@@ -192,9 +192,9 @@ class KripkeModel(Structure):
         if len(set(self.worlds)) != len(self.worlds) or not self.worlds:
             raise SchemaError("worlds must be a non-empty list of distinct ids")
         universe = frozenset(self.worlds)
-        # every family is checked here; its map and order are built on first use
-        names = family_names(self.agents)
-        cells = dict.fromkeys(names)
+        # every family is checked here, in family_names order; its map and
+        # order are built on first use
+        cells = dict.fromkeys(family_names(self.agents))
         cells["box"] = make_partition(r_box, universe, "r_box")
 
         self.succ = dict(succ)
@@ -210,13 +210,11 @@ class KripkeModel(Structure):
         if len(self.pred) != len(self.worlds):
             self.pred = None
 
-        k = len(self.agents)
-        for what, table, fams in (("choice", choice, names[2:2 + k]),
-                                  ("epistemic", epistemic, names[2 + k:])):
-            for a, name in zip(self.agents, fams):
+        for what, table, family in (("choice", choice, "choice"), ("epistemic", epistemic, "epi")):
+            for a in self.agents:
                 if a not in table:
                     raise SchemaError(f"{what} partition missing for agent {a}")
-                cells[name] = make_partition(table[a], universe, f"{what}[{a}]")
+                cells[f"{family}:{a}"] = make_partition(table[a], universe, f"{what}[{a}]")
 
         self.rel = Partitions(cells)
         cells["ags"] = (self._refine_choice_ags() if choice_ags is None else

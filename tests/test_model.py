@@ -335,30 +335,28 @@ def _reversed_cells(doc):
 def test_maps_and_orders_built_on_first_use_equal_an_eager_build(fig1a, fig1b):
     # fresh loads of model_grid(120) documents (their cells reversed), with
     # and without their coalition cells, and of the figure-1 documents, and
-    # fresh compilations
-    # of the figure-1 scenarios, each with a with_valuation copy made before
-    # anything is read; one probe touches the source first and another the
-    # copy, and every family map, order, common cell, document and dense
-    # frame must then equal the eager build, on both
-    sources = [(_reversed_cells(m.to_doc()), i) for i, m in enumerate(model_grid(120))]
-    sources += [(m.to_doc(), i) for m in (fig1a, fig1b) for i in range(len(PROBES))]
-    loaded = [lambda doc=doc: load_model(doc) for doc, _ in sources]
-    loaded += [lambda doc=doc: load_model({k: v for k, v in doc.items() if k != "choice_ags"})
-               for doc, _ in sources[:120]]
-    probes = [i for _, i in sources] + list(range(5, 125))
+    # fresh compilations of the figure-1 scenarios, each with a
+    # with_valuation copy made before anything is read; probe i touches the
+    # source first and probe i + 5 the copy, and every family map, order,
+    # common cell, document and dense frame must then equal the eager
+    # build, on both
+    grid = [_reversed_cells(m.to_doc()) for m in model_grid(120)]
+    without_ags = [{k: v for k, v in doc.items() if k != "choice_ags"} for doc in grid]
+    cases = [(lambda doc=doc: load_model(doc), i) for i, doc in enumerate(grid)]
+    cases += [(lambda doc=doc: load_model(doc), i + 5) for i, doc in enumerate(without_ags)]
+    for doc in (fig1a.to_doc(), fig1b.to_doc()):
+        cases += [(lambda doc=doc: load_model(doc), i) for i in range(len(PROBES))]
     for case in "ab":
-        loaded += [lambda case=case: bdt_to_kripke(figure1_scenario(case))] * len(PROBES)
-        probes += range(len(PROBES))
-    touched = set()
-    for build, i in zip(loaded, probes):
+        cases += [(lambda case=case: bdt_to_kripke(figure1_scenario(case)), i)
+                  for i in range(len(PROBES))]
+    names, touched = list(PROBES), set()
+    for build, i in cases:
         m = build()
         order, rel = _eager(m)
-        flipped = {p: set(m.worlds) - ws for p, ws in m.valuation.items()}
-        copy = m.with_valuation(flipped)
+        copy = m.with_valuation({p: set(m.worlds) - ws for p, ws in m.valuation.items()})
         # only a refinement of the coalition cells reads maps at load
         assert copy.rel is m.rel and m.rel.orders == {}
         assert set(m.rel.maps) <= {"box", *(f"choice:{a}" for a in m.agents)}
-        names = list(PROBES)
         first, second = names[i % len(names)], names[(i + 5) % len(names)]
         PROBES[first](m)
         PROBES[second](copy)

@@ -237,7 +237,7 @@ def test_scenario_corpus_results_are_pinned():
 
 # planted faults of a model document's cells: an unknown id, an overlap, a
 # world left out, an empty cell, ids of other JSON types, and a repeated id
-# (read as one today)
+# (accepted, and read as one id)
 CELL_FAULTS = ("unknown", "overlap", "missing", "empty", "int", "null", "float", "bool", "repeat")
 DOC_FAULTS = ("world_int", "world_twice", "succ_missing", "succ_unknown", "valuation_unknown",
               "agent_missing", "agents_repeated")

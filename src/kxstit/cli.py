@@ -25,13 +25,17 @@ from .scenario import bdt_to_kripke, figure1_scenario, load_scenario
 from .transform import MAX_MATRIX_WORLDS, actualize, check_bounded_morphism, unravel, validate_window
 
 
-def _read_model(path):
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise SchemaError(f"not valid UTF-8: {e}") from None
-    doc = read_document(text)
+    return read_document(text)
+
+
+def _read_model(path):
+    doc = _read_json(path)
     if isinstance(doc, dict) and "moments" in doc:
         return bdt_to_kripke(load_scenario(doc))
     return load_model(doc)
@@ -71,11 +75,9 @@ def cmd_expand(args):
 
 
 def cmd_soundness(args):
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    else:
-        cfg = {}
+    cfg = _read_json(args.config) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise SchemaError(f"a suite configuration must be a JSON object, got {type(cfg).__name__}")
     policy = SuitePolicy(
         max_fill_depth=cfg.get("max_fill_depth", 2),
         fills_per_schema=cfg.get("fills_per_schema", 10),

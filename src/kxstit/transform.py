@@ -13,6 +13,9 @@ over the interior and existential witnesses over the whole window; formula
 evaluation skips quantifier mates at which the remaining formula's temporal
 reach would cross the boundary (such mates are provably redundant: mates on
 the evaluation world's own layer already project onto the full base cell).
+A window keeps its dense frame while its fields equal the frozen copy kept
+with it, so the checks on an unchanged window share one build, and any
+in-place edit is seen at the next call.
 """
 
 from __future__ import annotations
@@ -51,12 +54,25 @@ class WindowModel(Structure):
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
         self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
         self.tables = tables  # least world of a source class -> ChoiceProfileTable
+        self._kept = None  # (dense frame, frozen copy of the fields it was built from)
 
     def _dense(self):
-        """A dense frame of the window as it stands, built on each call from
-        its neighbour maps."""
-        return DenseFrame(self.worlds, self.agents, list(self.rel.values()),
-                          self.succ, self.pred, self.valuation, self.interior, self.layer)
+        """A dense frame of the window as it stands.  The window keeps the
+        frame with a frozen copy of the fields it reads and reuses it while
+        the fields equal that copy, so any in-place edit, even of a set
+        inside a field, is seen at the next call."""
+        fields = (self.worlds, self.agents, self.interior, self.layer, self.succ, self.pred,
+                  tuple(self.rel.items()), self.valuation)
+        if self._kept is None or self._kept[1] != fields:
+            worlds, agents, interior, layer, succ, pred, rel, valuation = fields = (
+                tuple(self.worlds), tuple(self.agents), frozenset(self.interior),
+                dict(self.layer), dict(self.succ), dict(self.pred),
+                tuple((name, {w: frozenset(c) for w, c in fam.items()})
+                      for name, fam in self.rel.items()),
+                {p: frozenset(ws) for p, ws in self.valuation.items()})
+            self._kept = DenseFrame(worlds, agents, [fam for _, fam in rel], succ, pred,
+                                    valuation, interior, layer), fields
+        return self._kept[0]
 
     def succ_of(self, w):
         return self.succ.get(w)

@@ -103,10 +103,29 @@ def test_transform_refuses_an_oversized_matrix(tmp_path, capsys, super_additive_
                       "message": "the matrix would have 14336 worlds, over the limit of 1000"}
 
 
-def test_soundness_subcommand(capsys):
+def test_soundness_subcommand(tmp_path, capsys):
     assert main(["soundness", "--models", "4"]) == 0
     out = capsys.readouterr().out
     assert "violations: 0" in out
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"models": 2, "fills_per_schema": 2}))
+    assert main(["soundness", "--config", str(config)]) == 0
+    assert "violations: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"{nope", "not valid JSON: Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1)"),
+    (b"\xff\xfe{}", "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+    (b"[1]", "a suite configuration must be a JSON object, got list"),
+], ids=["not-json", "not-utf8", "not-an-object"])
+def test_bad_soundness_config_is_schema_error(tmp_path, capsys, content, message):
+    config = tmp_path / "suite.json"
+    config.write_bytes(content)
+    assert main(["soundness", "--config", str(config)]) == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "SchemaError",
+                                                           "message": message}
 
 
 def test_validate_non_string_world_ids_is_schema_error(tmp_path, capsys):

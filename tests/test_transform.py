@@ -14,7 +14,7 @@ from kxstit.checker import eval_formula
 from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, MatrixTooLarge,
                            PartialMap, SourceNotIrreflexive, UnknownAgent)
 from kxstit.gen import GenParams, random_formula, random_model
-from kxstit.model import KripkeModel, family_names, validate_frame
+from kxstit.model import DenseFrame, KripkeModel, family_names, validate_frame
 from kxstit.transform import (MorphismReport, WindowModel, actualize, check_bounded_morphism,
                               choice_profiles, truth_preservation, unravel,
                               validate_window, window_eval)
@@ -568,3 +568,52 @@ def test_coarsened_coalition_cell_fails_additivity(grid50):
         assert _shows_failure(bad, _failure(report, "ADDITIVITY"), 2)
         tried += 1
     assert tried >= 5
+
+
+# In-place edits of a window, each made at an interior world ``u`` whose
+# successor ``v`` is in the window.
+_EDITS = {
+    "rel cell replaced": lambda win, u, v: win.rel["box"].__setitem__(u, frozenset(win.worlds)),
+    "succ deleted": lambda win, u, v: win.succ.__delitem__(u),
+    "succ redirected": lambda win, u, v: win.succ.__setitem__(u, u),
+    "pred changed": lambda win, u, v: win.pred.__setitem__(v, v),
+    "valuation set mutated": lambda win, u, v: win.valuation["p"].symmetric_difference_update({u}),
+    "interior reassigned": lambda win, u, v: setattr(win, "interior", win.interior - {u}),
+    "layer changed": lambda win, u, v: win.layer.__setitem__(u, win.layer[u] + 1),
+}
+
+
+@pytest.fixture(scope="module")
+def edit_sources(grid50):
+    """(window, n) pairs: the depth-2 windows of ``grid50`` with an atom
+    ``p``, and the 729-world matrix of the three-world fixture."""
+    fx = KripkeModel(
+        ["a0", "a1"], ["a", "b", "c"], [["a", "b", "c"]], {"a": "b", "b": "c", "c": "a"},
+        {"a0": [["a", "b", "c"]], "a1": [["a", "b", "c"]]},
+        {"a0": [["a"], ["b"], ["c"]], "a1": [["a", "b", "c"]]},
+        choice_ags=[["a"], ["b"], ["c"]], valuation={"p": ["a"]})
+    mat, _ = actualize(unravel(fx, "a", 1, require_valid=False)[0], n=3)
+    wins = [(unravel(m, m.worlds[0], 2)[0], 2) for m in grid50 if "p" in m.valuation]
+    return [*wins, (mat, 3)]
+
+
+def test_unchanged_window_keeps_its_frame(edit_sources):
+    for win, _ in edit_sources:
+        assert win._dense() is win._dense()
+
+
+@pytest.mark.parametrize("edit", list(_EDITS))
+def test_window_frame_follows_in_place_edits(edit_sources, edit):
+    for source, n in edit_sources:
+        # a copy whose family maps are its own and whose extensions are sets
+        win = _rebuilt(source, rel={name: dict(fam) for name, fam in source.rel.items()})
+        win.valuation = {p: set(ws) for p, ws in win.valuation.items()}
+        first = win._dense()
+        u = min(w for w in win.interior if win.succ.get(w) in win.pred)
+        _EDITS[edit](win, u, win.succ[u])
+        got = win._dense()
+        fresh = DenseFrame(win.worlds, win.agents, list(win.rel.values()), win.succ, win.pred,
+                           win.valuation, win.interior, win.layer)
+        assert all(getattr(got, s) == getattr(fresh, s) for s in DenseFrame.__slots__)
+        assert any(getattr(got, s) != getattr(first, s) for s in DenseFrame.__slots__)
+        assert validate_window(win, "actual", n) == validate_window(_rebuilt(win), "actual", n)

@@ -570,17 +570,27 @@ def test_coarsened_coalition_cell_fails_additivity(grid50):
     assert tried >= 5
 
 
-# In-place edits of a window, each made at an interior world ``u`` whose
-# successor ``v`` is in the window.
-_EDITS = {
-    "rel cell replaced": lambda win, u, v: win.rel["box"].__setitem__(u, frozenset(win.worlds)),
-    "succ deleted": lambda win, u, v: win.succ.__delitem__(u),
-    "succ redirected": lambda win, u, v: win.succ.__setitem__(u, u),
-    "pred changed": lambda win, u, v: win.pred.__setitem__(v, v),
-    "valuation set mutated": lambda win, u, v: win.valuation["p"].symmetric_difference_update({u}),
-    "interior reassigned": lambda win, u, v: setattr(win, "interior", win.interior - {u}),
-    "layer changed": lambda win, u, v: win.layer.__setitem__(u, win.layer[u] + 1),
-}
+_EDITS = ["rel cell replaced", "succ deleted", "succ redirected", "pred changed",
+          "valuation set mutated", "interior reassigned", "layer changed"]
+
+
+def _edit(win, kind, u, v):
+    """Edit ``win`` in place at interior world ``u``, whose successor ``v``
+    is in the window."""
+    if kind == "rel cell replaced":
+        win.rel["box"][u] = frozenset(win.worlds)
+    elif kind == "succ deleted":
+        del win.succ[u]
+    elif kind == "succ redirected":
+        win.succ[u] = u
+    elif kind == "pred changed":
+        win.pred[v] = v
+    elif kind == "valuation set mutated":
+        win.valuation["p"].symmetric_difference_update({u})
+    elif kind == "interior reassigned":
+        win.interior = win.interior - {u}
+    else:
+        win.layer[u] += 1
 
 
 @pytest.fixture(scope="module")
@@ -602,7 +612,7 @@ def test_unchanged_window_keeps_its_frame(edit_sources):
         assert win._dense() is win._dense()
 
 
-@pytest.mark.parametrize("edit", list(_EDITS))
+@pytest.mark.parametrize("edit", _EDITS)
 def test_window_frame_follows_in_place_edits(edit_sources, edit):
     for source, n in edit_sources:
         # a copy whose family maps are its own and whose extensions are sets
@@ -610,7 +620,7 @@ def test_window_frame_follows_in_place_edits(edit_sources, edit):
         win.valuation = {p: set(ws) for p, ws in win.valuation.items()}
         first = win._dense()
         u = min(w for w in win.interior if win.succ.get(w) in win.pred)
-        _EDITS[edit](win, u, win.succ[u])
+        _edit(win, edit, u, win.succ[u])
         got = win._dense()
         fresh = DenseFrame(win.worlds, win.agents, list(win.rel.values()), win.succ, win.pred,
                            win.valuation, win.interior, win.layer)

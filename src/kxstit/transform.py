@@ -60,7 +60,8 @@ class WindowModel(Structure):
         """A dense frame of the window as it stands.  The window keeps the
         frame with a frozen copy of the fields it reads and reuses it while
         the fields equal that copy, so any in-place edit, even of a set
-        inside a field, is seen at the next call."""
+        inside a field, is seen at the next call.  The frame is shared
+        between calls: read it, never change it."""
         fields = (self.worlds, self.agents, self.interior, self.layer, self.succ, self.pred,
                   tuple(self.rel.items()), self.valuation)
         if self._kept is None or self._kept[1] != fields:

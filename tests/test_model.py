@@ -243,8 +243,10 @@ def test_set_and_additivity_agree_with_per_world_walks(grid200, fig1a, fig1b):
             continue
         win = unravel(m, m.worlds[0], 1, require_valid=False)[0]
         frames.append(win._dense())
-        # the same window with a boundary world's cells widened past its class
-        d = win._dense()
+        # the same window with a boundary world's cells widened past its class,
+        # on a frame of its own: the window keeps and shares the one above
+        d = DenseFrame(win.worlds, win.agents, list(win.rel.values()), win.succ, win.pred,
+                       win.valuation, win.interior, win.layer)
         u = next((u for u in range(len(d.names)) if not d.interior >> u & 1), None)
         outside = 0 if u is None else d.full & ~d.box[u]
         if outside:

@@ -20,7 +20,7 @@ from .checker import eval_formula, knowledge_report
 from .dot import to_dot
 from .errors import KxstitError, SchemaError
 from .gen import GenParams, model_grid, random_model
-from .model import load_model, read_document, validate_frame
+from .model import check_fields, load_model, read_document, validate_frame
 from .scenario import bdt_to_kripke, figure1_scenario, load_scenario
 from .transform import MAX_MATRIX_WORLDS, actualize, check_bounded_morphism, unravel, validate_window
 
@@ -74,10 +74,20 @@ def cmd_expand(args):
     return 0
 
 
+# every key a suite configuration may set; each takes a non-negative integer
+_SUITE_KEYS = dict.fromkeys(
+    ("models", "n_bound", "base_seed", "max_fill_depth", "fills_per_schema", "seed",
+     "ia_max_agents"), (lambda x: type(x) is int and x >= 0, "a non-negative integer"))
+
+
 def cmd_soundness(args):
     cfg = _read_json(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise SchemaError(f"a suite configuration must be a JSON object, got {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - set(_SUITE_KEYS))
+    if unknown:
+        raise SchemaError(f"unknown suite configuration keys: {unknown}")
+    check_fields(cfg, _SUITE_KEYS)
     policy = SuitePolicy(
         max_fill_depth=cfg.get("max_fill_depth", 2),
         fills_per_schema=cfg.get("fills_per_schema", 10),

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from operator import and_, eq, invert, itemgetter, ne, or_
 from collections import Counter
-from collections.abc import Mapping
 from itertools import chain, product, repeat
 from math import prod
 
@@ -81,33 +80,24 @@ def make_partition(cells, universe, what):
     raise PartitionError(f"{what}: worlds not covered: {sorted(universe - seen)}")
 
 
-class Partitions(Mapping):
+class Partitions(dict):
     """A model's checked partitions by family name, as in ``family_names``.
     Looking a family up gives {world: its cell}, so a model's ``rel`` reads
     as a window's plain dict does; ``order`` gives the family's cells sorted
     by least world.  Each is built on first use and kept, and a model's
-    ``with_valuation`` copies share them.
+    ``with_valuation`` copies share them.  Only the maps built so far are
+    items: list the families with ``family_names``.
     """
 
-    __slots__ = ("cells", "maps", "orders")
+    __slots__ = ("cells", "orders")
 
     def __init__(self, cells):
-        self.cells, self.maps, self.orders = cells, {}, {}
+        super().__init__()
+        self.cells, self.orders = cells, {}
 
-    def __getitem__(self, name):
-        cells = self.maps.get(name)
-        if cells is None:
-            cells = self.maps[name] = {w: cell for cell in self.cells[name] for w in cell}
+    def __missing__(self, name):
+        cells = self[name] = {w: cell for cell in self.cells[name] for w in cell}
         return cells
-
-    def __contains__(self, name):
-        return name in self.cells
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self):
-        return len(self.cells)
 
     def order(self, name):
         cells = self.orders.get(name)
@@ -265,7 +255,7 @@ class KripkeModel(Structure):
     def _dense(self):
         """The model's dense frame, built on first use."""
         if self._frame is None:
-            partitions = list(map(self.rel.order, self.rel))
+            partitions = list(map(self.rel.order, family_names(self.agents)))
             self._frame = DenseFrame(self.worlds, self.agents, partitions, self.succ,
                                       self.pred or {}, self.valuation)
         return self._frame
@@ -702,58 +692,56 @@ def _classes_pass(d, n):
     return all(map(eq, selections, realized.values()))
 
 
-def _check_past(d, mode, n):
-    # NX / NA / NAGS: interior box-related pairs have related predecessors;
-    # NOF: so do interior epistemically related pairs.  A plain frame passes
-    # in bulk when pred takes each cell into one cell of its target family.
-    pred = d.pred
-    if d.plain and None not in pred and all(
-            len(set(zip(cells, *(map(t.__getitem__, pred) for t in targets)))) == len(set(cells))
+def _check_images(d, mode, n):
+    # for each world w whose successor is interior, the interior of
+    # box(succ w) lies in the successor image of w's settledness (NX),
+    # coalition (NAGS) and choice (NA) cells, and the interior of
+    # epi_a(succ w) in the image of epi_a(w) (NOF).  A plain frame passes in
+    # bulk when succ is a bijection and the worlds it takes into one cell lie
+    # in one cell of each target family.
+    succ, inner = d.succ, d.interior
+    if d.plain and None not in succ and len(set(succ)) == len(succ) and all(
+            len(set(zip(map(cells.__getitem__, succ), *targets))) == len(set(cells))
             for cells, targets in [(d.box, [d.box, d.ags, *d.choice.values()]),
                                    *((e, [e]) for e in d.epi.values())]):
         return
-    back = [0] * len(d.names)  # world -> the worlds whose predecessor it is
-    for v, p in enumerate(pred):
-        if p is not None:
-            back[p] |= 1 << v
-    pre = {}  # mask -> the worlds whose predecessor lies in it, as needed
-    has_pred = d.interior & sum(back)  # one predecessor per world: disjoint
+    sources = {}  # each world -> the worlds whose successor it is, in order
+    for w, s in enumerate(succ):
+        sources.setdefault(s, []).append(w)
+    sources.pop(None, None)
+    reached = inner & sum(map((1).__lshift__, sources))
+    # with partitions and one source per reached world, a cell passes as a
+    # whole when its least reached world does, and one with a single interior
+    # world always does
+    per_cell = d.partitioned and len(sources) == len(succ) - succ.count(None)
+    bit, images = [0 if s is None else 1 << s for s in succ], {}  # mask -> its image
     for cond, cells, targets, text in (
-            ("NX", d.box, [d.box], "settledness-related"),
-            ("NAGS", d.box, [d.ags], "coalition-choice-related"),
-            ("NA", d.box, list(d.choice.values()), "choice-related for {}"),
-            *(("NOF", d.epi[a], [d.epi[a]], a) for a in d.agents)):
-        hit = _unrelated(d, back, pre, has_pred, cells, targets)
-        if hit and cond == "NOF":
-            yield cond, list(hit[:2]), f"predecessors not epistemically related for {text}"
-            return
-        if hit:
-            u, v, i = hit
-            yield cond, [u, v], (f"predecessors {d.names[pred[u]]}, {d.names[pred[v]]} "
-                                 f"not {text.format(d.agents[i])}")
-
-
-def _unrelated(d, back, pre, has_pred, cells, targets):
-    """(u, v, i) for the first u of ``has_pred`` and the first later v of
-    ``has_pred`` in its cell of ``cells`` such that the ``targets[i]`` cell
-    of pred(u) misses pred(v); None when there is none.  With partitions,
-    a cell whose least world in ``has_pred`` passes passes as a whole, so
-    the walk visits only those worlds."""
-    walk = has_pred
-    if d.partitioned:
-        walk = sum(c & has_pred & -(c & has_pred) for c in set(cells))
-    for u in _bits(walk):
-        pu = d.pred[u]
-        later = (cells[u] & has_pred) >> (u + 1) << (u + 1)
+            ("NX", d.box, [(None, d.box)], "predecessors {w}, {x} not settledness-related"),
+            ("NAGS", d.box, [(None, d.ags)], "predecessors {w}, {x} not coalition-choice-related"),
+            ("NA", d.box, list(d.choice.items()),
+             "predecessors {w}, {x} not choice-related for {a}"),
+            *(("NOF", e, [(a, e)], "predecessors not epistemically related for {a}")
+              for a, e in d.epi.items())):
+        walk = reached
+        if per_cell:
+            walk = sum(c & reached & -(c & reached) for c in set(cells)
+                       if c & inner & (c & inner) - 1)
         bad = 0
-        for t in targets if later else ():
-            if t[pu] not in pre:
-                pre[t[pu]] = sum(back[x] for x in _bits(t[pu]))
-            bad |= later & ~pre[t[pu]]
+        for u, w in ((u, w) for u in _bits(walk) for w in sources[u]):
+            for _, t in targets:
+                if t[w] not in images:
+                    images[t[w]] = reduce(or_, map(bit.__getitem__, _bits(t[w])), 0)
+                bad |= cells[u] & inner & ~images[t[w]]
+            if bad:
+                break
         if bad:
             v = _low(bad)
-            return u, v, next(i for i, t in enumerate(targets) if not pre[t[pu]] >> v & 1)
-    return None
+            a = next(a for a, t in targets if not images[t[w]] >> v & 1)
+            x = succ.index(v) if v in succ else None
+            yield cond, [u, v], (f"{d.names[v]} has no predecessor" if x is None else
+                                 text.format(w=d.names[w], x=d.names[x], a=a))
+            if cond == "NOF":  # one verdict for all agents: the first that fails
+                return
 
 
 def _check_unif_h(d, mode, n):
@@ -801,4 +789,4 @@ def _same_classes_met(box, epi):
 
 
 _CHECKS = (_check_eq, _check_inverse, _check_set, _check_additivity,
-           _check_classes, _check_past, _check_unif_h)
+           _check_classes, _check_images, _check_unif_h)

@@ -142,7 +142,8 @@ def unravel(m, root, horizon, require_valid=True):
             out.setdefault((path[wid], cells[last]) if by_path else cells[last], []).append(wid)
         return {wid: cell for cell in map(frozenset, out.values()) for wid in cell}
 
-    rel = {name: group(cells, by_path=not name.startswith("epi:")) for name, cells in m.rel.items()}
+    rel = {name: group(m.rel[name], by_path=not name.startswith("epi:"))
+           for name in family_names(m.agents)}
     valuation = {p: {wid for wid, last in projection.items() if last in ws}
                  for p, ws in m.valuation.items()}
     interior = {wid for wid, lv in layer.items() if abs(lv) < horizon}

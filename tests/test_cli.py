@@ -119,7 +119,13 @@ def test_soundness_subcommand(tmp_path, capsys):
     (b"\xff\xfe{}", "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
                     "invalid start byte"),
     (b"[1]", "a suite configuration must be a JSON object, got list"),
-], ids=["not-json", "not-utf8", "not-an-object"])
+    (b'{"models": 2, "bogus": 1, "Seed": 0}', "unknown suite configuration keys: ['Seed', 'bogus']"),
+    (b'{"models": "2"}', "models must be a non-negative integer"),
+    (b'{"n_bound": -1}', "n_bound must be a non-negative integer"),
+    (b'{"seed": true}', "seed must be a non-negative integer"),
+    (b'{"fills_per_schema": 2.0}', "fills_per_schema must be a non-negative integer"),
+], ids=["not-json", "not-utf8", "not-an-object", "unknown-key", "string", "negative", "boolean",
+        "float"])
 def test_bad_soundness_config_is_schema_error(tmp_path, capsys, content, message):
     config = tmp_path / "suite.json"
     config.write_bytes(content)

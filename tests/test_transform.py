@@ -14,10 +14,10 @@ from kxstit.checker import eval_formula
 from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, MatrixTooLarge,
                            PartialMap, SourceNotIrreflexive, UnknownAgent)
 from kxstit.gen import GenParams, random_formula, random_model
-from kxstit.model import DenseFrame, KripkeModel, family_names, validate_frame
-from kxstit.transform import (MorphismReport, WindowModel, actualize, check_bounded_morphism,
-                              choice_profiles, truth_preservation, unravel,
-                              validate_window, window_eval)
+from kxstit.model import DenseFrame, KripkeModel, _bits, family_names, validate_frame
+from kxstit.transform import (MorphismReport, WindowModel, _window_masks, actualize,
+                              check_bounded_morphism, choice_profiles, truth_preservation,
+                              unravel, validate_window, window_eval)
 
 
 def _mates(win, family):
@@ -274,6 +274,44 @@ def test_window_eval_epistemic_jump_stays_sound(grid50):
             assert rep.ok, (margin, rep.mismatches[:3])
             compared[window is mat, margin] = compared.get((window is mat, margin), 0) + rep.compared
     assert min(compared.values()) > 50, compared
+
+
+def _window_truths(win, f):
+    """window_eval of ``f`` at every world of ``win`` where it fits."""
+    d = win._dense()
+    mask, fitting, _ = _window_masks(win, d, f, 0)
+    return {d.names[i]: bool(mask >> i & 1) for i in _bits(fitting)}
+
+
+def test_window_eval_on_bases_that_fail_frame_validation(super_additive_fixture, fig1a):
+    # Above layer 0 an unravelled window splits settledness and choice cells
+    # by the coalition cells passed.  A base that fails NX, NA or NAGS is
+    # then not a bounded morphic image of its window, so through the
+    # projection window_eval equals the base only on formulas that read no
+    # such cell: those without [], <>, [a] or [Ags].  Every formula reads the
+    # window itself, and keeps its value at a world when the window deepens.
+    historic = (F.Box, F.Diamond, F.Stit, F.StitAgs)
+    for base, root in ((super_additive_fixture, "a"), (fig1a, "m4_h10")):
+        failed = {c.condition for c in validate_frame(base, "super_additive", 4).failed()}
+        assert "NAGS" in failed
+        formulas = [random_formula(seed, 4, sorted(base.valuation), list(base.agents), reach=(1, 1),
+                                   include_sugar=True) for seed in range(100)]
+        free = [f for f in formulas
+                if not any(isinstance(g, historic) for g in F.subformulas(F.expand_macros(f)))]
+        (small, _), (win, proj), (deep, _) = (unravel(base, root, depth, require_valid=False)
+                                              for depth in (1, 2, 3))
+        assert check_bounded_morphism(proj, win, base).back["box"] is False
+        rep = truth_preservation(win, base, proj, free)
+        assert rep.ok and len(free) >= 10 and rep.compared >= 100, rep.mismatches[:3]
+        for f in formulas:
+            truths = [_window_truths(window, f) for window in (small, win, deep)]
+            for fits, deeper in zip(truths, truths[1:]):
+                assert fits and fits == {w: deeper[w] for w in fits}, F.to_text(f)
+    # the fixture's window reads a split settledness cell at layer 1
+    win, proj = unravel(super_additive_fixture, "a", 2, require_valid=False)
+    f = F.parse("[] [a0] Y [Ags] p")
+    assert window_eval(win, "a|b;1", f) is True
+    assert eval_formula(super_additive_fixture, proj["a|b;1"], f) is False
 
 
 def test_overlapping_cells_of_a_window_are_reported(grid50):

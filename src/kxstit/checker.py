@@ -34,7 +34,10 @@ def _check_agent(m, a):
 def _pred(m, w):
     if m.pred is None:
         raise UnknownWorld("temporal relation is not invertible; Y undefined")
-    return m.pred[w]
+    try:
+        return m.pred[w]
+    except KeyError:
+        raise DepthExceedsWindow(f"pred undefined at {w}") from None
 
 
 def eval_formula(m, w, f):
@@ -70,7 +73,11 @@ def _eval(m, w, f, memo):
     elif t is F.Implies:
         v = (not _eval(m, w, f.left, memo)) or _eval(m, w, f.right, memo)
     elif t is F.Next:
-        v = _eval(m, m.succ[w], f.child, memo)
+        try:
+            u = m.succ[w]
+        except KeyError:
+            raise DepthExceedsWindow(f"succ undefined at {w}") from None
+        v = _eval(m, u, f.child, memo)
     elif t is F.Yesterday:
         v = _eval(m, _pred(m, w), f.child, memo)
     elif t is F.Macro:
@@ -118,8 +125,7 @@ def valid_on_model(m, f):
     return False, m.worlds[(failing & -failing).bit_length() - 1]
 
 
-_UNARY = {F.Not, F.Box, F.Diamond, F.Next, F.Yesterday, F.Stit, F.StitAgs, F.Knows,
-          F.CommonKnows}
+_UNARY = frozenset(F.UNARY)  # a set: the walk tests membership per node
 _CLOSE = object()  # on the walk's stack above a node; popped once its children are done
 
 

@@ -115,7 +115,7 @@ def cmd_transform(args):
         mat, mproj = actualize(win, n=args.n, max_worlds=args.max_worlds)
         out, mapping, target = mat, mproj, win
     report = check_bounded_morphism(mapping, out, target)
-    frame = validate_window(out, args.mode, args.n or 1)
+    frame = validate_window(out, args.mode, 1 if args.n is None else args.n)
     doc = out.to_doc() if args.kind == "unravel" else {
         "kind": "matrix", "worlds": list(out.worlds), "interior": sorted(out.interior)}
     doc["projection"] = {w: mapping[w] for w in sorted(mapping)}

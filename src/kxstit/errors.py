@@ -94,6 +94,10 @@ class UnsatisfiableParams(KxstitError):
     pass
 
 
+class InvalidBound(KxstitError, ValueError):
+    """A cell-count bound n below 1."""
+
+
 class MatrixTooLarge(KxstitError):
     """An actualization would have more matrix worlds than its limit."""
 

@@ -10,11 +10,9 @@ The common-knowledge operator C is an optional extension: ``parse`` rejects it
 unless ``allow_common_knowledge=True``.
 """
 
-from __future__ import annotations
-
 import operator
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ArityMismatch, CommonKnowledgeDisabled, FormulaSyntaxError, UnknownMacro
 
@@ -25,6 +23,10 @@ MACRO_NAMES = ("ExAnte", "ExInterim", "ExPost", "Kh")
 class Formula:
     """Base class; all nodes are immutable and hashable.
 
+    Constructors fill the instance dict directly, and ``__setattr__`` and
+    ``__delattr__`` raise AttributeError.  Each shape class names its
+    fields once, in constructor order: ``_data``, then ``_children``.
+
     Each node computes its hash once, in its constructor, from its type tag
     and its fields, reading a child's cached hash, so hashing costs the same
     at every depth.  The hash is never pickled: a node pickles as its
@@ -33,6 +35,15 @@ class Formula:
     process.  Equality stays structural, and walks a list of node pairs
     instead of recursing, so that deep formulas compare too.
     """
+
+    def __init_subclass__(cls):
+        cls._tag = cls.__name__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self):
         return self._hash
@@ -76,22 +87,10 @@ def _from_steps(steps):
     return values[0]
 
 
-def _node(cls):
-    """Make ``cls`` a frozen dataclass node that keeps ``Formula``'s
-    equality and cached hash, and record which of its fields are children.
-    The constructor is the shape class's: it fills the instance dict
-    directly, which costs under half of a generated frozen ``__init__`` plus
-    a ``__post_init__`` computing the hash.
-    """
-    cls = dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
-    cls._tag = cls.__name__
-    names = [f.name for f in fields(cls)]
-    cls._children = tuple(n for n in names if n in ("child", "left", "right"))
-    cls._data = tuple(n for n in names if n not in cls._children)
-    return cls
-
-
 class _Unary(Formula):
+    _data = ()
+    _children = ("child",)
+
     def __init__(self, child):
         d = self.__dict__
         d["child"] = child
@@ -102,6 +101,8 @@ class _Unary(Formula):
 
 
 class _AgentUnary(_Unary):
+    _data = ("agent",)
+
     def __init__(self, agent, child):
         d = self.__dict__
         d["agent"] = agent
@@ -110,6 +111,9 @@ class _AgentUnary(_Unary):
 
 
 class _Binary(Formula):
+    _data = ()
+    _children = ("left", "right")
+
     def __init__(self, left, right):
         d = self.__dict__
         d["left"] = left
@@ -120,9 +124,9 @@ class _Binary(Formula):
         return (self.left, self.right)
 
 
-@_node
 class Atom(Formula):
-    name: str
+    _data = ("name",)
+    _children = ()
 
     def __init__(self, name):
         d = self.__dict__
@@ -133,78 +137,58 @@ class Atom(Formula):
         return ()
 
 
-@_node
 class Not(_Unary):
-    child: Formula
+    """``~child``"""
 
 
-@_node
 class And(_Binary):
-    left: Formula
-    right: Formula
+    """``left & right``"""
 
 
-@_node
 class Or(_Binary):
-    left: Formula
-    right: Formula
+    """``left | right``"""
 
 
-@_node
 class Implies(_Binary):
-    left: Formula
-    right: Formula
+    """``left -> right``"""
 
 
-@_node
 class Box(_Unary):
-    child: Formula
+    """``[] child``: settled true"""
 
 
-@_node
 class Diamond(_Unary):
-    child: Formula
+    """``<> child``: possibly true"""
 
 
-@_node
 class Next(_Unary):
-    child: Formula
+    """``X child``"""
 
 
-@_node
 class Yesterday(_Unary):
-    child: Formula
+    """``Y child``"""
 
 
-@_node
 class Stit(_AgentUnary):
-    agent: str
-    child: Formula
+    """``[agent] child``: the agent sees to it"""
 
 
-@_node
 class StitAgs(_Unary):
-    child: Formula
+    """``[Ags] child``: the grand coalition sees to it"""
 
 
-@_node
 class Knows(_AgentUnary):
-    agent: str
-    child: Formula
+    """``K{agent} child``"""
 
 
-@_node
 class CommonKnows(_Unary):
-    child: Formula
+    """``C child``"""
 
 
-@_node
 class Macro(_Unary):
     """Unexpanded knowledge-stage macro; ``expand_macros`` removes these."""
 
-    name: str
-    agent: str
-    child: Formula
+    _data = ("name", "agent")
 
     def __init__(self, name, agent, child):
         d = self.__dict__
@@ -214,6 +198,8 @@ class Macro(_Unary):
         d["_hash"] = hash(("Macro", name, agent, child._hash))
 
 
+# the operators of the language; Macro, unary in shape, is not one
+UNARY = (Not, Box, Diamond, Next, Yesterday, Stit, StitAgs, Knows, CommonKnows)
 BINARY = (And, Or, Implies)
 _BIN_SYMBOL = {And: "&", Or: "|", Implies: "->"}
 

@@ -187,7 +187,6 @@ def _entry(sugar, nxt, yest):
 
 
 _OPS = [[[_entry(s, x, y) for y in (False, True)] for x in (False, True)] for s in (False, True)]
-_BINARY = (F.And, F.Or, F.Implies)
 _ATOMS = {}  # one shared Atom per proposition name
 _RNG = _random.Random(0)  # reseeded on every int-seeded call; not thread-safe
 
@@ -239,7 +238,7 @@ def _build(bits, depth, offset, fwd, back, table, atoms, agents):
             r = bits(k)
         return atoms[r]
     depth -= 1
-    if op in _BINARY:
+    if op in F.BINARY:
         return op(_build(bits, depth, offset, fwd, back, table, atoms, agents),
                   _build(bits, depth, offset, fwd, back, table, atoms, agents))
     if op is F.Stit or op is F.Knows:

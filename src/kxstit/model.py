@@ -21,7 +21,7 @@ from collections import Counter
 from itertools import chain, product, repeat
 from math import prod
 
-from .errors import PartitionError, SchemaError, SuccNotTotal
+from .errors import InvalidBound, PartitionError, SchemaError, SuccNotTotal
 
 FORMAT_VERSION = 1
 
@@ -516,7 +516,7 @@ def check_frame(d, mode, n):
     if mode not in ("actual", "super_additive"):
         raise ValueError(f"mode must be actual or super_additive, got {mode!r}")
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InvalidBound("n must be positive")
     checks = {c: FrameCheck(c, True) for c in CONDITIONS}
     for check in _CHECKS:
         for cond, witness, explanation in check(d, mode, n):

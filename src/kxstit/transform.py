@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from . import formula as F
 from .checker import _check_world, _eval, _truth_mask
-from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, MatrixTooLarge, PartialMap,
-                     SourceNotIrreflexive, UnknownAgent, WindowTooSmall)
+from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidBound, InvalidModel, MatrixTooLarge,
+                     PartialMap, SourceNotIrreflexive, UnknownAgent, WindowTooSmall)
 from .model import DenseFrame, Structure, _bits, _low, check_frame, family_names, validate_frame
 
 
@@ -466,6 +466,8 @@ def actualize(source, n=None, max_worlds=MAX_MATRIX_WORLDS):
     MatrixTooLarge, before building any world, when the matrix would have
     more than ``max_worlds`` worlds.
     """
+    if n is not None and n < 1:
+        raise InvalidBound("n must be positive")
     if not source.interior:
         raise WindowTooSmall("window has no interior")
     for w in source.interior:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kxstit import formula as F
 from kxstit.checker import (check_refinement, eval_formula, extension,
                             knowledge_report, valid_on_model)
-from kxstit.errors import UnknownAgent, UnknownWorld
+from kxstit.errors import DepthExceedsWindow, UnknownAgent, UnknownWorld
 from kxstit.gen import GenParams, random_formula, random_model
 from kxstit.model import KripkeModel, validate_frame
 from kxstit.transform import unravel, window_eval
@@ -55,6 +55,15 @@ def test_unknown_agent_world_errors(one_world):
         eval_formula(one_world, "w", F.Knows("ghost", F.Atom("p")))
     with pytest.raises(UnknownAgent):
         extension(one_world, F.Stit("ghost", F.Atom("p")))
+
+
+def test_top_down_walk_stops_at_the_window_boundary(one_world):
+    win, _ = unravel(one_world, "w", 1)
+    with pytest.raises(DepthExceedsWindow, match=r"^succ undefined at w\|w;1$"):
+        eval_formula(win, "w|w;1", F.parse("X p"))
+    with pytest.raises(DepthExceedsWindow, match=r"^pred undefined at w\|w;0$"):
+        eval_formula(win, "w|w;0", F.parse("Y p"))
+    assert eval_formula(win, "w;1", F.parse("X p"))
 
 
 def test_common_knowledge_closure():

@@ -103,6 +103,21 @@ def test_transform_refuses_an_oversized_matrix(tmp_path, capsys, super_additive_
                       "message": "the matrix would have 14336 worlds, over the limit of 1000"}
 
 
+@pytest.mark.parametrize("args", [["validate", "{fig1a}", "--n", "0"],
+                                  ["validate", "{fig1a}", "--n", "-3"],
+                                  ["transform", "{g}", "actualize", "--root", "{root}", "--n", "0"],
+                                  ["transform", "{g}", "unravel", "--root", "{root}", "--n", "0"]],
+                         ids=["validate-n0", "validate-n-3", "actualize-n0", "unravel-n0"])
+def test_bound_below_one_is_a_package_error(args, fig1a_path, tmp_path, capsys):
+    g = tmp_path / "g.model"
+    assert main(["gen", "--seed", "3", "--out", str(g)]) == 0
+    root = json.loads(g.read_text())["worlds"][0]
+    args = [a.format(fig1a=fig1a_path, g=g, root=root) for a in args]
+    assert main(args) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "InvalidBound", "message": "n must be positive"}
+
+
 def test_soundness_subcommand(tmp_path, capsys):
     assert main(["soundness", "--models", "4"]) == 0
     out = capsys.readouterr().out

@@ -222,3 +222,43 @@ def test_parse_at_ten_thousand_levels():
         F.parse("(" * 10_000 + "p")
     assert (str(e.value), e.value.offset) == (
         "unexpected '' at offset 10001 (expected one of: ))", 10_001)
+
+
+def _fresh(cls, kid_names=("p", "q")):
+    """A node of class ``cls`` built from new objects, children named by
+    ``kid_names``."""
+    kids = [F.Atom(n) for n in kid_names[:len(cls._children)]]
+    data = {F.Atom: ("p",), F.Stit: ("a",), F.Knows: ("a",), F.Macro: ("ExAnte", "a")}
+    return cls(*data.get(cls, ()), *kids)
+
+
+_NODE_CLASSES = [F.Atom, F.Not, F.And, F.Or, F.Implies, F.Box, F.Diamond, F.Next,
+                 F.Yesterday, F.Stit, F.StitAgs, F.Knows, F.CommonKnows, F.Macro]
+
+
+def test_every_node_class_is_listed():
+    public = {c for c in vars(F).values()
+              if isinstance(c, type) and issubclass(c, F.Formula) and c.__name__[0] != "_"}
+    assert public - {F.Formula} == set(_NODE_CLASSES)
+
+
+@pytest.mark.parametrize("cls", _NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_shape_equality_pickle_rebuild_and_immutability(cls):
+    g = _fresh(cls)
+    assert set(g.__dict__) == {*cls._data, *cls._children, "_hash"}
+    copy = _fresh(cls)
+    assert copy is not g and copy == g and hash(copy) == hash(g)
+    loaded = pickle.loads(pickle.dumps(g))
+    assert type(loaded) is cls and loaded == g and hash(loaded) == hash(g)
+    assert F._same_or_rebuilt(g, list(g._kids())) is g
+    rebuilt = F._same_or_rebuilt(g, [F.Atom("r"), F.Atom("s")][:len(cls._children)])
+    assert rebuilt == _fresh(cls, ("r", "s"))
+    before = dict(g.__dict__)
+    for name in (*cls._data, *cls._children, "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, F.Atom("z"))
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    assert g.__dict__ == before and g == copy and hash(g) == hash(copy)

@@ -401,6 +401,17 @@ def test_actualize_requires_irreflexive_interior(one_world):
         actualize(win)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_bound_below_one_is_a_value_error(one_world, n):
+    win, _ = unravel(one_world, "w", 2)
+    with pytest.raises(ValueError, match="n must be positive"):
+        actualize(win, n=n)
+    with pytest.raises(ValueError, match="n must be positive"):
+        validate_window(win, "actual", n)
+    with pytest.raises(ValueError, match="n must be positive"):
+        validate_frame(one_world, "actual", n)
+
+
 def test_actualize_already_actual_source():
     m = random_model(GenParams(seed=3, agent_count=2, n_bound=1,
                                box_class_count=1, max_class_size=2))

@@ -87,6 +87,7 @@ def cmd_soundness(args):
     unknown = sorted(set(cfg) - set(_SUITE_KEYS))
     if unknown:
         raise SchemaError(f"unknown suite configuration keys: {unknown}")
+    cfg = {"models": args.models, **cfg}  # the flag, unless the configuration sets it
     check_fields(cfg, _SUITE_KEYS)
     policy = SuitePolicy(
         max_fill_depth=cfg.get("max_fill_depth", 2),
@@ -94,7 +95,7 @@ def cmd_soundness(args):
         seed=cfg.get("seed", 0),
         ia_max_agents=cfg.get("ia_max_agents", 3),
     )
-    count = cfg.get("models", args.models)
+    count = cfg["models"]
     n_bound = cfg.get("n_bound", 2)
     models = model_grid(count, base_seed=cfg.get("base_seed", 0), n_bound=n_bound)
     rep = soundness_suite(models, policy, n_bounds=[n_bound] * count)

@@ -90,6 +90,10 @@ class WindowTooSmall(KxstitError):
     pass
 
 
+class WindowTooLarge(KxstitError):
+    """An unravelled window whose ids would list more world names than its limit."""
+
+
 class UnsatisfiableParams(KxstitError):
     pass
 

@@ -20,6 +20,7 @@ from operator import and_, eq, invert, itemgetter, ne, or_
 from collections import Counter
 from itertools import chain, product, repeat
 from math import prod
+from types import MappingProxyType
 
 from .errors import InvalidBound, PartitionError, SchemaError, SuccNotTotal
 
@@ -82,11 +83,12 @@ def make_partition(cells, universe, what):
 
 class Partitions(dict):
     """A model's checked partitions by family name, as in ``family_names``.
-    Looking a family up gives {world: its cell}, so a model's ``rel`` reads
-    as a window's plain dict does; ``order`` gives the family's cells sorted
-    by least world.  Each is built on first use and kept, and a model's
-    ``with_valuation`` copies share them.  Only the maps built so far are
-    items: list the families with ``family_names``.
+    Looking a family up gives a read-only {world: its cell}, so a model's
+    ``rel`` reads as a window's does; ``order`` gives the family's cells
+    sorted by least world.  Each is built on first use and kept, and a
+    model's ``with_valuation`` copies share them.  Only the maps built so
+    far are items: list the families with ``family_names``.  Item
+    assignment raises TypeError.
     """
 
     __slots__ = ("cells", "orders")
@@ -96,8 +98,12 @@ class Partitions(dict):
         self.cells, self.orders = cells, {}
 
     def __missing__(self, name):
-        cells = self[name] = {w: cell for cell in self.cells[name] for w in cell}
+        cells = MappingProxyType({w: cell for cell in self.cells[name] for w in cell})
+        dict.__setitem__(self, name, cells)
         return cells
+
+    def __setitem__(self, name, value):
+        raise TypeError("a model's relations are read-only")
 
     def order(self, name):
         cells = self.orders.get(name)
@@ -109,9 +115,34 @@ class Partitions(dict):
 class Structure:
     """Worlds and one relation store: ``rel`` maps each family name (as in
     ``family_names``) to {world: its cell}, the frozenset of its mates.  A
-    window's ``rel`` is a plain dict and a model's its ``Partitions``; both
-    answer the cell lookups alike.
+    window's ``rel`` is a read-only view and a model's its ``Partitions``;
+    both answer the cell lookups alike.
+
+    A structure is a value.  Its constructor sets each field once, its maps
+    are read-only views (``types.MappingProxyType``), and a field once set
+    cannot be assigned or deleted (AttributeError).  So the dense frame,
+    built on first use and kept, always matches the fields it was built
+    from; a changed structure is built anew through its constructor.
     """
+
+    _frame = None  # the dense frame, built on first use
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        self.__dict__[name] = value
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _dense(self):
+        """The structure's dense frame, built on first use and kept."""
+        if self._frame is None:
+            self._frame = DenseFrame(self.worlds, self.agents,
+                                     [self.rel[name] for name in family_names(self.agents)],
+                                     self.succ, self.pred or {}, self.valuation,
+                                     self.interior, self.layer)
+        return self._frame
 
     def box_cell(self, w):
         return self.rel["box"][w]
@@ -146,8 +177,8 @@ class Structure:
 
 
 def _checked_valuation(valuation, universe):
-    """The valuation with frozenset extensions; SchemaError for a world
-    outside ``universe``."""
+    """The valuation, read-only, with frozenset extensions; SchemaError for
+    a world outside ``universe``."""
     out = {}
     for prop, ws in (valuation or {}).items():
         ws = frozenset(ws)
@@ -155,7 +186,7 @@ def _checked_valuation(valuation, universe):
         if bad:
             raise SchemaError(f"valuation[{prop}]: unknown worlds {sorted(bad, key=by_id)}")
         out[prop] = ws
-    return out
+    return MappingProxyType(out)
 
 
 class KripkeModel(Structure):
@@ -166,6 +197,8 @@ class KripkeModel(Structure):
     world are built on first use (``Partitions``).  Frame validity is a
     separate concern checked by ``validate_frame``.
     """
+
+    _common_cells = None  # built on first use
 
     def __init__(self, agents, worlds, r_box, succ, choice, epistemic,
                  choice_ags=None, valuation=None):
@@ -187,18 +220,18 @@ class KripkeModel(Structure):
         cells = dict.fromkeys(family_names(self.agents))
         cells["box"] = make_partition(r_box, universe, "r_box")
 
-        self.succ = dict(succ)
-        missing = universe.difference(self.succ)
+        succ = dict(succ)
+        missing = universe.difference(succ)
         if missing:
             raise SuccNotTotal(f"succ missing for {sorted(missing)}")
-        if len(self.succ) != len(universe) or not universe.issuperset(self.succ.values()):
-            bad = {w: v for w, v in self.succ.items() if v not in universe or w not in universe}
+        if len(succ) != len(universe) or not universe.issuperset(succ.values()):
+            bad = {w: v for w, v in succ.items() if v not in universe or w not in universe}
             raise SchemaError(f"succ references unknown worlds: {bad}")
+        self.succ = MappingProxyType(succ)
         # pred is defined only when succ is a bijection; validation reports
         # the failure, evaluation of Y requires invertibility
-        self.pred = dict(zip(self.succ.values(), self.succ))
-        if len(self.pred) != len(self.worlds):
-            self.pred = None
+        pred = dict(zip(succ.values(), succ))
+        self.pred = MappingProxyType(pred) if len(pred) == len(universe) else None
 
         for what, table, family in (("choice", choice, "choice"), ("epistemic", epistemic, "epi")):
             for a in self.agents:
@@ -210,9 +243,8 @@ class KripkeModel(Structure):
         cells["ags"] = (self._refine_choice_ags() if choice_ags is None else
                         make_partition(choice_ags, universe, "choice_ags"))
         self.valuation = _checked_valuation(valuation, universe)
+        self.interior = self.layer = None  # every world is interior, and there are no layers
         self._frame_reports = {}
-        self._common_cells = None
-        self._frame = None
 
     # the partitions, each sorted by least world
     r_box = property(lambda self: self.rel.order("box"))
@@ -237,10 +269,9 @@ class KripkeModel(Structure):
         all agents' epistemic relations (common-knowledge reachability).
         """
         if self._common_cells is None:
-            self._common_cells = {}
-            epis = [self.rel[f"epi:{a}"] for a in self.agents]
+            common, epis = {}, [self.rel[f"epi:{a}"] for a in self.agents]
             for start in self.worlds:
-                if start in self._common_cells:
+                if start in common:
                     continue
                 group, todo = {start}, [start]
                 while todo:
@@ -249,16 +280,9 @@ class KripkeModel(Structure):
                         todo.extend(cells[x] - group)
                         group |= cells[x]
                 cell = frozenset(group)
-                self._common_cells.update(dict.fromkeys(cell, cell))
+                common.update(dict.fromkeys(cell, cell))
+            self._common_cells = common
         return self._common_cells[w]
-
-    def _dense(self):
-        """The model's dense frame, built on first use."""
-        if self._frame is None:
-            partitions = list(map(self.rel.order, family_names(self.agents)))
-            self._frame = DenseFrame(self.worlds, self.agents, partitions, self.succ,
-                                      self.pred or {}, self.valuation)
-        return self._frame
 
     def with_valuation(self, valuation):
         """Copy of this model with a replaced valuation.  The copy shares
@@ -267,10 +291,9 @@ class KripkeModel(Structure):
         the new valuation; it builds its own dense frame and frame reports
         on first use."""
         copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__)
-        copy.valuation = _checked_valuation(valuation, frozenset(self.worlds))
-        copy._frame_reports = {}
-        copy._frame = None
+        copy.__dict__.update(self.__dict__, _frame_reports={},
+                             valuation=_checked_valuation(valuation, frozenset(self.worlds)))
+        copy.__dict__.pop("_frame", None)
         return copy
 
     def dumps(self):
@@ -294,7 +317,8 @@ class DenseFrame:
 
     Per family, named as in ``family_names``, ``cells[name][i]`` is the mask
     of world i's mates and ``pairs[name]`` lists each distinct cell with the
-    mask of the worlds that hold it (the same mask, for a partition);
+    mask of the worlds that hold it, in order of the first holder (the same
+    mask, and so in order of least world, for a partition);
     ``box``, ``ags``, ``choice[a]`` and ``epi[a]`` are the ``cells`` lists,
     and ``choice_pairs[a]`` and ``epi_pairs[a]`` the ``pairs`` lists.
     ``atoms`` maps a proposition to its mask; ``succ`` and ``pred`` list
@@ -312,10 +336,9 @@ class DenseFrame:
 
     def __init__(self, names, agents, relations, succ, pred, valuation,
                  interior=None, layer=None):
-        """``relations`` holds one relation per family in ``family_names``
-        order: a model gives its partitions, a window maps each world to its
-        mates.  ``succ`` and ``pred`` map world ids, ``layer`` maps a world
-        to its layer."""
+        """``relations`` holds one map per family in ``family_names`` order,
+        from each world to the frozenset of its mates.  ``succ`` and ``pred``
+        map world ids, ``layer`` maps a world to its layer."""
         self.names = names
         self.agents = agents
         index = self.index = dict(zip(names, range(len(names))))
@@ -326,12 +349,10 @@ class DenseFrame:
         for w, lv in (layer or {}).items():
             self.layers[lv] = self.layers.get(lv, 0) | 1 << index[w]
         self.cells, self.pairs = {}, {}
-        for name, rel in zip(family_names(agents), relations):
-            self.cells[name], self.pairs[name] = (
-                self._neighbours(rel) if isinstance(rel, dict) else self._partition(rel))
-        # a window's family is a partition when each cell is held by its members
-        self.partitioned = not isinstance(relations[0], dict) or all(
-            c == h for pairs in self.pairs.values() for c, h in pairs)
+        for name, mates in zip(family_names(agents), relations):
+            self.cells[name], self.pairs[name] = self._neighbours(mates)
+        # a family is a partition when each of its cells is held by its members
+        self.partitioned = all(c == h for pairs in self.pairs.values() for c, h in pairs)
         self.box, self.ags = self.cells["box"], self.cells["ags"]
         self.choice = {a: self.cells[f"choice:{a}"] for a in agents}
         self.epi = {a: self.cells[f"epi:{a}"] for a in agents}
@@ -351,17 +372,6 @@ class DenseFrame:
         for w in ws:
             out |= 1 << index[w]
         return out
-
-    def _partition(self, partition):
-        index, cells, pairs = self.index, [0] * len(self.names), []
-        for cell in partition:
-            cm = 0
-            for w in cell:
-                cm |= 1 << index[w]
-            for w in cell:
-                cells[index[w]] = cm
-            pairs.append((cm, cm))
-        return cells, pairs
 
     def _neighbours(self, mates):
         masks, holders, cells = {}, {}, []

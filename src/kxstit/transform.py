@@ -13,9 +13,8 @@ over the interior and existential witnesses over the whole window; formula
 evaluation skips quantifier mates at which the remaining formula's temporal
 reach would cross the boundary (such mates are provably redundant: mates on
 the evaluation world's own layer already project onto the full base cell).
-A window keeps its dense frame while its fields equal the frozen copy kept
-with it, so the checks on an unchanged window share one build, and any
-in-place edit is seen at the next call.
+A window, like a model, is a value: it builds its dense frame once and the
+checks share it; a changed window is built anew through its constructor.
 """
 
 from __future__ import annotations
@@ -23,12 +22,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import formula as F
 from .checker import _check_world, _eval, _truth_mask
 from .errors import (DepthExceedsWindow, HorizonTooSmall, InvalidBound, InvalidModel, MatrixTooLarge,
-                     PartialMap, SourceNotIrreflexive, UnknownAgent, WindowTooSmall)
-from .model import DenseFrame, Structure, _bits, _low, check_frame, family_names, validate_frame
+                     PartialMap, SourceNotIrreflexive, UnknownAgent, WindowTooLarge, WindowTooSmall)
+from .model import Structure, _bits, _low, check_frame, family_names, validate_frame
+
+MAX_MATRIX_WORLDS = 50_000  # default limit on an actualization, and unravel's; README says why
 
 
 class WindowModel(Structure):
@@ -36,44 +38,28 @@ class WindowModel(Structure):
     relation family, a partial successor, per-world layers, and an
     interior/boundary split.  The families are stored as maps rather than
     partitions because the matrix relations of a degenerate source need not
-    stay equivalences.  An actualized window also carries its matrix worlds
-    and profile tables.
+    stay equivalences; a cell is the frozenset of a world's mates.  The
+    maps are copied into read-only views, with frozenset cells and
+    extensions.  An actualized window also carries its matrix worlds and
+    profile tables.
     """
 
     def __init__(self, agents, worlds, layer, interior, horizon, root,
                  succ, pred, rel, valuation, matrix_worlds=None, tables=None):
         self.agents = tuple(agents)
         self.worlds = tuple(sorted(worlds))
-        self.layer = dict(layer)
+        self.layer = MappingProxyType(dict(layer))
         self.interior = frozenset(interior)
         self.horizon = horizon
         self.root = root
-        self.succ = dict(succ)
-        self.pred = dict(pred)
-        self.rel = {name: rel[name] for name in family_names(self.agents)}
-        self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
+        self.succ = MappingProxyType(dict(succ))
+        self.pred = MappingProxyType(dict(pred))
+        self.rel = MappingProxyType({
+            name: MappingProxyType({w: frozenset(c) for w, c in rel[name].items()})
+            for name in family_names(self.agents)})
+        self.valuation = MappingProxyType({p: frozenset(ws) for p, ws in valuation.items()})
         self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
         self.tables = tables  # least world of a source class -> ChoiceProfileTable
-        self._kept = None  # (dense frame, frozen copy of the fields it was built from)
-
-    def _dense(self):
-        """A dense frame of the window as it stands.  The window keeps the
-        frame with a frozen copy of the fields it reads and reuses it while
-        the fields equal that copy, so any in-place edit, even of a set
-        inside a field, is seen at the next call.  The frame is shared
-        between calls: read it, never change it."""
-        fields = (self.worlds, self.agents, self.interior, self.layer, self.succ, self.pred,
-                  tuple(self.rel.items()), self.valuation)
-        if self._kept is None or self._kept[1] != fields:
-            worlds, agents, interior, layer, succ, pred, rel, valuation = fields = (
-                tuple(self.worlds), tuple(self.agents), frozenset(self.interior),
-                dict(self.layer), dict(self.succ), dict(self.pred),
-                tuple((name, {w: frozenset(c) for w, c in fam.items()})
-                      for name, fam in self.rel.items()),
-                {p: frozenset(ws) for p, ws in self.valuation.items()})
-            self._kept = DenseFrame(worlds, agents, [fam for _, fam in rel], succ, pred,
-                                    valuation, interior, layer), fields
-        return self._kept[0]
 
     def succ_of(self, w):
         return self.succ.get(w)
@@ -101,10 +87,17 @@ def unravel(m, root, horizon, require_valid=True):
     worlds that end in one epistemic cell.
 
     Returns (window, projection) where the projection maps every unraveled
-    world to its last world.
+    world to its last world.  The ids of a base world's 2h + 1 worlds, for
+    h = ``horizon``, list h^2 + 3h + 1 world names in all; WindowTooLarge is
+    raised, before any world is built, when a window's ids would list more
+    than ``MAX_MATRIX_WORLDS`` names, which also bounds its world count.
     """
     if horizon < 1:
         raise HorizonTooSmall("horizon must be >= 1")
+    names = len(m.worlds) * (horizon * horizon + 3 * horizon + 1)
+    if names > MAX_MATRIX_WORLDS:
+        raise WindowTooLarge(f"the window's ids would list {names} world names, "
+                             f"over the limit of {MAX_MATRIX_WORLDS}")
     if root not in m.rel["box"]:
         raise InvalidModel(f"unknown root world {root!r}")
     if m.pred is None:
@@ -386,13 +379,6 @@ class ChoiceProfileTable:
     enumeration: dict         # profile index -> padded list (length n)
     profile_of_world: dict
 
-    def lines(self):
-        out = [f"class of {self.class_key}: {len(self.profiles)} profile(s), n={self.n}"]
-        for i, prof in enumerate(self.profiles):
-            cells = [sorted(c) for c in self.cells_by_profile[i]]
-            out.append(f"  profile {i}: cells per agent {[sorted(c) for c in prof]} -> coalition cells {cells}")
-        return out
-
 
 def choice_profiles(m, world, n=None):
     """Choice-profile table for the settledness class of ``world``; the
@@ -422,8 +408,6 @@ def choice_profiles(m, world, n=None):
 # ---------------------------------------------------------------------------
 # actualization (matrix construction)
 
-MAX_MATRIX_WORLDS = 50_000  # default limit on an actualization; README says why
-
 @dataclass(frozen=True)
 class MatrixWorld:
     """World of the actualization: a choice profile, an index function over
@@ -433,10 +417,6 @@ class MatrixWorld:
     profile: int
     index_fn: tuple  # sorted tuple of (chain world, vector)
     base: str
-
-    @property
-    def fn(self):
-        return dict(self.index_fn)
 
 
 def _chain(win, w):
@@ -504,7 +484,7 @@ def actualize(source, n=None, max_worlds=MAX_MATRIX_WORLDS):
             ids[wid] = MatrixWorld(table_of[w].profile_of_world[w], tuple(sorted(zip(chain, combo))), w)
             by_base.setdefault(w, []).append(wid)
 
-    fns = {wid: mw.fn for wid, mw in ids.items()}
+    fns = {wid: dict(mw.index_fn) for wid, mw in ids.items()}
     families = ["box", *(f"choice:{a}" for a in agents), "ags"]
     tags = {}  # world -> its tag per family: mates in a family carry equal tags
     for wid, mw in ids.items():

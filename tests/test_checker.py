@@ -19,6 +19,18 @@ def test_figure1_paper_judgments(fig1a):
     assert eval_formula(fig1a, "m3_h7", F.parse("Y <> X [luther] X d_L"))
 
 
+def test_a_valuation_edit_cannot_part_the_evaluators(fig1a):
+    # a model is a value: the edit raises, so extension, which reads the
+    # dense frame kept from the first call, and eval_formula, which reads
+    # the valuation, still agree
+    m, d = fig1a.with_valuation(fig1a.valuation), F.Atom("d")
+    ext = extension(m, d)
+    with pytest.raises(TypeError):
+        m.valuation["d"] = frozenset()
+    assert len(ext) == 14 and eval_formula(m, "m9_h4", d)
+    assert extension(m, d) == ext == {w for w in m.worlds if eval_formula(m, w, d)}
+
+
 def test_extension_examples(fig1a, one_world):
     assert extension(one_world, F.parse("p | ~p")) == set(one_world.worlds)
     assert extension(one_world, F.parse("p & ~p")) == set()

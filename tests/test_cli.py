@@ -103,6 +103,16 @@ def test_transform_refuses_an_oversized_matrix(tmp_path, capsys, super_additive_
                       "message": "the matrix would have 14336 worlds, over the limit of 1000"}
 
 
+def test_transform_refuses_a_window_with_too_long_ids(fig1a_path, capsys):
+    # 24 is the least depth refused on the 80-world model: its ids would
+    # list 80 * (24^2 + 3 * 24 + 1) world names
+    args = ["transform", fig1a_path, "unravel", "--root", "m1_h1", "--force", "--depth", "24"]
+    assert main(args) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "WindowTooLarge",
+        "message": "the window's ids would list 51920 world names, over the limit of 50000"}
+
+
 @pytest.mark.parametrize("args", [["validate", "{fig1a}", "--n", "0"],
                                   ["validate", "{fig1a}", "--n", "-3"],
                                   ["transform", "{g}", "actualize", "--root", "{root}", "--n", "0"],
@@ -126,6 +136,13 @@ def test_soundness_subcommand(tmp_path, capsys):
     config.write_text(json.dumps({"models": 2, "fills_per_schema": 2}))
     assert main(["soundness", "--config", str(config)]) == 0
     assert "violations: 0" in capsys.readouterr().out
+
+
+def test_negative_models_flag_is_schema_error(capsys):
+    # the flag is checked as the configuration key is
+    assert main(["soundness", "--models", "-1"]) == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "SchemaError", "message": "models must be a non-negative integer"}
 
 
 @pytest.mark.parametrize("content, message", [

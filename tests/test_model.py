@@ -208,9 +208,8 @@ def test_bulk_frame_checks_agree_with_the_walks(grid200, fig1a, fig1b):
     # and every verdict, witness and explanation must come out the same
     failed = set()
     for m in mutants([*grid200[::4], fig1a, fig1b], seed=12):
-        walked = DenseFrame(m.worlds, m.agents, [m.r_box, m.choice_ags, *m.choice.values(),
-                                                 *m.epistemic.values()], m.succ, m.pred or {},
-                            m.valuation)
+        walked = DenseFrame(m.worlds, m.agents, [m.rel[name] for name in family_names(m.agents)],
+                            m.succ, m.pred or {}, m.valuation)
         walked.partitioned = False
         for mode, n in (("actual", 1), ("super_additive", 2)):
             report = check_frame(m._dense(), mode, n)
@@ -333,7 +332,7 @@ def _assert_built_as_eager(m, order, rel):
         "choice": {a: cells(f"choice:{a}") for a in sorted(m.agents)},
         "choice_ags": cells("ags"), "epistemic": {a: cells(f"epi:{a}") for a in sorted(m.agents)},
         "valuation": {p: sorted(ws) for p, ws in sorted(m.valuation.items())}}
-    frame = DenseFrame(m.worlds, m.agents, [order[name] for name in names], m.succ,
+    frame = DenseFrame(m.worlds, m.agents, [rel[name] for name in names], m.succ,
                        m.pred or {}, m.valuation)
     built = m._dense()
     assert all(getattr(built, s) == getattr(frame, s) for s in DenseFrame.__slots__)

@@ -12,10 +12,10 @@ import kxstit
 from kxstit import formula as F
 from kxstit.checker import eval_formula
 from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, MatrixTooLarge,
-                           PartialMap, SourceNotIrreflexive, UnknownAgent)
+                           PartialMap, SourceNotIrreflexive, UnknownAgent, WindowTooLarge)
 from kxstit.gen import GenParams, random_formula, random_model
-from kxstit.model import DenseFrame, KripkeModel, _bits, family_names, validate_frame
-from kxstit.transform import (MorphismReport, WindowModel, _window_masks, actualize,
+from kxstit.model import DenseFrame, KripkeModel, _bits, check_frame, family_names, validate_frame
+from kxstit.transform import (MAX_MATRIX_WORLDS, MorphismReport, WindowModel, _window_masks, actualize,
                               check_bounded_morphism, choice_profiles, truth_preservation,
                               unravel, validate_window, window_eval)
 
@@ -197,8 +197,8 @@ def test_morphism_failures_are_pinned(super_additive_fixture):
                         valuation=fx.valuation)
     win, proj = unravel(cycle, "a", 2)
     assert check_bounded_morphism(proj, win, cycle).ok
-    del win.succ["b|a;0"]
-    win.pred["a|b;1"] = "a|b;0"
+    win = _rebuilt(win, succ={w: v for w, v in win.succ.items() if w != "b|a;0"},
+                   pred={**win.pred, "a|b;1": "a|b;0"})
     assert check_bounded_morphism(proj, win, cycle) == _report(
         {("back", "succ"), ("forth", "pred"), ("back", "pred")},
         [("back", "succ", "b|a;0"), ("forth", "pred", "a|b;1"), ("back", "pred", "a|b;1")])
@@ -341,26 +341,41 @@ def test_overlapping_cells_of_a_window_are_reported(grid50):
 
 
 def test_window_edited_after_use_is_read_as_it_stands(one_world):
+    # a window is a value, so an edited window is one built anew
     win, _ = unravel(one_world, "w", 2)
     assert validate_window(win, "actual", 1).ok
     assert window_eval(win, "w;1", F.parse("X p")) is True
-    win.valuation["p"] = frozenset({"w;1"})
+    win = _rebuilt(win, valuation={"p": {"w;1"}})
     assert window_eval(win, "w;1", F.parse("X p")) is False
-    win.succ["w;1"] = "w;1"
+    win = _rebuilt(win, succ={**win.succ, "w;1": "w;1"})
     eq = validate_window(win, "actual", 1).checks[2]
     assert (eq.condition, eq.passed, eq.witness, eq.explanation) == (
         "EQ", False, ["w;1"], "succ reflexive on the interior")
     assert window_eval(win, "w;1", F.parse("X p")) is True
 
 
+@pytest.mark.parametrize("model, depth, names", [("one_world", 223, 50_399),
+                                                  ("fig1a", 24, 51_920)])
+def test_unravel_refuses_a_window_with_too_long_ids(request, model, depth, names):
+    # the least refused depth: the ids of a base world's 2d + 1 worlds list
+    # d^2 + 3d + 1 world names, and one depth less stays within the limit
+    m = request.getfixturevalue(model)
+    with pytest.raises(WindowTooLarge, match=f"would list {names} world names, over the limit "
+                                             f"of {MAX_MATRIX_WORLDS}$"):
+        unravel(m, m.worlds[0], depth, require_valid=False)
+    win, _ = unravel(m, m.worlds[0], depth - 1, require_valid=False)
+    listed = sum(w.count("|") + 1 for w in win.worlds)
+    assert listed == len(m.worlds) * ((depth - 1) ** 2 + 3 * (depth - 1) + 1) <= MAX_MATRIX_WORLDS
+
+
 def test_window_eval_needs_the_steps_of_fitting_worlds(one_world):
     win, _ = unravel(one_world, "w", 2)
-    del win.succ["w|w;0"]
+    win = _rebuilt(win, succ={w: v for w, v in win.succ.items() if w != "w|w;0"})
     # X p fits at the layer -1 world, whose successor is gone
     with pytest.raises(DepthExceedsWindow, match=r"succ undefined at w\|w;0"):
         window_eval(win, "w;1", F.parse("X p"))
     assert window_eval(win, "w;1", F.parse("p")) is True
-    del win.pred["w|w;1"]
+    win = _rebuilt(win, pred={w: v for w, v in win.pred.items() if w != "w|w;1"})
     with pytest.raises(DepthExceedsWindow, match=r"pred undefined at w\|w;1"):
         window_eval(win, "w;1", F.parse("[] Y p"))
 
@@ -396,7 +411,7 @@ def test_profile_padding_repeats_last(one_world):
 def test_actualize_requires_irreflexive_interior(one_world):
     win, _ = unravel(one_world, "w", 2)
     # sabotage: a self-looping interior successor
-    win.succ["w;1"] = "w;1"
+    win = _rebuilt(win, succ={**win.succ, "w;1": "w;1"})
     with pytest.raises(SourceNotIrreflexive):
         actualize(win)
 
@@ -623,56 +638,112 @@ _EDITS = ["rel cell replaced", "succ deleted", "succ redirected", "pred changed"
           "valuation set mutated", "interior reassigned", "layer changed"]
 
 
-def _edit(win, kind, u, v):
-    """Edit ``win`` in place at interior world ``u``, whose successor ``v``
-    is in the window."""
+def _edit(s, kind, u, v):
+    """Edit the model or window ``s`` in place at interior world ``u``, whose
+    successor ``v`` is in ``s``.  A model has no layers, so its layer edit
+    gives it some."""
     if kind == "rel cell replaced":
-        win.rel["box"][u] = frozenset(win.worlds)
+        s.rel["box"][u] = frozenset(s.worlds)
+    elif kind == "rel family replaced":
+        s.rel["box"] = dict.fromkeys(s.worlds, frozenset(s.worlds))
     elif kind == "succ deleted":
-        del win.succ[u]
+        del s.succ[u]
     elif kind == "succ redirected":
-        win.succ[u] = u
+        s.succ[u] = u
     elif kind == "pred changed":
-        win.pred[v] = v
+        s.pred[v] = v
     elif kind == "valuation set mutated":
-        win.valuation["p"].symmetric_difference_update({u})
+        s.valuation["p"].symmetric_difference_update({u})
+    elif kind == "valuation replaced":
+        s.valuation["p"] = frozenset()
     elif kind == "interior reassigned":
-        win.interior = win.interior - {u}
+        s.interior = (s.interior or frozenset(s.worlds)) - {u}
+    elif kind == "layer changed" and s.layer is None:
+        s.layer = dict.fromkeys(s.worlds, 0)
+    elif kind == "layer changed":
+        s.layer[u] += 1
     else:
-        win.layer[u] += 1
+        del s.valuation
+
+
+def _edited(win, kind, u, v):
+    """A copy of ``win`` built through the constructor with the edit
+    ``kind`` of ``_EDITS`` at interior world ``u``, whose successor ``v`` is
+    in the window.  The new cell is given as a set, which the constructor
+    freezes."""
+    if kind == "rel cell replaced":
+        return _rebuilt(win, rel={**win.rel, "box": {**win.rel["box"], u: set(win.worlds)}})
+    if kind == "succ deleted":
+        return _rebuilt(win, succ={w: s for w, s in win.succ.items() if w != u})
+    if kind == "succ redirected":
+        return _rebuilt(win, succ={**win.succ, u: u})
+    if kind == "pred changed":
+        return _rebuilt(win, pred={**win.pred, v: v})
+    if kind == "valuation set mutated":
+        return _rebuilt(win, valuation={**win.valuation, "p": win.valuation["p"] ^ {u}})
+    if kind == "interior reassigned":
+        return _rebuilt(win, interior=win.interior - {u})
+    return _rebuilt(win, layer={**win.layer, u: win.layer[u] + 1})
+
+
+def _interior_step(s):
+    """The least interior world of ``s`` whose successor has a predecessor,
+    and that successor."""
+    u = min(w for w in (s.interior or s.worlds) if s.succ.get(w) in s.pred)
+    return u, s.succ[u]
+
+
+def _fresh_frame(s):
+    """A dense frame of ``s``, built from its fields as they stand."""
+    return DenseFrame(s.worlds, s.agents, [s.rel[name] for name in family_names(s.agents)],
+                      s.succ, s.pred or {}, s.valuation, s.interior, s.layer)
+
+
+def _same_frame(d, e):
+    return all(getattr(d, slot) == getattr(e, slot) for slot in DenseFrame.__slots__)
 
 
 @pytest.fixture(scope="module")
 def edit_sources(grid50):
-    """(window, n) pairs: the depth-2 windows of ``grid50`` with an atom
-    ``p``, and the 729-world matrix of the three-world fixture."""
+    """(model, window, n) triples: the models of ``grid50`` with an atom
+    ``p``, each with its depth-2 window, and the three-world fixture with its
+    729-world matrix."""
     fx = KripkeModel(
         ["a0", "a1"], ["a", "b", "c"], [["a", "b", "c"]], {"a": "b", "b": "c", "c": "a"},
         {"a0": [["a", "b", "c"]], "a1": [["a", "b", "c"]]},
         {"a0": [["a"], ["b"], ["c"]], "a1": [["a", "b", "c"]]},
         choice_ags=[["a"], ["b"], ["c"]], valuation={"p": ["a"]})
     mat, _ = actualize(unravel(fx, "a", 1, require_valid=False)[0], n=3)
-    wins = [(unravel(m, m.worlds[0], 2)[0], 2) for m in grid50 if "p" in m.valuation]
-    return [*wins, (mat, 3)]
+    wins = [(m, unravel(m, m.worlds[0], 2)[0], 2) for m in grid50 if "p" in m.valuation]
+    return [*wins, (fx, mat, 3)]
 
 
 def test_unchanged_window_keeps_its_frame(edit_sources):
-    for win, _ in edit_sources:
-        assert win._dense() is win._dense()
+    for m, win, _ in edit_sources:
+        assert win._dense() is win._dense() and m._dense() is m._dense()
+
+
+@pytest.mark.parametrize("kind", ["model", "window"])
+@pytest.mark.parametrize("edit", [*_EDITS, "rel family replaced", "valuation replaced",
+                                  "field deleted"])
+def test_edits_are_refused(edit_sources, kind, edit):
+    # a model or window is a value: an edit raises, and the kept frame and
+    # the frame report still match its fields
+    validate = validate_window if kind == "window" else validate_frame
+    for source in edit_sources:
+        s, n = source[kind == "window"], source[2]
+        first, report = s._dense(), validate(s, "actual", n)
+        with pytest.raises((AttributeError, TypeError)):
+            _edit(s, edit, *_interior_step(s))
+        assert s._dense() is first and _same_frame(first, _fresh_frame(s))
+        assert validate(s, "actual", n) == report == check_frame(_fresh_frame(s), "actual", n)
 
 
 @pytest.mark.parametrize("edit", _EDITS)
 def test_window_frame_follows_in_place_edits(edit_sources, edit):
-    for source, n in edit_sources:
-        # a copy whose family maps are its own and whose extensions are sets
-        win = _rebuilt(source, rel={name: dict(fam) for name, fam in source.rel.items()})
-        win.valuation = {p: set(ws) for p, ws in win.valuation.items()}
-        first = win._dense()
-        u = min(w for w in win.interior if win.succ.get(w) in win.pred)
-        _edit(win, edit, u, win.succ[u])
+    # the edited window is built anew, and builds a frame of its own
+    for _, source, n in edit_sources:
+        win = _edited(source, edit, *_interior_step(source))
         got = win._dense()
-        fresh = DenseFrame(win.worlds, win.agents, list(win.rel.values()), win.succ, win.pred,
-                           win.valuation, win.interior, win.layer)
-        assert all(getattr(got, s) == getattr(fresh, s) for s in DenseFrame.__slots__)
-        assert any(getattr(got, s) != getattr(first, s) for s in DenseFrame.__slots__)
-        assert validate_window(win, "actual", n) == validate_window(_rebuilt(win), "actual", n)
+        assert _same_frame(got, _fresh_frame(win)) and not _same_frame(got, source._dense())
+        assert validate_window(win, "actual", n) == check_frame(_fresh_frame(win), "actual", n)

@@ -15,7 +15,7 @@ from kxstit.checker import extension, valid_on_model
 from kxstit.gen import model_grid, random_formula
 from kxstit.model import KripkeModel
 from kxstit.scenario import bdt_to_kripke, figure1_scenario
-from kxstit.transform import check_bounded_morphism, unravel, window_eval
+from kxstit.transform import WindowModel, check_bounded_morphism, unravel, window_eval
 
 
 def _one_world():
@@ -90,8 +90,10 @@ def test_shared_dag_is_walked_once_per_node(one_world):
 
 def test_two_gapped_steps_raise_at_the_first_in_post_order(one_world):
     win, _ = unravel(one_world, "w", 2)
-    del win.succ["w|w;0"]
-    del win.pred["w|w;1"]
+    # the window built anew without two of its steps
+    win = WindowModel(win.agents, win.worlds, win.layer, win.interior, win.horizon, win.root,
+                      {w: v for w, v in win.succ.items() if w != "w|w;0"},
+                      {w: v for w, v in win.pred.items() if w != "w|w;1"}, win.rel, win.valuation)
     run = lambda f: window_eval(win, "w;1", f)  # noqa: E731
     step = F.parse("X p")
     for text, message in (("X p & [] Y p", "succ undefined at w|w;0"),

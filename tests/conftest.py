@@ -3,8 +3,9 @@ import random
 import pytest
 
 from kxstit.gen import model_grid
-from kxstit.model import KripkeModel, load_model
+from kxstit.model import KripkeModel, family_names, load_model
 from kxstit.scenario import bdt_to_kripke, figure1_scenario
+from kxstit.transform import WindowModel
 
 ACCEPTANCE_LINES = []
 
@@ -46,6 +47,44 @@ def mutants(models, seed, count=3):
                 u, v = rng.sample(doc["worlds"], 2) if len(doc["worlds"]) > 1 else doc["worlds"] * 2
                 doc["succ"][u], doc["succ"][v] = doc["succ"][v], doc["succ"][u]
             yield load_model(doc)
+
+
+def window_mutants(windows, seed, count=3):
+    """Each window, then ``count`` copies built through the ``WindowModel``
+    constructor with two cells of a family merged, a world moved to another
+    cell, a world split off into a cell of its own, or a successor
+    redirected or dropped, drawn from ``seed``."""
+    rng = random.Random(seed)
+    for win in windows:
+        yield win
+        for _ in range(count):
+            rel, succ = dict(win.rel), dict(win.succ)
+            kind = rng.choice(["merge", "move", "split", "redirect", "drop"])
+            if kind in ("redirect", "drop"):
+                u = rng.choice(sorted(succ))
+                if kind == "drop":
+                    del succ[u]
+                else:
+                    succ[u] = rng.choice(win.worlds)
+            else:
+                fam = rng.choice(family_names(win.agents))
+                cells = [set(c) for c in sorted(set(rel[fam].values()), key=min)]
+                if kind == "merge" and len(cells) > 1:
+                    i, j = sorted(rng.sample(range(len(cells)), 2))
+                    cells[i] |= cells.pop(j)
+                elif kind == "move" and len(cells) > 1:
+                    i, j = rng.sample(range(len(cells)), 2)
+                    w = rng.choice(sorted(cells[i]))
+                    cells[i].discard(w)
+                    cells[j].add(w)
+                elif max(map(len, cells)) > 1:
+                    cell = rng.choice([c for c in cells if len(c) > 1])
+                    w = rng.choice(sorted(cell))
+                    cell.discard(w)
+                    cells.append({w})
+                rel[fam] = {w: frozenset(c) for c in cells for w in c}
+            yield WindowModel(win.agents, win.worlds, win.layer, win.interior, win.horizon,
+                              win.root, succ, win.pred, rel, win.valuation)
 
 
 @pytest.fixture(scope="session")

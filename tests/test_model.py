@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import mutants
+from conftest import mutants, window_mutants
 
 from kxstit.errors import PartitionError, SchemaError, SuccNotTotal
 from kxstit.gen import GenParams, model_grid, random_model
@@ -201,21 +201,37 @@ def test_with_valuation_copies_match_fresh_models(grid200, fig1a):
         fig1a.with_valuation({"p": ["nowhere"]})
 
 
-def test_bulk_frame_checks_agree_with_the_walks(grid200, fig1a, fig1b):
-    # on a partitioned frame EQ, IA/CARD, NX/NA/NAGS/NOF and (on a plain
-    # frame) UNIF_H first test the condition in bulk; read as a frame that
-    # is not known to be partitioned, the same frame takes the walks alone,
-    # and every verdict, witness and explanation must come out the same
-    failed = set()
-    for m in mutants([*grid200[::4], fig1a, fig1b], seed=12):
-        walked = DenseFrame(m.worlds, m.agents, [m.rel[name] for name in family_names(m.agents)],
-                            m.succ, m.pred or {}, m.valuation)
-        walked.partitioned = False
-        for mode, n in (("actual", 1), ("super_additive", 2)):
-            report = check_frame(m._dense(), mode, n)
-            assert report == check_frame(walked, mode, n), (m.dumps(), mode, n)
-            failed.update(c.condition for c in report.failed())
-    assert failed == {"ADDITIVITY", "CARD", "IA", "NA", "NAGS", "NOF", "NX", "SET", "UNIF_H"}
+def _walked(s):
+    """A dense frame of ``s`` that is not known to be partitioned, so that
+    every check takes its walk alone."""
+    d = DenseFrame(s.worlds, s.agents, [s.rel[name] for name in family_names(s.agents)],
+                   s.succ, s.pred or {}, s.valuation, s.interior, s.layer)
+    d.partitioned = False
+    return d
+
+
+def test_bulk_frame_checks_agree_with_the_walks(grid200, fig1a, fig1b, super_additive_fixture):
+    # on a partitioned frame EQ, IA/CARD, NX/NA/NAGS/NOF and UNIF_H first
+    # test the condition in bulk; read as a frame that is not known to be
+    # partitioned, the same frame takes the walks alone, and every verdict,
+    # witness and explanation must come out the same, on models and on
+    # windows, whose boundary worlds are quantified over only as witnesses
+    def failures(structures):
+        failed = set()
+        for s in structures:
+            walked = _walked(s)
+            for mode, n in (("actual", 1), ("super_additive", 2)):
+                report = check_frame(s._dense(), mode, n)
+                assert report == check_frame(walked, mode, n), (s.to_doc(), mode, n)
+                failed.update(c.condition for c in report.failed())
+        return failed
+
+    assert failures(mutants([*grid200[::4], fig1a, fig1b], seed=12)) == {
+        "ADDITIVITY", "CARD", "IA", "NA", "NAGS", "NOF", "NX", "SET", "UNIF_H"}
+    windows = [unravel(m, m.worlds[0], depth, require_valid=False)[0]
+               for m in [*grid200[::4], fig1a, super_additive_fixture] for depth in (1, 2)]
+    assert failures(window_mutants(windows, seed=14)) >= {
+        "CARD", "IA", "NA", "NAGS", "NOF", "NX", "UNIF_H"}
 
 
 def _set_walk(d, mode, n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -234,6 +235,27 @@ def test_truth_preservation_skips_overdeep_formulas(one_world):
     assert rep.skipped == ["Y(Y(p)) & X(X(p))"] and rep.compared == 0
     with pytest.raises(DepthExceedsWindow):
         window_eval(win, "w|w;1", F.parse("X p"))
+
+
+def test_truth_preservation_reports_are_pinned(fig1a):
+    # fig1a fails NA, NAGS, NOF and NX, so its windows are not bounded
+    # morphic preimages: the reports hold mismatches, each in its place.
+    # The digest is the sha256 of the JSON dump of the report fields, per
+    # root, depth and margin in that order
+    props, agents = sorted(fig1a.valuation), list(fig1a.agents)
+    formulas = [random_formula(7000 + j, 2, props, agents, reach=(1, 1), include_sugar=True)
+                for j in range(40)]
+    records = []
+    for root in ("m4_h10", "m2_h3", "pre_h4"):
+        for depth in (1, 2):
+            win, proj = unravel(fig1a, root, depth, require_valid=False)
+            for margin in (0, 1):
+                rep = truth_preservation(win, fig1a, proj, formulas, margin)
+                records.append([rep.compared, [list(m) for m in rep.mismatches], rep.skipped])
+    compared, mismatches, skipped = zip(*records)
+    assert (sum(compared), sum(map(len, mismatches)), sum(map(len, skipped))) == (106_560, 96, 27)
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
+        "2a495e14ade6ecfe3c3e86ead92b61115e586234c7ebf3555d8e8b5621452e94")
 
 
 def test_window_eval_epistemic_jump_stays_sound(grid50):

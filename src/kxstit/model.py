@@ -325,9 +325,9 @@ class DenseFrame:
     successor and predecessor indices, None where the map is partial or not
     invertible.  A window has a mask per layer in ``layers`` and an
     interior; a model has no layers, and its interior is every world.
-    ``inner`` lists the interior indices in order.  ``partitioned`` says
-    that every family is a partition; a ``plain`` frame is also all
-    interior, as a model is.
+    ``inner`` lists the interior indices in order, as a ``range`` when
+    the interior is every world.  ``partitioned`` says that every family is
+    a partition.
     """
 
     __slots__ = ("names", "index", "agents", "full", "interior", "inner", "layers", "cells",
@@ -361,10 +361,6 @@ class DenseFrame:
         self.atoms = {p: self.mask(ws) for p, ws in valuation.items()}
         self.succ = [index.get(succ.get(w)) for w in names]
         self.pred = [index.get(pred.get(w)) for w in names]
-
-    @property
-    def plain(self):
-        return self.partitioned and self.interior == self.full
 
     def mask(self, ws):
         index = self.index
@@ -653,11 +649,21 @@ def _check_additivity(d, mode, n):
         yield "ADDITIVITY", [u], text
 
 
+def _rows(lists, rows):
+    """Each per-world list of ``lists`` read at the world indices ``rows``:
+    the lists themselves when ``rows`` is a range, which holds every index."""
+    return lists if type(rows) is range else [list(map(c.__getitem__, rows)) for c in lists]
+
+
+# A partitioned frame first tests IA/CARD, the image conditions and UNIF_H
+# in bulk over its interior rows.  A passing test accepts; a failing one
+# hands over to the walk, which alone picks the witness and the text.  On a
+# model, whose interior is every world, the rows are the per-world lists
+# themselves.
+
 def _check_classes(d, mode, n):
-    # IA and CARD, over the cells that the interior members of a class hold.
-    # A plain frame passes in bulk: on the few-world models that model_grid
-    # generates and validates, the walk's fixed cost would dominate.
-    if d.plain and _classes_pass(d, n):
+    # IA and CARD, over the cells that the interior members of a class hold
+    if d.partitioned and _classes_pass(d, n):
         return
     pending = {"IA", "CARD"}
     for key, box, members in _classes(d):
@@ -684,17 +690,18 @@ def _check_classes(d, mode, n):
 
 
 def _classes_pass(d, n):
-    """IA and CARD in bulk on a plain frame: each class meets at most n
-    cells of each family, and its worlds realize every selection of one
-    choice cell per agent."""
-    choices = list(d.choice.values())
-    if len(set(zip(d.box, d.ags, *choices))) == len(d.pairs["box"]):
+    """IA and CARD in bulk on a partitioned frame: the interior members of
+    each class hold at most n cells of each family, and realize every
+    selection of one of their choice cells per agent."""
+    box, ags, *choices = _rows([d.box, d.ags, *d.choice.values()], d.inner)
+    classes = len(d.pairs["box"]) if box is d.box else len(set(box))
+    if len(set(zip(box, ags, *choices))) == classes:
         return True  # one profile per class
 
-    per_class = lambda cells: Counter(map(itemgetter(0), set(zip(d.box, cells))))
+    per_class = lambda cells: Counter(map(itemgetter(0), set(zip(box, cells))))
     # a class meets more than n cells of a family only if the family has more
-    if any(len(d.pairs[name]) > n and max(per_class(d.cells[name]).values()) > n
-           for name in family_names(d.agents)[1:len(choices) + 2]):
+    if any(len(d.pairs[name]) > n and max(per_class(cells).values()) > n
+           for name, cells in zip(family_names(d.agents)[1:], [ags, *choices])):
         return False
     realized = per_class(list(zip(*choices)))
     counts = [per_class(cells) for cells in choices]
@@ -706,14 +713,9 @@ def _check_images(d, mode, n):
     # for each world w whose successor is interior, the interior of
     # box(succ w) lies in the successor image of w's settledness (NX),
     # coalition (NAGS) and choice (NA) cells, and the interior of
-    # epi_a(succ w) in the image of epi_a(w) (NOF).  A plain frame passes in
-    # bulk when succ is a bijection and the worlds it takes into one cell lie
-    # in one cell of each target family.
+    # epi_a(succ w) in the image of epi_a(w) (NOF)
     succ, inner = d.succ, d.interior
-    if d.plain and None not in succ and len(set(succ)) == len(succ) and all(
-            len(set(zip(map(cells.__getitem__, succ), *targets))) == len(set(cells))
-            for cells, targets in [(d.box, [d.box, d.ags, *d.choice.values()]),
-                                   *((e, [e]) for e in d.epi.values())]):
+    if d.partitioned and _images_pass(d):
         return
     sources = {}  # each world -> the worlds whose successor it is, in order
     for w, s in enumerate(succ):
@@ -754,11 +756,35 @@ def _check_images(d, mode, n):
                 return
 
 
+def _images_pass(d):
+    """NX, NA, NAGS and NOF in bulk on a partitioned frame: succ is
+    injective, every interior world of a reached cell has a predecessor,
+    and over the worlds x with an interior successor the cell of succ x
+    gives the target cells of x."""
+    succ, inner = d.succ, d.interior
+    families = [(d.box, [d.box, d.ags, *d.choice.values()]), *((e, [e]) for e in d.epi.values())]
+    if inner == d.full and None not in succ:
+        heads = succ  # every world has an interior successor
+    else:
+        xs = [x for x, s in enumerate(succ) if s is not None and inner >> s & 1]
+        heads = [succ[x] for x in xs]
+        families = [(cells, _rows(targets, xs)) for cells, targets in families]
+    if len(set(heads)) < len(heads):
+        return False
+    if len(heads) < len(succ):
+        missing = inner & ~sum(map((1).__lshift__, heads))  # interior worlds without a predecessor
+        if missing and any(cells[u] & missing for cells, _ in families for u in heads):
+            return False
+    # a permutation (heads is succ) meets every cell
+    return all(len(set(zip(map(cells.__getitem__, heads), *targets)))
+               == len(set(cells if heads is succ else map(cells.__getitem__, heads)))
+               for cells, targets in families)
+
+
 def _check_unif_h(d, mode, n):
     # interior-witnessed links extend from interior worlds, with frame-wide
-    # witnesses; read per distinct cell and the worlds that hold it.  A
-    # plain frame passes in bulk first
-    if d.plain and all(_same_classes_met(d.box, d.epi[a]) for a in d.agents):
+    # witnesses; read per distinct cell and the worlds that hold it
+    if d.partitioned and all(_same_classes_met(d, d.epi[a]) for a in d.agents):
         return
     inner = d.interior
     key = [_low(box) for box in d.box]  # least world of each world's class
@@ -787,15 +813,16 @@ def _check_unif_h(d, mode, n):
                 return
 
 
-def _same_classes_met(box, epi):
-    """Unif-H for one agent on a plain frame: the epistemic cells that meet
-    a settledness class all meet the same classes."""
-    if list(map(or_, epi, box)) == box:
-        return True  # every epistemic cell lies in one class
+def _same_classes_met(d, epi):
+    """Unif-H for one agent on a partitioned frame: the epistemic cells of
+    a class's interior members all meet the same classes."""
+    box, inner_epi = _rows([d.box, epi], d.inner)
+    if list(map(or_, inner_epi, box)) == box:
+        return True  # every interior member's epistemic cell lies in its class
     met = {}  # epistemic cell -> the union of the classes it meets
-    for b, e in set(zip(box, epi)):
+    for b, e in set(zip(d.box, epi)):
         met[e] = met.get(e, 0) | b
-    return len(set(zip(box, map(met.__getitem__, epi)))) == len(set(box))
+    return len(set(zip(box, map(met.__getitem__, inner_epi)))) == len(set(box))
 
 
 _CHECKS = (_check_eq, _check_inverse, _check_set, _check_additivity,

@@ -341,24 +341,36 @@ def truth_preservation(source, target, mapping, formulas, margin=0):
     """Compare window evaluation against base evaluation through the
     projection, over every window world where each formula's temporal reach
     fits; formulas that fit nowhere are recorded as skipped.
+
+    Each formula is evaluated once at each base world onto which a fitting
+    window world maps, and that truth is read back at all those window
+    worlds; only the disagreeing worlds are walked.  PartialMap names the
+    first fitting window world, in world order, that ``mapping`` misses.
     """
     d = source._dense()
     report = TruthPreservationReport()
+    pulled, seen = {}, 0  # base world -> mask of the window worlds read that map to it
     for f in formulas:
         mask, fitting, _ = _window_masks(source, d, f, margin)
         if not fitting:
             report.skipped.append(F.to_text(f))
             continue
-        g = F.expand_macros(f)
-        memo = {}
-        for i in _bits(fitting):
+        for i in _bits(fitting & ~seen):
             w = d.names[i]
-            got = bool(mask >> i & 1)
-            _check_world(target, mapping[w])
-            want = _eval(target, mapping[w], g, memo)
-            report.compared += 1
-            if got != want:
-                report.mismatches.append((w, F.to_text(f), got, want))
+            if w not in mapping:
+                raise PartialMap(f"mapping undefined on {w!r}")
+            if mapping[w] not in pulled:
+                _check_world(target, mapping[w])
+                pulled[mapping[w]] = 0
+            pulled[mapping[w]] |= 1 << i
+        seen |= fitting
+        g, memo, want = F.expand_macros(f), {}, 0
+        for b, worlds in pulled.items():
+            if worlds & fitting and _eval(target, b, g, memo):
+                want |= worlds
+        report.compared += fitting.bit_count()
+        report.mismatches.extend((d.names[i], F.to_text(f), bool(mask >> i & 1), not mask >> i & 1)
+                                 for i in _bits((mask ^ want) & fitting))
     return report
 
 

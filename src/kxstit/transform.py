@@ -41,7 +41,7 @@ class WindowModel(Structure):
     stay equivalences; a cell is the frozenset of a world's mates.  The
     maps are copied into read-only views, with frozenset cells and
     extensions.  An actualized window also carries its matrix worlds and
-    profile tables.
+    profile tables, as read-only maps of frozen values.
     """
 
     def __init__(self, agents, worlds, layer, interior, horizon, root,
@@ -58,8 +58,9 @@ class WindowModel(Structure):
             name: MappingProxyType({w: frozenset(c) for w, c in rel[name].items()})
             for name in family_names(self.agents)})
         self.valuation = MappingProxyType({p: frozenset(ws) for p, ws in valuation.items()})
-        self.matrix_worlds = matrix_worlds  # world id -> MatrixWorld
-        self.tables = tables  # least world of a source class -> ChoiceProfileTable
+        # world id -> MatrixWorld, and least world of a source class -> ChoiceProfileTable
+        self.matrix_worlds = None if matrix_worlds is None else MappingProxyType(dict(matrix_worlds))
+        self.tables = None if tables is None else MappingProxyType(dict(tables))
 
     def succ_of(self, w):
         return self.succ.get(w)
@@ -377,11 +378,11 @@ def truth_preservation(source, target, mapping, formulas, margin=0):
 # ---------------------------------------------------------------------------
 # choice profiles
 
-@dataclass
+@dataclass(frozen=True)
 class ChoiceProfileTable:
     """Per settledness class: the choice profiles with non-empty
     intersection and, for each, its coalition cells with a padded
-    deterministic enumeration of length n.
+    deterministic enumeration of length n.  Its fields cannot be assigned.
     """
 
     class_key: str

@@ -258,6 +258,21 @@ def test_truth_preservation_reports_are_pinned(fig1a):
         "2a495e14ade6ecfe3c3e86ead92b61115e586234c7ebf3555d8e8b5621452e94")
 
 
+def test_truth_preservation_names_the_first_unmapped_fitting_world(grid50):
+    m = grid50[1]
+    win, proj = unravel(m, m.worlds[0], 2)
+    first = next(iter(proj))  # layer -2, listed after w0_0;1 in world order
+    assert (first, win.layer[first]) == ("w0_0|w0_1|w0_2;0", -2)
+    p, yp = F.parse("p"), F.parse("Y p")
+    for dropped, named in (([first], first), ([first, "w0_0;1"], "w0_0;1")):
+        partial = {w: b for w, b in proj.items() if w not in dropped}
+        with pytest.raises(PartialMap, match=re.escape(f"mapping undefined on {named!r}")):
+            truth_preservation(win, m, partial, [yp, p])
+    # Y p fits from layer -1 up, so the world at layer -2 is never compared
+    partial = {w: b for w, b in proj.items() if w != first}
+    assert truth_preservation(win, m, partial, [yp]) == truth_preservation(win, m, proj, [yp])
+
+
 def test_window_eval_epistemic_jump_stays_sound(grid50):
     # knowledge quantifies across layers; mates whose layer cannot absorb the
     # remaining temporal reach are redundant and skipped
@@ -684,6 +699,10 @@ def _edit(s, kind, u, v):
         s.layer = dict.fromkeys(s.worlds, 0)
     elif kind == "layer changed":
         s.layer[u] += 1
+    elif kind == "matrix worlds cleared":
+        s.matrix_worlds.clear()
+    elif kind == "table field assigned":
+        s.tables[min(s.tables)].n = 99
     else:
         del s.valuation
 
@@ -745,12 +764,16 @@ def test_unchanged_window_keeps_its_frame(edit_sources):
         assert win._dense() is win._dense() and m._dense() is m._dense()
 
 
+_MATRIX_EDITS = ["matrix worlds cleared", "table field assigned"]
+
+
 @pytest.mark.parametrize("kind", ["model", "window"])
 @pytest.mark.parametrize("edit", [*_EDITS, "rel family replaced", "valuation replaced",
-                                  "field deleted"])
+                                  "field deleted", *_MATRIX_EDITS])
 def test_edits_are_refused(edit_sources, kind, edit):
     # a model or window is a value: an edit raises, and the kept frame and
-    # the frame report still match its fields
+    # the frame report still match its fields.  Of the sources only the
+    # fixture's matrix has matrix worlds and profile tables to edit
     validate = validate_window if kind == "window" else validate_frame
     for source in edit_sources:
         s, n = source[kind == "window"], source[2]
@@ -759,6 +782,8 @@ def test_edits_are_refused(edit_sources, kind, edit):
             _edit(s, edit, *_interior_step(s))
         assert s._dense() is first and _same_frame(first, _fresh_frame(s))
         assert validate(s, "actual", n) == report == check_frame(_fresh_frame(s), "actual", n)
+        if getattr(s, "tables", None):
+            assert len(s.matrix_worlds) == len(s.worlds) and {t.n for t in s.tables.values()} == {n}
 
 
 @pytest.mark.parametrize("edit", _EDITS)

@@ -207,15 +207,17 @@ def check_bounded_morphism(mapping, source, target):
     forth/back conditions for each relation family, with universal
     quantifiers relativized to the source interior.
 
-    Both sides are read as dense frames.  Each failed condition gives one
-    counterexample, its first violation in world order.
+    Both sides are read as dense frames; on a partitioned source a family
+    passes in bulk when each interior row's cell image is the target cell
+    at its image.  Each failed condition gives one counterexample, its first
+    violation in world order, found by a walk over the interior rows.
     """
     unknown = sorted(set(source.agents) - set(target.agents))
     if unknown:
         raise UnknownAgent(f"agents {unknown} of the source are not agents of the target")
     s, t = source._dense(), target._dense()
-    domain = s.interior
-    missing = [s.names[i] for i in _bits(domain) if s.names[i] not in mapping]
+    domain, inner = s.interior, s.inner
+    missing = [s.names[i] for i in inner if s.names[i] not in mapping]
     if missing:
         raise PartialMap(f"mapping undefined on {missing[:4]}")
     img = [None] * len(s.names)  # target index of each mapped source world
@@ -232,7 +234,8 @@ def check_bounded_morphism(mapping, source, target):
             raise WindowTooSmall("window has no interior")
         root = _low(domain)
     # a sum of distinct bits is their union, so images are summed as a set
-    unreached = _reach(t, img[root]) & ~sum({1 << j for j in img if j is not None})
+    bit = [0 if j is None else 1 << j for j in img]
+    unreached = _reach(t, img[root]) & ~sum(set(bit))
     surjective = not unreached
     if not surjective:
         counterexamples.append(("surjectivity",
@@ -241,7 +244,7 @@ def check_bounded_morphism(mapping, source, target):
     first_atom = None  # (source index, atom) of the first atom disagreement
     for p in sorted(s.atoms.keys() | t.atoms.keys()):
         at = t.atoms.get(p, 0)
-        pulled = sum(1 << i for i in _bits(domain) if at >> img[i] & 1)
+        pulled = sum(1 << i for i in inner if at >> img[i] & 1)
         diff = (s.atoms.get(p, 0) ^ pulled) & domain
         if diff and (first_atom is None or _low(diff) < first_atom[0]):
             first_atom = _low(diff), p
@@ -249,17 +252,22 @@ def check_bounded_morphism(mapping, source, target):
     if not atom_harmony:
         counterexamples.append(("atom", s.names[first_atom[0]], first_atom[1]))
 
-    forth = {}
-    back = {}
+    forth, back = {}, {}
     for name in family_names(s.agents):
         scells, tcells = s.cells[name], t.cells[name]
         images = {}  # source cell -> mask of its mapped members' images
+        if s.partitioned:  # in bulk: a cell's members are the worlds that hold it
+            for cell, b in zip(scells, bit):
+                images[cell] = images.get(cell, 0) | b
+            if [images[scells[w]] for w in inner] == [tcells[img[w]] for w in inner]:
+                forth[name] = back[name] = True
+                continue
         bad_forth = bad_back = None
-        for w in _bits(domain):
+        for w in inner:
             cell, tcell = scells[w], tcells[img[w]]
             image = images.get(cell)
             if image is None:
-                image = images[cell] = sum({1 << img[v] for v in _bits(cell) if img[v] is not None})
+                image = images[cell] = sum({bit[v] for v in _bits(cell)})
             if bad_forth is None and image & ~tcell:
                 v = next(v for v in _bits(cell) if img[v] is not None and not tcell >> img[v] & 1)
                 bad_forth = ("forth", name, s.names[w], s.names[v])
@@ -273,7 +281,7 @@ def check_bounded_morphism(mapping, source, target):
 
     for name, ssteps, tsteps in (("succ", s.succ, t.succ), ("pred", s.pred, t.pred)):
         bad_forth = bad_back = None
-        for w in _bits(domain):
+        for w in inner:
             sw, tw = ssteps[w], tsteps[img[w]]
             if tw is not None and (sw is None or img[sw] != tw):
                 if bad_back is None:
@@ -365,9 +373,9 @@ def truth_preservation(source, target, mapping, formulas, margin=0):
                 pulled[mapping[w]] = 0
             pulled[mapping[w]] |= 1 << i
         seen |= fitting
-        g, memo, want = F.expand_macros(f), {}, 0
+        memo, want = {}, 0
         for b, worlds in pulled.items():
-            if worlds & fitting and _eval(target, b, g, memo):
+            if worlds & fitting and _eval(target, b, f, memo):
                 want |= worlds
         report.compared += fitting.bit_count()
         report.mismatches.extend((d.names[i], F.to_text(f), bool(mask >> i & 1), not mask >> i & 1)
@@ -435,17 +443,11 @@ class MatrixWorld:
 def _chain(win, w):
     """The temporal line through ``w`` inside the window: predecessors,
     ``w`` itself, successors."""
-    back = []
-    cur = win.pred_of(w)
-    while cur is not None:
-        back.append(cur)
-        cur = win.pred_of(cur)
-    fwd = []
-    cur = win.succ_of(w)
-    while cur is not None:
-        fwd.append(cur)
-        cur = win.succ_of(cur)
-    return list(reversed(back)) + [w] + fwd
+    back, fwd = [w], [w]
+    for line, step in ((back, win.pred_of), (fwd, win.succ_of)):
+        while (nxt := step(line[-1])) is not None:
+            line.append(nxt)
+    return back[:0:-1] + fwd
 
 
 def actualize(source, n=None, max_worlds=MAX_MATRIX_WORLDS):

@@ -216,6 +216,96 @@ def test_morphism_failures_are_pinned(super_additive_fixture):
          ("back", "pred", "x")])
 
 
+
+def _brute_morphism(mapping, source, target):
+    """The morphism report of ``mapping`` from the window ``source`` by its
+    definition, over world names and the cell accessors: each failed
+    condition's counterexample is its first violation in world order."""
+    inner = sorted(source.interior)
+    images = {mapping[w] for w in source.worlds if w in mapping}
+    steps = [("succ", source.succ.get, target.succ.get),
+             ("pred", source.pred.get, (target.pred or {}).get)]
+    start = mapping[source.root if source.root in mapping else inner[0]]
+    reached, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        nxt = {y for fam in family_names(target.agents) for y in _mates(target, fam)(x)}
+        nxt |= {step(x) for _, _, step in steps} - {None}
+        todo.extend(nxt - reached)
+        reached |= nxt
+    unreached = sorted(reached - images)
+    counterexamples = [("surjectivity", unreached[:4])] if unreached else []
+    atoms = sorted(source.valuation.keys() | target.valuation.keys())
+    bad_atom = min(((w, p) for p in atoms for w in inner
+                    if source.holds(p, w) != target.holds(p, mapping[w])), default=None)
+    counterexamples += [("atom", *bad_atom)] if bad_atom else []
+    forth, back = {}, {}
+    for name in family_names(source.agents):
+        mates, tmates = _mates(source, name), _mates(target, name)
+        forths = ((w, v) for w in inner for v in sorted(mates(w))
+                  if v in mapping and mapping[v] not in tmates(mapping[w]))
+        backs = ((w, sorted(tmates(mapping[w]) - {mapping[v] for v in mates(w) if v in mapping}))
+                 for w in inner)
+        bad_forth = next(forths, None)
+        bad_back = next(((w, missed[:2]) for w, missed in backs if missed), None)
+        forth[name], back[name] = bad_forth is None, bad_back is None
+        counterexamples += [("forth", name, *bad_forth)] if bad_forth else []
+        counterexamples += [("back", name, *bad_back)] if bad_back else []
+    for name, sstep, tstep in steps:
+        bad = [(w, sstep(w)) for w in inner if tstep(mapping[w]) is not None
+               and mapping.get(sstep(w)) != tstep(mapping[w])]
+        bad_forth = next((w for w, sw in bad if sw is not None), None)
+        forth[name], back[name] = bad_forth is None, not bad
+        counterexamples += [("forth", name, bad_forth)] if bad_forth else []
+        counterexamples += [("back", name, bad[0][0])] if bad else []
+    return MorphismReport(not unreached, bad_atom is None, forth, back, counterexamples)
+
+
+def _tampered(mapping, source, target, rng):
+    """Three projections that ``mapping`` becomes by one change at interior
+    worlds of ``source``: the images of two worlds in different settledness
+    cells swapped, a world sent to a box mate of its image, and a world sent
+    to a world outside its image's class."""
+    inner = sorted(source.interior)
+    u = rng.choice(inner)
+    apart = [v for v in inner if v not in source.box_cell(u) and mapping[v] != mapping[u]]
+    mates = sorted(target.box_cell(mapping[u]) - {mapping[u]})
+    others = sorted(set(target.worlds) - target.box_cell(mapping[u]))
+    v = rng.choice(apart) if apart else None
+    return [{**mapping, u: mapping[v], v: mapping[u]} if apart else None,
+            {**mapping, u: rng.choice(mates)} if mates else None,
+            {**mapping, u: rng.choice(others)} if others else None]
+
+
+def test_bulk_morphism_decisions_agree_with_the_definition(grid50):
+    # the grid windows are partitioned, so each family is decided in bulk
+    # and only failing ones are walked; the fixture matrix is not, so every
+    # family is walked
+    fx = KripkeModel(
+        ["a0", "a1"], ["a", "b", "c"], [["a", "b", "c"]], {"a": "b", "b": "c", "c": "a"},
+        {"a0": [["a", "b", "c"]], "a1": [["a", "b", "c"]]},
+        {"a0": [["a"], ["b"], ["c"]], "a1": [["a", "b", "c"]]},
+        choice_ags=[["a"], ["b"], ["c"]], valuation={"p": ["a"]})
+    fx_win, _ = unravel(fx, "a", 1, require_valid=False)
+    cases = [(*unravel(m, m.worlds[0], 2), m) for m in grid50]
+    cases.append((*actualize(fx_win, n=3), fx_win))
+    assert [win._dense().partitioned for win, _, _ in cases[-2:]] == [True, False]
+    rng = random.Random(21)
+    failed = {}  # kind of projection -> failed flags seen
+    for win, proj, target in cases:
+        assert check_bounded_morphism(proj, win, target).ok
+        for kind, mapping in enumerate(_tampered(proj, win, target, rng)):
+            if mapping is None:
+                continue
+            report = check_bounded_morphism(mapping, win, target)
+            assert report == _brute_morphism(mapping, win, target)
+            flags = {(way, fam) for way in ("forth", "back")
+                     for fam, ok in getattr(report, way).items() if not ok}
+            failed.setdefault(kind, set()).update(flags)
+    # each kind of change fails forth and back somewhere
+    assert all({way for way, _ in flags} == {"forth", "back"} for flags in failed.values())
+    assert len(failed) == 3
+
 def test_truth_preservation_on_generated_models(grid50):
     for i, m in enumerate(grid50[:10]):
         win, proj = unravel(m, m.worlds[0], 2)
@@ -257,6 +347,28 @@ def test_truth_preservation_reports_are_pinned(fig1a):
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
         "2a495e14ade6ecfe3c3e86ead92b61115e586234c7ebf3555d8e8b5621452e94")
 
+
+
+def test_truth_preservation_reads_macros_as_their_expansions(fig1a):
+    # each stage macro over each fig1a atom, and two formulas around macros
+    # that mismatch on fig1a windows: the report of a macro formula is the
+    # report of its expansion, with the formula printed as given
+    atoms = [F.Atom(p) for p in sorted(fig1a.valuation)]
+    formulas = [F.Macro(name, a, p) for name in F.MACRO_NAMES for a in fig1a.agents for p in atoms]
+    formulas += [F.Or(F.Macro("ExAnte", "luther", F.Atom("d_L")), F.parse("[] Y r_L")),
+                 F.Macro("Kh", "benji", F.parse("~[] Y r_L"))]
+    expanded = list(map(F.expand_macros, formulas))
+    texts = dict(zip(map(F.to_text, expanded), map(F.to_text, formulas)))
+    mismatched = set()
+    for depth, margin in ((1, 0), (1, 1), (2, 0), (2, 1)):
+        win, proj = unravel(fig1a, "m4_h10", depth, require_valid=False)
+        got = truth_preservation(win, fig1a, proj, formulas, margin)
+        want = truth_preservation(win, fig1a, proj, expanded, margin)
+        assert got.compared == want.compared
+        assert got.mismatches == [(w, texts[t], a, b) for w, t, a, b in want.mismatches]
+        assert got.skipped == [texts[t] for t in want.skipped]
+        mismatched.update(t for _, t, _, _ in got.mismatches)
+    assert mismatched == {"ExAnte(luther, d_L) | [](Y(r_L))", "Kh(benji, ~([](Y(r_L))))"}
 
 def test_truth_preservation_names_the_first_unmapped_fitting_world(grid50):
     m = grid50[1]

@@ -217,6 +217,17 @@ def test_morphism_failures_are_pinned(super_additive_fixture):
 
 
 
+def _three_world_fixture():
+    """Three worlds on a 3-cycle in one settledness class, one choice profile
+    with three coalition cells: its depth-1 window actualizes at n = 3 to a
+    729-world matrix that is not partitioned."""
+    return KripkeModel(
+        ["a0", "a1"], ["a", "b", "c"], [["a", "b", "c"]], {"a": "b", "b": "c", "c": "a"},
+        {"a0": [["a", "b", "c"]], "a1": [["a", "b", "c"]]},
+        {"a0": [["a"], ["b"], ["c"]], "a1": [["a", "b", "c"]]},
+        choice_ags=[["a"], ["b"], ["c"]], valuation={"p": ["a"]})
+
+
 def _brute_morphism(mapping, source, target):
     """The morphism report of ``mapping`` from the window ``source`` by its
     definition, over world names and the cell accessors: each failed
@@ -281,12 +292,7 @@ def test_bulk_morphism_decisions_agree_with_the_definition(grid50):
     # the grid windows are partitioned, so each family is decided in bulk
     # and only failing ones are walked; the fixture matrix is not, so every
     # family is walked
-    fx = KripkeModel(
-        ["a0", "a1"], ["a", "b", "c"], [["a", "b", "c"]], {"a": "b", "b": "c", "c": "a"},
-        {"a0": [["a", "b", "c"]], "a1": [["a", "b", "c"]]},
-        {"a0": [["a"], ["b"], ["c"]], "a1": [["a", "b", "c"]]},
-        choice_ags=[["a"], ["b"], ["c"]], valuation={"p": ["a"]})
-    fx_win, _ = unravel(fx, "a", 1, require_valid=False)
+    fx_win, _ = unravel(_three_world_fixture(), "a", 1, require_valid=False)
     cases = [(*unravel(m, m.worlds[0], 2), m) for m in grid50]
     cases.append((*actualize(fx_win, n=3), fx_win))
     assert [win._dense().partitioned for win, _, _ in cases[-2:]] == [True, False]
@@ -305,6 +311,7 @@ def test_bulk_morphism_decisions_agree_with_the_definition(grid50):
     # each kind of change fails forth and back somewhere
     assert all({way for way, _ in flags} == {"forth", "back"} for flags in failed.values())
     assert len(failed) == 3
+
 
 def test_truth_preservation_on_generated_models(grid50):
     for i, m in enumerate(grid50[:10]):
@@ -360,7 +367,7 @@ def test_truth_preservation_reads_macros_as_their_expansions(fig1a):
     expanded = list(map(F.expand_macros, formulas))
     texts = dict(zip(map(F.to_text, expanded), map(F.to_text, formulas)))
     mismatched = set()
-    for depth, margin in ((1, 0), (1, 1), (2, 0), (2, 1)):
+    for depth, margin in ((1, 1), (2, 0)):
         win, proj = unravel(fig1a, "m4_h10", depth, require_valid=False)
         got = truth_preservation(win, fig1a, proj, formulas, margin)
         want = truth_preservation(win, fig1a, proj, expanded, margin)
@@ -369,6 +376,7 @@ def test_truth_preservation_reads_macros_as_their_expansions(fig1a):
         assert got.skipped == [texts[t] for t in want.skipped]
         mismatched.update(t for _, t, _, _ in got.mismatches)
     assert mismatched == {"ExAnte(luther, d_L) | [](Y(r_L))", "Kh(benji, ~([](Y(r_L))))"}
+
 
 def test_truth_preservation_names_the_first_unmapped_fitting_world(grid50):
     m = grid50[1]
@@ -861,11 +869,7 @@ def edit_sources(grid50):
     """(model, window, n) triples: the models of ``grid50`` with an atom
     ``p``, each with its depth-2 window, and the three-world fixture with its
     729-world matrix."""
-    fx = KripkeModel(
-        ["a0", "a1"], ["a", "b", "c"], [["a", "b", "c"]], {"a": "b", "b": "c", "c": "a"},
-        {"a0": [["a", "b", "c"]], "a1": [["a", "b", "c"]]},
-        {"a0": [["a"], ["b"], ["c"]], "a1": [["a", "b", "c"]]},
-        choice_ags=[["a"], ["b"], ["c"]], valuation={"p": ["a"]})
+    fx = _three_world_fixture()
     mat, _ = actualize(unravel(fx, "a", 1, require_valid=False)[0], n=3)
     wins = [(m, unravel(m, m.worlds[0], 2)[0], 2) for m in grid50 if "p" in m.valuation]
     return [*wins, (fx, mat, 3)]

@@ -217,12 +217,12 @@ def saturating_atoms(m):
         names["ags"].append(atom)
     for a in m.agents:
         names["choice"][a] = []
-        for i, cell in enumerate(m.choice[a]):
+        for i, cell in enumerate(m.sorted_cells(f"choice:{a}")):
             atom = f"_c{a}{i}"
             valuation[atom] = set(cell)
             names["choice"][a].append(atom)
         names["epi"][a] = []
-        for i, cell in enumerate(m.epistemic[a]):
+        for i, cell in enumerate(m.sorted_cells(f"epi:{a}")):
             atom = f"_e{a}{i}"
             valuation[atom] = set(cell)
             names["epi"][a].append(atom)
@@ -258,7 +258,7 @@ def _checked_models(models, n_bounds):
     """(model id, model, n bound, saturating copy, its atom names) per
     model; a model failing frame validation at its bound is rejected."""
     for mi, m in enumerate(models):
-        n = n_bounds[mi] if n_bounds else max(len(m.choice_ags), 1)
+        n = n_bounds[mi] if n_bounds else len(set(m.rel["ags"].values()))
         frame = validate_frame(m, "actual", n)
         if not frame.ok:
             bad = ", ".join(c.condition for c in frame.failed())

@@ -307,7 +307,7 @@ def knowledge_report(m, w, agent, target):
     memo = {}
     flags = {name: _eval(m, w, g, memo) for name, g in stages.items()}
     warnings = []
-    report = validate_frame(m, "actual", max(len(m.choice_ags), 1))
+    report = validate_frame(m, "actual", len(set(m.rel["ags"].values())))
     if not report.ok:
         bad = ", ".join(c.condition for c in report.failed())
         warnings.append(f"model fails frame conditions: {bad}; stage implications may not hold")

@@ -31,8 +31,8 @@ def to_dot(m):
         lines.append("  }")
     for w in m.worlds:
         lines.append(f"  {_quote(w)} -> {_quote(m.succ[w])};")
-    for a in sorted(m.agents):
-        for cell in m.epistemic[a]:
+    for a, cells in sorted(m.epistemic.items()):
+        for cell in cells:
             ws = sorted(cell)
             for u, v in zip(ws, ws[1:]):
                 lines.append(f"  {_quote(u)} -> {_quote(v)} "

@@ -257,8 +257,11 @@ def _build(bits, depth, offset, fwd, back, table, atoms, agents):
     return op(_build(bits, depth, offset, fwd, back, table, atoms, agents))
 
 
-def model_grid(count, base_seed=0, agent_counts=(1, 2, 3), class_counts=(1, 2, 3),
-               n_bound=2, props=("p", "q", "r")):
+GRID_AGENT_COUNTS = GRID_CLASS_COUNTS = (1, 2, 3)  # the grid that model_grid cycles over
+GRID_PROPS = ("p", "q", "r")
+
+
+def model_grid(count, base_seed=0, n_bound=2):
     """Deterministic family of generated models cycling over a small
     parameter grid; used by the validity suites.
     """
@@ -266,11 +269,11 @@ def model_grid(count, base_seed=0, agent_counts=(1, 2, 3), class_counts=(1, 2, 3
     for i in range(count):
         params = GenParams(
             seed=base_seed + i,
-            agent_count=agent_counts[i % len(agent_counts)],
+            agent_count=GRID_AGENT_COUNTS[i % len(GRID_AGENT_COUNTS)],
             n_bound=n_bound,
-            box_class_count=class_counts[(i // len(agent_counts)) % len(class_counts)],
+            box_class_count=GRID_CLASS_COUNTS[(i // len(GRID_AGENT_COUNTS)) % len(GRID_CLASS_COUNTS)],
             epistemic_coarseness=(i % 5) / 4.0,
-            props=props,
+            props=GRID_PROPS,
         )
         models.append(random_model(params))
     return models

@@ -41,12 +41,14 @@ CONDITIONS = (
 )
 
 
-def is_partition(cells, universe):
-    """Whether the frozensets ``cells`` are non-empty, pairwise disjoint and
-    cover ``universe`` exactly: sizes that sum to ``len(universe)`` and a
-    union equal to it leave no room for an overlap."""
-    return (all(cells) and sum(map(len, cells)) == len(universe)
-            and frozenset().union(*cells) == universe)
+def partition_map(cells, universe):
+    """{world: its cell} when the frozensets ``cells`` are non-empty,
+    pairwise disjoint and cover ``universe`` exactly, else None: a map as
+    long as the cell sizes' sum and as the universe, and within it, leaves
+    no room for an overlap or a gap."""
+    mates = {w: cell for cell in cells for w in cell}
+    fits = all(cells) and len(mates) == sum(map(len, cells)) == len(universe)
+    return mates if fits and universe.issuperset(mates) else None
 
 
 def by_id(x):
@@ -56,18 +58,20 @@ def by_id(x):
 
 
 def make_partition(cells, universe, what):
-    """The cells as a list of frozensets, checked to be non-empty, pairwise
-    disjoint and to cover ``universe`` exactly.
+    """The read-only map from each world to its cell, a frozenset, with the
+    cells checked to be non-empty, pairwise disjoint and to cover
+    ``universe`` exactly.
 
-    A partition is accepted in one bulk test; the cell-by-cell walk runs only
-    to name the first faulty cell.
+    A partition is accepted in one bulk test on that map; the cell-by-cell
+    walk runs only to name the first faulty cell.
     """
     try:
         norm = list(map(frozenset, cells))
     except TypeError:
         raise SchemaError(f"{what}: cells must hold ids, not lists or objects") from None
-    if is_partition(norm, universe):
-        return norm
+    mates = partition_map(norm, universe)
+    if mates is not None:
+        return MappingProxyType(mates)
     seen = set()
     for fs in norm:
         if not fs:
@@ -81,42 +85,9 @@ def make_partition(cells, universe, what):
     raise PartitionError(f"{what}: worlds not covered: {sorted(universe - seen)}")
 
 
-class Partitions(dict):
-    """A model's checked partitions by family name, as in ``family_names``.
-    Looking a family up gives a read-only {world: its cell}, so a model's
-    ``rel`` reads as a window's does; ``order`` gives the family's cells
-    sorted by least world.  Each is built on first use and kept, and a
-    model's ``with_valuation`` copies share them.  Only the maps built so
-    far are items: list the families with ``family_names``.  Item
-    assignment raises TypeError.
-    """
-
-    __slots__ = ("cells", "orders")
-
-    def __init__(self, cells):
-        super().__init__()
-        self.cells, self.orders = cells, {}
-
-    def __missing__(self, name):
-        cells = MappingProxyType({w: cell for cell in self.cells[name] for w in cell})
-        dict.__setitem__(self, name, cells)
-        return cells
-
-    def __setitem__(self, name, value):
-        raise TypeError("a model's relations are read-only")
-
-    def order(self, name):
-        cells = self.orders.get(name)
-        if cells is None:
-            cells = self.orders[name] = tuple(sorted(self.cells[name], key=min))
-        return cells
-
-
 class Structure:
     """Worlds and one relation store: ``rel`` maps each family name (as in
-    ``family_names``) to {world: its cell}, the frozenset of its mates.  A
-    window's ``rel`` is a read-only view and a model's its ``Partitions``;
-    both answer the cell lookups alike.
+    ``family_names``) to {world: its cell}, the frozenset of its mates.
 
     A structure is a value.  Its constructor sets each field once, its maps
     are read-only views (``types.MappingProxyType``), and a field once set
@@ -159,10 +130,12 @@ class Structure:
     def holds(self, prop, w):
         return w in self.valuation.get(prop, frozenset())
 
-    def to_doc(self):
-        def cells(name):
-            return sorted((sorted(c) for c in set(self.rel[name].values())), key=lambda c: c[0])
+    def sorted_cells(self, name):
+        """The distinct cells of family ``name``, sorted by least world."""
+        return tuple(sorted(set(self.rel[name].values()), key=min))
 
+    def to_doc(self):
+        cells = lambda name: [sorted(c) for c in self.sorted_cells(name)]
         return {
             "format_version": FORMAT_VERSION,
             "agents": sorted(self.agents),
@@ -193,9 +166,8 @@ class KripkeModel(Structure):
     """Finite Kripke-exstit structure.
 
     Structural well-formedness (partitions cover, successor total) is enforced
-    at construction; each family's cell map and its cells in order of least
-    world are built on first use (``Partitions``).  Frame validity is a
-    separate concern checked by ``validate_frame``.
+    at construction, by checks that build each family's cell map.  Frame
+    validity is a separate concern checked by ``validate_frame``.
     """
 
     _common_cells = None  # built on first use
@@ -215,10 +187,9 @@ class KripkeModel(Structure):
         if len(set(self.worlds)) != len(self.worlds) or not self.worlds:
             raise SchemaError("worlds must be a non-empty list of distinct ids")
         universe = frozenset(self.worlds)
-        # every family is checked here, in family_names order; its map and
-        # order are built on first use
-        cells = dict.fromkeys(family_names(self.agents))
-        cells["box"] = make_partition(r_box, universe, "r_box")
+        # every family is checked here, and its map built, in family_names order
+        rel = dict.fromkeys(family_names(self.agents))
+        rel["box"] = make_partition(r_box, universe, "r_box")
 
         succ = dict(succ)
         missing = universe.difference(succ)
@@ -237,32 +208,32 @@ class KripkeModel(Structure):
             for a in self.agents:
                 if a not in table:
                     raise SchemaError(f"{what} partition missing for agent {a}")
-                cells[f"{family}:{a}"] = make_partition(table[a], universe, f"{what}[{a}]")
+                rel[f"{family}:{a}"] = make_partition(table[a], universe, f"{what}[{a}]")
 
-        self.rel = Partitions(cells)
-        cells["ags"] = (self._refine_choice_ags() if choice_ags is None else
-                        make_partition(choice_ags, universe, "choice_ags"))
+        rel["ags"] = (self._refine_choice_ags(rel) if choice_ags is None else
+                      make_partition(choice_ags, universe, "choice_ags"))
+        self.rel = MappingProxyType(rel)
         self.valuation = _checked_valuation(valuation, universe)
         self.interior = self.layer = None  # every world is interior, and there are no layers
         self._frame_reports = {}
 
     # the partitions, each sorted by least world
-    r_box = property(lambda self: self.rel.order("box"))
-    choice_ags = property(lambda self: self.rel.order("ags"))
-    choice = property(lambda self: {a: self.rel.order(f"choice:{a}") for a in self.agents})
-    epistemic = property(lambda self: {a: self.rel.order(f"epi:{a}") for a in self.agents})
+    r_box = property(lambda self: self.sorted_cells("box"))
+    choice_ags = property(lambda self: self.sorted_cells("ags"))
+    choice = property(lambda self: {a: self.sorted_cells(f"choice:{a}") for a in self.agents})
+    epistemic = property(lambda self: {a: self.sorted_cells(f"epi:{a}") for a in self.agents})
 
-    def _refine_choice_ags(self):
-        """Common refinement of the per-agent partitions restricted to each
-        settledness class (the default grand-coalition partition), from the
-        box and choice cell maps.
+    def _refine_choice_ags(self, rel):
+        """The cell map of the common refinement of the per-agent partitions
+        restricted to each settledness class (the default grand-coalition
+        partition), from the box and choice cell maps in ``rel``.
         """
-        families = [self.rel["box"], *(self.rel[f"choice:{a}"] for a in self.agents)]
+        families = [rel["box"], *(rel[f"choice:{a}"] for a in self.agents)]
         keys = zip(*(map(cells.__getitem__, self.worlds) for cells in families))
         cells = {}
         for w, key in zip(self.worlds, keys):
             cells.setdefault(key, []).append(w)
-        return list(map(frozenset, cells.values()))
+        return MappingProxyType({w: cell for cell in map(frozenset, cells.values()) for w in cell})
 
     def common_cell(self, w):
         """Cell of w under the reflexive-transitive closure of the union of
@@ -286,10 +257,9 @@ class KripkeModel(Structure):
 
     def with_valuation(self, valuation):
         """Copy of this model with a replaced valuation.  The copy shares
-        this model's checked partitions, with the cell maps and orders built
-        from them so far or later, and its successor maps, and checks only
-        the new valuation; it builds its own dense frame and frame reports
-        on first use."""
+        this model's checked partitions (its ``rel``) and successor maps, and
+        checks only the new valuation; it builds its own dense frame and
+        frame reports on first use."""
         copy = object.__new__(type(self))
         copy.__dict__.update(self.__dict__, _frame_reports={},
                              valuation=_checked_valuation(valuation, frozenset(self.worlds)))
@@ -461,18 +431,26 @@ _MODEL_SHAPES = {
 }
 
 
-def load_model(document):
-    """Load a model from JSON text or an already-parsed document."""
+def read_fields(document, kind, shapes, required):
+    """A ``kind`` document (model or scenario) as JSON text or already
+    parsed: checked to be an object of this format version that has every
+    ``required`` field and each field in the shape ``shapes`` gives it."""
     doc = read_document(document)
     if not isinstance(doc, dict):
-        raise SchemaError("model document must be an object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise SchemaError(f"unsupported format_version {version!r}")
-    for key in ("agents", "worlds", "r_box", "succ", "choice", "epistemic"):
+        raise SchemaError(f"{kind} document must be an object")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise SchemaError(f"unsupported format_version {doc.get('format_version')!r}")
+    for key in required:
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
-    check_fields(doc, _MODEL_SHAPES)
+    check_fields(doc, shapes)
+    return doc
+
+
+def load_model(document):
+    """Load a model from JSON text or an already-parsed document."""
+    doc = read_fields(document, "model", _MODEL_SHAPES,
+                      ("agents", "worlds", "r_box", "succ", "choice", "epistemic"))
     return KripkeModel(
         doc["agents"], doc["worlds"], doc["r_box"], doc["succ"],
         doc["choice"], doc["epistemic"], doc.get("choice_ags"),

@@ -19,9 +19,8 @@ conditions to stutter-world pairs.
 from __future__ import annotations
 
 from .errors import BDTInvariantViolation, SchemaError
-from .model import (FORMAT_VERSION, KripkeModel, by_id, cell_list, cell_map, check_fields,
-                    id_list, id_map, is_partition, optional, read_document,
-                    table_of)
+from .model import (FORMAT_VERSION, KripkeModel, by_id, cell_list, cell_map, id_list, id_map,
+                    optional, partition_map, read_fields, table_of)
 
 import json
 from itertools import product
@@ -231,7 +230,7 @@ def _partition(cells, universe, table, agent, moment=None):
         if len(cells) == 1 and frozenset(cells[0]) == universe:
             return (universe,)
         norm = [frozenset(c) for c in cells]
-        if is_partition(norm, universe):
+        if partition_map(norm, universe) is not None:
             return tuple(sorted(norm, key=min))
         fault = " is not a partition of " + (
             "the situations" if moment is None else f"the histories through {moment}")
@@ -260,15 +259,8 @@ _SCENARIO_SHAPES = {
 
 
 def load_scenario(document):
-    doc = read_document(document)
-    if not isinstance(doc, dict):
-        raise SchemaError("scenario document must be an object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise SchemaError(f"unsupported format_version {doc.get('format_version')!r}")
-    for key in ("agents", "moments", "parent", "choice_at", "epistemic_sit", "valuation_sit"):
-        if key not in doc:
-            raise SchemaError(f"missing field {key!r}")
-    check_fields(doc, _SCENARIO_SHAPES)
+    doc = read_fields(document, "scenario", _SCENARIO_SHAPES, ("agents", "moments", "parent",
+                      "choice_at", "epistemic_sit", "valuation_sit"))
     return BDTScenario(doc["agents"], doc["moments"], doc["parent"], doc["choice_at"],
                        doc["epistemic_sit"], doc["valuation_sit"], doc.get("history_names"))
 

@@ -104,8 +104,10 @@ def unravel(m, root, horizon, require_valid=True):
     if m.pred is None:
         raise InvalidModel("successor map is not invertible")
     if require_valid:
-        families = (m.choice_ags, *m.choice.values())
-        n = max(sum(not box.isdisjoint(cell) for cell in cells) for box in m.r_box
+        # the most cells of a family that one class meets, counted unsorted
+        boxes, *families = (set(m.rel[name].values()) for name in family_names(m.agents)
+                            if not name.startswith("epi:"))
+        n = max(sum(not box.isdisjoint(cell) for cell in cells) for box in boxes
                 for cells in families)
         report = validate_frame(m, "super_additive", n)
         if not report.ok:
@@ -390,14 +392,14 @@ def truth_preservation(source, target, mapping, formulas, margin=0):
 class ChoiceProfileTable:
     """Per settledness class: the choice profiles with non-empty
     intersection and, for each, its coalition cells with a padded
-    deterministic enumeration of length n.  Its fields cannot be assigned.
+    deterministic enumeration of length n: a value of tuples and read-only maps.
     """
 
     class_key: str
     n: int
-    profiles: list            # list of tuples of frozensets, one cell per agent
-    cells_by_profile: dict    # profile index -> sorted list of coalition cells
-    enumeration: dict         # profile index -> padded list (length n)
+    profiles: tuple           # tuples of frozensets, one cell per agent
+    cells_by_profile: dict    # profile index -> sorted tuple of coalition cells
+    enumeration: dict         # profile index -> padded tuple (length n)
     profile_of_world: dict
 
 
@@ -410,20 +412,20 @@ def choice_profiles(m, world, n=None):
     prof_index = {}  # profile -> its index, in order of its least holder
     profile_of_world = {w: prof_index.setdefault(tuple(m.choice_cell(a, w) for a in m.agents),
                                                  len(prof_index)) for w in box}
-    profiles = list(prof_index)
-    cells_by_profile = {i: [] for i in range(len(profiles))}
+    profiles = tuple(prof_index)
+    found = {i: [] for i in range(len(profiles))}
     seen = set()
     for w in box:
         cell = m.ags_cell(w)
         if min(cell) not in seen:
             seen.add(min(cell))
-            cells_by_profile[profile_of_world[w]].append(cell)
-    for cells in cells_by_profile.values():
-        cells.sort(key=min)
+            found[profile_of_world[w]].append(cell)
+    cells_by_profile = {i: tuple(sorted(cells, key=min)) for i, cells in found.items()}
     if n is None:
         n = max((len(v) for v in cells_by_profile.values()), default=1)
-    enumeration = {i: (cells + [cells[-1]] * n)[:n] for i, cells in cells_by_profile.items()}
-    return ChoiceProfileTable(box[0], n, profiles, cells_by_profile, enumeration, profile_of_world)
+    enumeration = {i: (cells + (cells[-1],) * n)[:n] for i, cells in cells_by_profile.items()}
+    return ChoiceProfileTable(box[0], n, profiles, MappingProxyType(cells_by_profile),
+                              MappingProxyType(enumeration), MappingProxyType(profile_of_world))
 
 
 # ---------------------------------------------------------------------------

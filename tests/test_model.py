@@ -1,13 +1,16 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import mutants, window_mutants
 
+from kxstit import scenario
 from kxstit.errors import PartitionError, SchemaError, SuccNotTotal
 from kxstit.gen import GenParams, model_grid, random_model
 from kxstit.model import (DenseFrame, KripkeModel, _check_additivity, _check_set, check_frame,
-                          family_names, load_model, make_partition, validate_frame)
+                          family_names, load_model, make_partition, partition_map,
+                          validate_frame)
 from kxstit.scenario import bdt_to_kripke, figure1_scenario
 from kxstit.transform import unravel
 
@@ -295,37 +298,30 @@ def test_set_and_additivity_agree_with_per_world_walks(grid200, fig1a, fig1b):
     assert min(failed.values()) >= 10, failed
 
 
-# A model checks every partition at load and builds each family's cell map
-# and order on first use.  The probes below each touch one of those first.
-PROBES = {
-    "box_cell": lambda m: m.box_cell(m.worlds[0]),
-    "choice_cell": lambda m: m.choice_cell(m.agents[-1], m.worlds[-1]),
-    "ags_cell": lambda m: m.ags_cell(m.worlds[-1]),
-    "epi_cell": lambda m: m.epi_cell(m.agents[0], m.worlds[0]),
-    "rel": lambda m: m.rel[f"epi:{m.agents[-1]}"],
-    "rel.all": lambda m: [m.rel[name] for name in family_names(m.agents)],
-    "r_box": lambda m: m.r_box,
-    "choice_ags": lambda m: m.choice_ags,
-    "choice": lambda m: m.choice,
-    "epistemic": lambda m: m.epistemic,
-    "common_cell": lambda m: m.common_cell(m.worlds[-1]),
-    "to_doc": lambda m: m.to_doc(),
-    "dense": lambda m: m._dense(),
-}
+def _families(agents, r_box, choice, epistemic, choice_ags=None):
+    """A model's cell lists by family name, in ``family_names`` order."""
+    return {"box": r_box, "ags": choice_ags, **{f"choice:{a}": choice[a] for a in agents},
+            **{f"epi:{a}": epistemic[a] for a in agents}}
 
 
-def _eager(m):
-    """Each family's cells sorted by least world and its map from world to
-    cell, built at once from the checked cells of a model that has not been
-    read yet."""
-    order = {name: tuple(sorted(cells, key=min)) for name, cells in m.rel.cells.items()}
-    return order, {name: {w: c for c in cells for w in c} for name, cells in order.items()}
+def _independent(worlds, families):
+    """Each family's map from world to cell and its cells sorted by least
+    world, built from the cell lists ``families``.  Absent coalition cells
+    are the classes of worlds alike in their settledness and choice cells."""
+    rel = {name: {w: frozenset(c) for c in cells for w in c}
+           for name, cells in families.items() if cells is not None}
+    if families["ags"] is None:
+        keys = [name for name in families if name == "box" or name.startswith("choice:")]
+        rel["ags"] = {w: frozenset(v for v in worlds if all(rel[k][v] == rel[k][w] for k in keys))
+                      for w in worlds}
+    rel = {name: rel[name] for name in families}
+    return rel, {name: tuple(sorted(set(cells.values()), key=min)) for name, cells in rel.items()}
 
 
-def _assert_built_as_eager(m, order, rel):
+def _assert_built_as(m, rel, order):
     names = list(family_names(m.agents))
-    # a family's map is an item once it is built
-    assert {name: m.rel[name] for name in names} == rel and m.rel == rel
+    assert list(m.rel) == names and {name: dict(m.rel[name]) for name in names} == rel
+    assert {name: m.sorted_cells(name) for name in names} == order
     assert (m.r_box, m.choice_ags) == (order["box"], order["ags"])
     assert m.choice == {a: order[f"choice:{a}"] for a in m.agents}
     assert m.epistemic == {a: order[f"epi:{a}"] for a in m.agents}
@@ -352,6 +348,10 @@ def _assert_built_as_eager(m, order, rel):
                        m.pred or {}, m.valuation)
     built = m._dense()
     assert all(getattr(built, s) == getattr(frame, s) for s in DenseFrame.__slots__)
+    with pytest.raises(TypeError):
+        m.rel["box"] = rel["box"]
+    with pytest.raises(TypeError):
+        m.rel["ags"][m.worlds[0]] = frozenset(m.worlds)
 
 
 def _reversed_cells(doc):
@@ -363,38 +363,90 @@ def _reversed_cells(doc):
             "epistemic": {a: flip(cells) for a, cells in doc["epistemic"].items()}}
 
 
-def test_maps_and_orders_built_on_first_use_equal_an_eager_build(fig1a, fig1b):
-    # fresh loads of model_grid(120) documents (their cells reversed), with
-    # and without their coalition cells, and of the figure-1 documents, and
-    # fresh compilations of the figure-1 scenarios, each with a
-    # with_valuation copy made before anything is read; probe i touches the
-    # source first and probe i + 5 the copy, and every family map, order,
-    # common cell, document and dense frame must then equal the eager
-    # build, on both
-    grid = [_reversed_cells(m.to_doc()) for m in model_grid(120)]
-    without_ags = [{k: v for k, v in doc.items() if k != "choice_ags"} for doc in grid]
-    cases = [(lambda doc=doc: load_model(doc), i) for i, doc in enumerate(grid)]
-    cases += [(lambda doc=doc: load_model(doc), i + 5) for i, doc in enumerate(without_ags)]
-    for doc in (fig1a.to_doc(), fig1b.to_doc()):
-        cases += [(lambda doc=doc: load_model(doc), i) for i in range(len(PROBES))]
+def test_maps_built_at_load_equal_an_independent_build(fig1a, fig1b, monkeypatch):
+    # loads of model_grid(120) documents (their cells reversed) and of the
+    # figure-1 documents, with and without their coalition cells, and
+    # compilations of the figure-1 scenarios: the model and its
+    # with_valuation copy share one read-only rel, whose family maps and
+    # orders, common cells, document and dense frame equal a build from the
+    # cells the constructor was given
+    docs = [*(_reversed_cells(m.to_doc()) for m in model_grid(120)), fig1a.to_doc(), fig1b.to_doc()]
+    docs += [{k: v for k, v in doc.items() if k != "choice_ags"} for doc in docs]
+    cases = [(load_model(doc), doc["worlds"], _families(doc["agents"], doc["r_box"], doc["choice"],
+                                                         doc["epistemic"], doc.get("choice_ags")))
+             for doc in docs]
+    calls = []  # the arguments a scenario's compilation gives the model constructor
+    monkeypatch.setattr(scenario, "KripkeModel",
+                        lambda *args: calls.append(args) or KripkeModel(*args))
     for case in "ab":
-        cases += [(lambda case=case: bdt_to_kripke(figure1_scenario(case)), i)
-                  for i in range(len(PROBES))]
-    names, touched = list(PROBES), set()
-    for build, i in cases:
-        m = build()
-        order, rel = _eager(m)
+        m = bdt_to_kripke(figure1_scenario(case))
+        agents, worlds, r_box, _, choice, epistemic, choice_ags, _ = calls[-1]
+        cases.append((m, worlds, _families(agents, r_box, choice, epistemic, choice_ags)))
+    for m, worlds, families in cases:
+        rel, order = _independent(worlds, families)
         copy = m.with_valuation({p: set(m.worlds) - ws for p, ws in m.valuation.items()})
-        # only a refinement of the coalition cells reads maps at load
-        assert copy.rel is m.rel and m.rel.orders == {}
-        assert set(m.rel) <= {"box", *(f"choice:{a}" for a in m.agents)}
-        first, second = names[i % len(names)], names[(i + 5) % len(names)]
-        PROBES[first](m)
-        PROBES[second](copy)
-        touched.add((first, second))
-        _assert_built_as_eager(copy, order, rel)
-        _assert_built_as_eager(m, order, rel)
-    assert {first for first, _ in touched} == set(PROBES) == {second for _, second in touched}
+        assert copy.rel is m.rel
+        _assert_built_as(copy, rel, order)
+        _assert_built_as(m, rel, order)
+
+
+def _union_test(cells, universe):
+    """The union form of the bulk partition test, the reference for the map
+    test: non-empty cells whose sizes sum to the universe's size and whose
+    union is it."""
+    return (all(cells) and sum(map(len, cells)) == len(universe)
+            and frozenset().union(*cells) == universe)
+
+
+@st.composite
+def _cell_lists(draw):
+    """(universe, cell lists, planted fault): a partition of a universe of
+    one to six worlds with one planted fault or none, or any cells over it
+    and an unknown id."""
+    worlds = draw(st.permutations("abcdef"[:draw(st.integers(1, 6))]))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(worlds), max_size=len(worlds)))
+    by_label = {}
+    for w, k in zip(worlds, labels):
+        by_label.setdefault(k, []).append(w)
+    cells = list(by_label.values())
+    fault = draw(st.sampled_from(["none", "overlap", "overlap and gap", "unknown", "empty",
+                                  "any"]))
+    if fault.startswith("overlap"):
+        # one world in two cells, and with a gap another in none: then the
+        # sizes still sum to the universe's
+        assume(len(cells) > 1)
+        i, j = draw(st.permutations(range(len(cells))))[:2]
+        w = draw(st.sampled_from(cells[j]))
+        if fault == "overlap":
+            cells[i].append(w)
+        else:
+            cells[i][draw(st.integers(0, len(cells[i]) - 1))] = w
+    elif fault == "unknown":
+        # in place of a world, so the sizes still sum to the universe's
+        cell = draw(st.sampled_from(cells))
+        cell[draw(st.integers(0, len(cell) - 1))] = "z"
+    elif fault == "empty":
+        cells.insert(draw(st.integers(0, len(cells))), [])
+    elif fault == "any":
+        cells = draw(st.lists(st.lists(st.sampled_from([*worlds, "z"]), max_size=4), max_size=5))
+    return frozenset(worlds), cells, fault
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cell_lists())
+def test_map_test_accepts_what_the_union_test_accepts(case):
+    universe, cells, fault = case
+    norm = list(map(frozenset, cells))
+    accepted = _union_test(norm, universe)
+    assert accepted == (fault == "none") or fault == "any"
+    mates = partition_map(norm, universe)
+    assert (mates is not None) == accepted
+    if accepted:
+        assert mates == {w: c for c in norm for w in c}
+        assert make_partition(cells, universe, "p") == mates
+    else:
+        with pytest.raises(SchemaError):
+            make_partition(cells, universe, "p")
 
 
 @pytest.mark.parametrize("family, fault", [

@@ -543,7 +543,7 @@ def test_choice_profiles_single_agent_two_cells():
     table = choice_profiles(m, "x")
     assert len(table.profiles) == 2
     for i in range(2):
-        assert table.cells_by_profile[i] == [table.profiles[i][0]]
+        assert table.cells_by_profile[i] == (table.profiles[i][0],)
 
 
 def test_choice_profiles_figure1_mid_game(fig1a):
@@ -562,7 +562,7 @@ def test_choice_profiles_super_additive(super_additive_fixture):
 
 def test_profile_padding_repeats_last(one_world):
     table = choice_profiles(one_world, "w", n=3)
-    assert table.enumeration[0] == [frozenset({"w"})] * 3
+    assert table.enumeration[0] == (frozenset({"w"}),) * 3
 
 
 def test_actualize_requires_irreflexive_interior(one_world):
@@ -823,6 +823,12 @@ def _edit(s, kind, u, v):
         s.matrix_worlds.clear()
     elif kind == "table field assigned":
         s.tables[min(s.tables)].n = 99
+    elif kind == "table enumeration cleared":
+        s.tables[min(s.tables)].enumeration[0].clear()
+    elif kind == "table profiles appended":
+        s.tables[min(s.tables)].profiles.append(None)
+    elif kind == "table profile map cleared":
+        s.tables[min(s.tables)].profile_of_world.clear()
     else:
         del s.valuation
 
@@ -880,7 +886,8 @@ def test_unchanged_window_keeps_its_frame(edit_sources):
         assert win._dense() is win._dense() and m._dense() is m._dense()
 
 
-_MATRIX_EDITS = ["matrix worlds cleared", "table field assigned"]
+_MATRIX_EDITS = ["matrix worlds cleared", "table field assigned", "table enumeration cleared",
+                 "table profiles appended", "table profile map cleared"]
 
 
 @pytest.mark.parametrize("kind", ["model", "window"])

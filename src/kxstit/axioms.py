@@ -24,7 +24,6 @@ class Schema:
     name: str
     arity: int
     agent_slots: int
-    needs_n: bool = False
     derived: bool = False
 
 
@@ -128,8 +127,8 @@ for _n in sorted(_BUILDERS):
                           derived=_n in ("NX", "NY")))
 SCHEMAS.extend([
     Schema("IA", 0, 0),        # arity and agents set per m at instantiation
-    Schema("AgsPC", 0, 0, needs_n=True),
-    Schema("APC", 0, 0, needs_n=True, derived=True),
+    Schema("AgsPC", 0, 0),
+    Schema("APC", 0, 0, derived=True),
 ])
 SCHEMA_BY_NAME = {s.name: s for s in SCHEMAS}
 
@@ -206,11 +205,12 @@ class SuiteReport:
 
 def saturating_atoms(m):
     """Copy of ``m`` with fresh indicator atoms: one per grand-coalition
-    cell, per agent-choice cell, and per epistemic cell.  Returns
-    (model, names) where names maps family keys to lists of atoms.
+    cell and per agent-choice cell, in order of least world.  Returns
+    (model, names) where names maps "ags" to its atoms and "choice" to
+    each agent's.
     """
     valuation = {p: set(ws) for p, ws in m.valuation.items()}
-    names = {"ags": [], "choice": {}, "epi": {}}
+    names = {"ags": [], "choice": {}}
     for i, cell in enumerate(m.choice_ags):
         atom = f"_cAgs{i}"
         valuation[atom] = set(cell)
@@ -221,11 +221,6 @@ def saturating_atoms(m):
             atom = f"_c{a}{i}"
             valuation[atom] = set(cell)
             names["choice"][a].append(atom)
-        names["epi"][a] = []
-        for i, cell in enumerate(m.sorted_cells(f"epi:{a}")):
-            atom = f"_e{a}{i}"
-            valuation[atom] = set(cell)
-            names["epi"][a].append(atom)
     return m.with_valuation(valuation), names
 
 

@@ -119,13 +119,13 @@ class Structure:
         return self.rel["box"][w]
 
     def choice_cell(self, agent, w):
-        return self.rel[_AGENT_FAMILIES[agent][0]][w]
+        return self.rel[f"choice:{agent}"][w]
 
     def ags_cell(self, w):
         return self.rel["ags"][w]
 
     def epi_cell(self, agent, w):
-        return self.rel[_AGENT_FAMILIES[agent][1]][w]
+        return self.rel[f"epi:{agent}"][w]
 
     def holds(self, prop, w):
         return w in self.valuation.get(prop, frozenset())
@@ -279,17 +279,6 @@ def family_names(agents):
 @cache  # every model and dense frame names its families: build them once per agent tuple
 def _family_names(agents):
     return "box", "ags", *(f"choice:{a}" for a in agents), *(f"epi:{a}" for a in agents)
-
-
-class _AgentFamilies(dict):
-    """Agent -> its choice and knowledge family names, formatted once, on
-    first use, so that the cell lookups need not format them per call."""
-
-    def __missing__(self, agent):
-        return self.setdefault(agent, (f"choice:{agent}", f"epi:{agent}"))
-
-
-_AGENT_FAMILIES = _AgentFamilies()
 
 
 class DenseFrame:

@@ -23,7 +23,6 @@ from .model import (FORMAT_VERSION, KripkeModel, by_id, cell_list, cell_map, id_
                     optional, partition_map, read_fields, table_of)
 
 import json
-from itertools import product
 from math import prod
 
 
@@ -131,12 +130,6 @@ class BDTScenario:
     def sit(moment, history):
         return f"{moment}_{history}"
 
-    def choice_cell(self, agent, m, h):
-        for cell in self.choice_at[agent][m]:
-            if h in cell:
-                return cell
-        raise SchemaError(f"history {h} missing from choice_at[{agent}][{m}]")
-
     # -- invariants ---------------------------------------------------------
     def check_invariants(self):
         """Raise BDTInvariantViolation on the first failed tree-frame
@@ -153,7 +146,7 @@ class BDTScenario:
             for child in self.children[m] if split[m] else ():
                 hs = self.moment_histories[child]
                 for a in split[m]:
-                    if not self.choice_cell(a, m, hs[0]).issuperset(hs):
+                    if not any(cell.issuperset(hs) for cell in self.choice_at[a][m]):
                         raise BDTInvariantViolation(
                             "no_choice_between_undivided_histories",
                             list(hs), f"histories through {child} split at {m} for {a}")
@@ -300,24 +293,15 @@ def bdt_to_kripke(scenario):
     box = {m: frozenset(row.values()) for m, row in at.items()}
     r_box = [*box.values(), *stutter_cells]
 
-    choice, splits = {}, {}  # splits: moment -> the tables of the agents who split it
+    choice = {}
     for a in s.agents:
         cells = list(stutter_cells)
         for m, part in s.choice_at[a].items():
             if len(part) == 1:
                 cells.append(box[m])
             else:
-                splits.setdefault(m, []).append(part)
                 cells.extend(frozenset(map(at[m].__getitem__, cell)) for cell in part)
         choice[a] = cells
-    # a coalition cell is a moment's class where no agent splits it, and
-    # else one selection of a cell per splitting agent, which meet by
-    # independence of agency; a stutter class is every agent's one cell
-    choice_ags = [*stutter_cells, *(box[m] for m in s.moments if m not in splits)]
-    for m, parts in splits.items():
-        row = at[m]
-        choice_ags.extend(frozenset(map(row.__getitem__, frozenset.intersection(*sel)))
-                          for sel in product(*parts))
 
     # stutter layers mirror the adjacent real layer, never linking to it
     epistemic = {}
@@ -333,8 +317,9 @@ def bdt_to_kripke(scenario):
     valuation = {prop: sits.union(*(stutters_at.get(w, ()) for w in sits))
                  for prop, sits in s.valuation_sit.items()}
 
+    # no coalition cells given: the model refines the agents' choice cells
     return KripkeModel(s.agents, [*s.situations, *pre, *post], r_box, succ, choice, epistemic,
-                       choice_ags, valuation)
+                       None, valuation)
 
 
 # ---------------------------------------------------------------------------

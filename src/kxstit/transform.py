@@ -104,12 +104,8 @@ def unravel(m, root, horizon, require_valid=True):
     if m.pred is None:
         raise InvalidModel("successor map is not invertible")
     if require_valid:
-        # the most cells of a family that one class meets, counted unsorted
-        boxes, *families = (set(m.rel[name].values()) for name in family_names(m.agents)
-                            if not name.startswith("epi:"))
-        n = max(sum(not box.isdisjoint(cell) for cell in cells) for box in boxes
-                for cells in families)
-        report = validate_frame(m, "super_additive", n)
+        # no class meets more cells than there are worlds, so CARD holds
+        report = validate_frame(m, "super_additive", len(m.worlds))
         if not report.ok:
             raise InvalidModel(
                 f"model fails frame validation: {[c.condition for c in report.failed()]}")
@@ -339,14 +335,6 @@ class TruthPreservationReport:
     def ok(self):
         return not self.mismatches
 
-    def lines(self):
-        out = [f"comparisons: {self.compared}",
-               f"mismatches:  {len(self.mismatches)}",
-               f"skipped formulas: {len(self.skipped)}"]
-        for w, text, a, b in self.mismatches[:10]:
-            out.append(f"  mismatch at {w}: {text} window={a} base={b}")
-        return out
-
 
 def truth_preservation(source, target, mapping, formulas, margin=0):
     """Compare window evaluation against base evaluation through the
@@ -395,7 +383,6 @@ class ChoiceProfileTable:
     deterministic enumeration of length n: a value of tuples and read-only maps.
     """
 
-    class_key: str
     n: int
     profiles: tuple           # tuples of frozensets, one cell per agent
     cells_by_profile: dict    # profile index -> sorted tuple of coalition cells
@@ -424,7 +411,7 @@ def choice_profiles(m, world, n=None):
     if n is None:
         n = max((len(v) for v in cells_by_profile.values()), default=1)
     enumeration = {i: (cells + (cells[-1],) * n)[:n] for i, cells in cells_by_profile.items()}
-    return ChoiceProfileTable(box[0], n, profiles, MappingProxyType(cells_by_profile),
+    return ChoiceProfileTable(n, profiles, MappingProxyType(cells_by_profile),
                               MappingProxyType(enumeration), MappingProxyType(profile_of_world))
 
 

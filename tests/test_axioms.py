@@ -5,7 +5,8 @@ import pytest
 from test_correspondence import detector_models, schemas_valid
 
 from kxstit import formula as F
-from kxstit.axioms import SuitePolicy, _below, derived_theorem_suite, instantiate, soundness_suite
+from kxstit.axioms import (SuitePolicy, _below, derived_theorem_suite, instantiate, saturating_atoms,
+                           soundness_suite)
 from kxstit.checker import valid_on_model
 from kxstit.errors import ArityMismatch, DuplicateAgents, InvalidModelInSuite
 from kxstit.gen import GenParams, model_grid, random_model
@@ -59,6 +60,26 @@ def test_one_world_suite(one_world):
     assert rep.ok and rep.instances_checked > 0
     rep = derived_theorem_suite([one_world], SuitePolicy(fills_per_schema=4, seed=1), n_bounds=[1])
     assert rep.ok
+
+
+def test_saturating_atoms_name_each_choice_and_coalition_cell(fig1a, grid50):
+    # one atom per coalition cell and per agent-choice cell, in order of
+    # least world; none for an epistemic cell, and the old atoms unchanged
+    for m in [fig1a, *grid50]:
+        sat, names = saturating_atoms(m)
+        agents = sorted(m.agents)
+        assert sorted(names) == ["ags", "choice"] and sorted(names["choice"]) == agents
+        assert names["ags"] == [f"_cAgs{i}" for i in range(len(m.choice_ags))]
+        cells = {x: ws for x, ws in sat.valuation.items() if x not in m.valuation}
+        assert list(cells) == [*names["ags"], *(x for a in m.agents for x in names["choice"][a])]
+        assert [cells[x] for x in names["ags"]] == list(m.choice_ags)
+        least = [min(cells[x]) for x in names["ags"]]
+        assert least == sorted(least)
+        for a in m.agents:
+            assert names["choice"][a] == [f"_c{a}{i}" for i in range(len(m.choice[a]))]
+            assert [cells[x] for x in names["choice"][a]] == list(m.choice[a])
+        assert {x: sat.valuation[x] for x in m.valuation} == dict(m.valuation)
+        assert sat.rel is m.rel
 
 
 def test_invalid_model_rejected_up_front(fig1a):

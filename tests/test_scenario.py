@@ -1,10 +1,14 @@
 import hashlib
+import json
+from itertools import product
 
 import pytest
 
+from test_pinned_inputs import random_scenario_doc
+
 from kxstit import formula as F
 from kxstit.checker import eval_formula
-from kxstit.errors import BDTInvariantViolation, SchemaError
+from kxstit.errors import BDTInvariantViolation, KxstitError, SchemaError
 from kxstit.model import validate_frame
 from kxstit.scenario import BDTScenario, bdt_to_kripke, figure1_scenario, load_scenario
 
@@ -44,6 +48,55 @@ def test_scenario_schema_round_trip():
     again = load_scenario(doc)
     assert again.dumps() == doc
     assert bdt_to_kripke(again).dumps() == bdt_to_kripke(s).dumps()
+
+
+def _coalition_cells_by_selection(s):
+    """The coalition cells of the compiled ``s`` as selections give them: a
+    moment's class where no agent splits it, else the meet of each selection
+    of one cell per splitting agent; a stutter class is every agent's one
+    cell."""
+    cells = [frozenset(f"pre_{h}" for h in s.histories),
+             *(frozenset([f"post_{h}"]) for h in s.histories)]
+    for m in s.moments:
+        parts = [s.choice_at[a][m] for a in s.agents if len(s.choice_at[a][m]) > 1]
+        for sel in product(*parts):
+            hs = frozenset.intersection(*sel) if sel else s.moment_histories[m]
+            cells.append(frozenset(s.sit(m, h) for h in hs))
+    return cells
+
+
+def _root_choices(k):
+    """k agents choosing at once at the root of 2**k one-step histories:
+    agent i by bit i of the history's index."""
+    agents, leaves = [f"a{i}" for i in range(k)], [f"m{j + 1}" for j in range(2 ** k)]
+    choice_at = {a: {"m0": [[f"h{j + 1}" for j in range(2 ** k) if (j >> i & 1) == bit]
+                            for bit in (0, 1)]} for i, a in enumerate(agents)}
+    return BDTScenario(agents, ["m0", *leaves], dict.fromkeys(leaves, "m0"), choice_at,
+                       dict.fromkeys(agents), {})
+
+
+def test_compiled_coalition_cells_are_the_selections():
+    # figure 1, root choices of two and three agents, and every document of
+    # the scenario corpus that compiles: the refinement of the choice cells
+    # gives the selections' cells, and the compiled model is additive
+    scenarios = [*map(figure1_scenario, "ab"), *map(_root_choices, (2, 3))]
+    compiled = [(s, bdt_to_kripke(s)) for s in scenarios]
+    for seed in range(500):
+        try:
+            s = load_scenario(json.dumps(random_scenario_doc(seed)))
+            compiled.append((s, bdt_to_kripke(s)))
+        except KxstitError:
+            pass
+    shared = 0  # moments that two or more agents split
+    for s, m in compiled:
+        want = _coalition_cells_by_selection(s)
+        assert len(set(want)) == len(want) and all(want)
+        assert set(m.rel["ags"].values()) == set(want)
+        assert validate_frame(m, "actual", len(m.worlds)).checks[0].passed  # ADDITIVITY
+        shared += sum(sum(len(s.choice_at[a][x]) > 1 for a in s.agents) > 1 for x in s.moments)
+    # the corpus splits no moment for two agents; figure 1 and the root
+    # choices do
+    assert len(compiled) > 250 and shared == 10, (len(compiled), shared)
 
 
 def test_undivided_histories_violation_raises():

@@ -6,15 +6,18 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
+
+from conftest import mutants
 
 import kxstit
 from kxstit import formula as F
 from kxstit.checker import eval_formula
 from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, MatrixTooLarge,
                            PartialMap, SourceNotIrreflexive, UnknownAgent, WindowTooLarge)
-from kxstit.gen import GenParams, random_formula, random_model
+from kxstit.gen import GenParams, model_grid, random_formula, random_model
 from kxstit.model import DenseFrame, KripkeModel, _bits, check_frame, family_names, validate_frame
 from kxstit.transform import (MAX_MATRIX_WORLDS, MorphismReport, WindowModel, _window_masks, actualize,
                               check_bounded_morphism, choice_profiles, truth_preservation,
@@ -110,6 +113,33 @@ def test_unravel_errors(one_world, fig1a):
         unravel(fig1a, "m1_h1", 2)  # wrap-around failures block strict unraveling
     win, _ = unravel(fig1a, "m1_h1", 1, require_valid=False)
     assert win.worlds
+
+
+def _most_cells_one_class_meets(m):
+    """The most coalition or choice cells that one settledness class of
+    ``m`` meets: the bound at which ``unravel`` once validated."""
+    boxes, *families = (set(m.rel[name].values()) for name in family_names(m.agents)
+                        if not name.startswith("epi:"))
+    return max(sum(not box.isdisjoint(cell) for cell in cells) for box in boxes
+               for cells in families)
+
+
+def test_unravel_validates_where_card_is_vacuous(fig1a):
+    # at the world count and at the most cells one class meets, every
+    # condition reads the same, and CARD never fails
+    rows = lambda report: [(c.condition, c.passed, c.witness, c.explanation) for c in report.checks]
+    outcomes = Counter()  # None for a window built, else the refusal
+    for m in [*mutants(model_grid(200, base_seed=5000), seed=11), fig1a]:
+        report = validate_frame(m, "super_additive", len(m.worlds))
+        assert rows(report) == rows(validate_frame(m, "super_additive", _most_cells_one_class_meets(m)))
+        assert report.checks[1].passed  # CARD
+        try:
+            unravel(m, m.worlds[0], 1)
+            outcomes[None] += 1
+        except InvalidModel as e:
+            assert "CARD" not in str(e)
+            outcomes[str(e)] += 1
+    assert len(outcomes) > 5 and outcomes[None] > 100, outcomes
 
 
 def test_unraveled_layers_and_succ_shape():

@@ -154,9 +154,9 @@ def _truth_mask(m, f, bound=None, d=None):
     node also gets its temporal reach (forward, backward), the one
     ``formula.depth_profile`` gives, and a quantifier reads only the mates
     from which its child's reach stays inside the bound.  Bits at worlds
-    where a node does not fit are left unspecified, and a temporal step that
-    a world where it fits cannot take raises DepthExceedsWindow.  Without a
-    bound the reach is None.
+    where a node does not fit are left unspecified.  Without a bound the
+    reach is None and every node fits everywhere.  A temporal step that a
+    world where its node fits cannot take raises ``_missing_step``'s error.
     """
     if d is None:
         d = m._dense()
@@ -200,8 +200,8 @@ def _truth_mask(m, f, bound=None, d=None):
                         gaps |= 1 << i
                     elif child >> s & 1:
                         v |= 1 << i
-                if gaps and not windowed:
-                    raise UnknownWorld("temporal relation is not invertible; Y undefined")
+                if gaps and not windowed:  # without a bound the node fits everywhere
+                    raise _missing_step(d, t, gaps)
             else:
                 if t is F.Box or t is F.Diamond:
                     pairs = d.pairs["box"]
@@ -211,8 +211,6 @@ def _truth_mask(m, f, bound=None, d=None):
                         raise UnknownAgent(f"unknown agent {g.agent!r}")
                 elif t is F.StitAgs:
                     pairs = d.pairs["ags"]
-                elif windowed:
-                    raise TypeError(f"cannot evaluate {g!r}")
                 else:
                     pairs = [(c, c) for c in map(d.mask, set(map(m.common_cell, m.worlds)))]
                 fit = fits.get(reach[id(g.child)]) if windowed else full
@@ -252,9 +250,16 @@ def _truth_mask(m, f, bound=None, d=None):
                 if (t is F.Next or t is F.Yesterday) and gaps:
                     gap = gaps & d.fit(r, bound)
                     if gap:
-                        raise DepthExceedsWindow(f"{'succ' if t is F.Next else 'pred'} "
-                                                 f"undefined at {d.names[_low(gap)]}")
+                        raise _missing_step(d, t, gap)
     return masks[0], reach[id(f)] if windowed else None
+
+
+def _missing_step(d, t, gap):
+    """The error for an X (Y) step ``t`` missing at the worlds of ``gap``:
+    off a window's edge, or on a model Y without an inverse."""
+    if not d.layers:
+        return UnknownWorld("temporal relation is not invertible; Y undefined")
+    return DepthExceedsWindow(f"{'succ' if t is F.Next else 'pred'} undefined at {d.names[_low(gap)]}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 
 from . import formula as F
 from .axioms import SuitePolicy, derived_theorem_suite, soundness_suite
@@ -89,12 +90,8 @@ def cmd_soundness(args):
         raise SchemaError(f"unknown suite configuration keys: {unknown}")
     cfg = {"models": args.models, **cfg}  # the flag, unless the configuration sets it
     check_fields(cfg, _SUITE_KEYS)
-    policy = SuitePolicy(
-        max_fill_depth=cfg.get("max_fill_depth", 2),
-        fills_per_schema=cfg.get("fills_per_schema", 10),
-        seed=cfg.get("seed", 0),
-        ia_max_agents=cfg.get("ia_max_agents", 3),
-    )
+    # the policy's own defaults stand for the keys the configuration leaves out
+    policy = SuitePolicy(**{f.name: cfg[f.name] for f in fields(SuitePolicy) if f.name in cfg})
     count = cfg["models"]
     n_bound = cfg.get("n_bound", 2)
     models = model_grid(count, base_seed=cfg.get("base_seed", 0), n_bound=n_bound)

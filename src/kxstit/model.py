@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import and_, eq, invert, itemgetter, ne, or_
 from collections import Counter
-from itertools import chain, product, repeat
+from itertools import chain, product, repeat, starmap
 from math import prod
 from types import MappingProxyType
 
@@ -91,15 +91,19 @@ class Structure:
 
     A structure is a value.  Its constructor sets each field once, its maps
     are read-only views (``types.MappingProxyType``), and a field once set
-    cannot be assigned or deleted (AttributeError).  So the dense frame,
-    built on first use and kept, always matches the fields it was built
-    from; a changed structure is built anew through its constructor.
+    cannot be assigned or deleted (AttributeError), and a model cannot take
+    the window fields.  So the dense frame and common cells, built on first
+    use and kept, match the fields; a changed structure is built anew.
     """
 
     _frame = None  # the dense frame, built on first use
+    _common_cells = None  # world -> its common-knowledge cell, built on first use
+    # a window's fields: a model has no layers, and its interior is every world
+    layer = interior = horizon = root = None
+    _WINDOW_FIELDS = frozenset({"layer", "interior", "horizon", "root"})
 
     def __setattr__(self, name, value):
-        if name in self.__dict__:
+        if name in self.__dict__ or name in self._WINDOW_FIELDS:
             raise AttributeError(f"cannot assign to field {name!r}")
         self.__dict__[name] = value
 
@@ -126,6 +130,25 @@ class Structure:
 
     def epi_cell(self, agent, w):
         return self.rel[f"epi:{agent}"][w]
+
+    def common_cell(self, w):
+        """Cell of w under the reflexive-transitive closure of the union of
+        all agents' epistemic relations (common-knowledge reachability)."""
+        if self._common_cells is None:
+            common, epis = {}, [self.rel[f"epi:{a}"] for a in self.agents]
+            for start in self.worlds:
+                if start in common:
+                    continue
+                group, todo = {start}, [start]
+                while todo:
+                    x = todo.pop()
+                    for cells in epis:
+                        todo.extend(cells[x] - group)
+                        group |= cells[x]
+                cell = frozenset(group)
+                common.update(dict.fromkeys(cell, cell))
+            self._common_cells = common
+        return self._common_cells[w]
 
     def holds(self, prop, w):
         return w in self.valuation.get(prop, frozenset())
@@ -170,8 +193,6 @@ class KripkeModel(Structure):
     validity is a separate concern checked by ``validate_frame``.
     """
 
-    _common_cells = None  # built on first use
-
     def __init__(self, agents, worlds, r_box, succ, choice, epistemic,
                  choice_ags=None, valuation=None):
         self.agents = tuple(agents)
@@ -214,8 +235,6 @@ class KripkeModel(Structure):
                       make_partition(choice_ags, universe, "choice_ags"))
         self.rel = MappingProxyType(rel)
         self.valuation = _checked_valuation(valuation, universe)
-        self.interior = self.layer = None  # every world is interior, and there are no layers
-        self._frame_reports = {}
 
     # the partitions, each sorted by least world
     r_box = property(lambda self: self.sorted_cells("box"))
@@ -235,33 +254,13 @@ class KripkeModel(Structure):
             cells.setdefault(key, []).append(w)
         return MappingProxyType({w: cell for cell in map(frozenset, cells.values()) for w in cell})
 
-    def common_cell(self, w):
-        """Cell of w under the reflexive-transitive closure of the union of
-        all agents' epistemic relations (common-knowledge reachability).
-        """
-        if self._common_cells is None:
-            common, epis = {}, [self.rel[f"epi:{a}"] for a in self.agents]
-            for start in self.worlds:
-                if start in common:
-                    continue
-                group, todo = {start}, [start]
-                while todo:
-                    x = todo.pop()
-                    for cells in epis:
-                        todo.extend(cells[x] - group)
-                        group |= cells[x]
-                cell = frozenset(group)
-                common.update(dict.fromkeys(cell, cell))
-            self._common_cells = common
-        return self._common_cells[w]
-
     def with_valuation(self, valuation):
         """Copy of this model with a replaced valuation.  The copy shares
         this model's checked partitions (its ``rel``) and successor maps, and
-        checks only the new valuation; it builds its own dense frame and
-        frame reports on first use."""
+        checks only the new valuation; it builds its own dense frame on
+        first use."""
         copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__, _frame_reports={},
+        copy.__dict__.update(self.__dict__,
                              valuation=_checked_valuation(valuation, frozenset(self.worlds)))
         copy.__dict__.pop("_frame", None)
         return copy
@@ -295,14 +294,14 @@ class DenseFrame:
     successor and predecessor indices, None where the map is partial or not
     invertible.  A window has a mask per layer in ``layers`` and an
     interior; a model has no layers, and its interior is every world.
-    ``inner`` lists the interior indices in order, as a ``range`` when
-    the interior is every world.  ``partitioned`` says that every family is
-    a partition.
+    ``inner`` lists the interior indices in order, as a ``range`` when the
+    interior is every world.  ``partitions`` names the families whose every
+    cell is held by exactly its members, and ``partitioned`` says all are.
     """
 
     __slots__ = ("names", "index", "agents", "full", "interior", "inner", "layers", "cells",
                  "pairs", "box", "ags", "choice", "epi", "choice_pairs", "epi_pairs", "atoms",
-                 "succ", "pred", "partitioned")
+                 "succ", "pred", "partitions", "partitioned")
 
     def __init__(self, names, agents, relations, succ, pred, valuation,
                  interior=None, layer=None):
@@ -321,8 +320,9 @@ class DenseFrame:
         self.cells, self.pairs = {}, {}
         for name, mates in zip(family_names(agents), relations):
             self.cells[name], self.pairs[name] = self._neighbours(mates)
-        # a family is a partition when each of its cells is held by its members
-        self.partitioned = all(c == h for pairs in self.pairs.values() for c, h in pairs)
+        self.partitions = frozenset(name for name, pairs in self.pairs.items()
+                                    if all(starmap(eq, pairs)))
+        self.partitioned = len(self.partitions) == len(self.pairs)
         self.box, self.ags = self.cells["box"], self.cells["ags"]
         self.choice = {a: self.cells[f"choice:{a}"] for a in agents}
         self.epi = {a: self.cells[f"epi:{a}"] for a in agents}
@@ -484,13 +484,8 @@ def validate_frame(m, mode="actual", n=1):
     """Check every frame condition and report one verdict per condition.
 
     Failures are report entries with concrete witness worlds, never errors.
-    Results are cached on the model per (mode, n).
     """
-    key = (mode, n)
-    report = m._frame_reports.get(key)
-    if report is None:
-        report = m._frame_reports[key] = check_frame(m._dense(), mode, n)
-    return report
+    return check_frame(m._dense(), mode, n)
 
 
 def check_frame(d, mode, n):
@@ -526,13 +521,11 @@ def _low(mask):
 
 def _check_eq(d, mode, n):
     inner = d.interior
-    for name, pairs in () if d.partitioned else d.pairs.items():
-        cells = d.cells[name]
-        # a family whose every distinct cell is held by exactly its own
-        # members is a partition; the walk below only names the first fault
-        if all(cell == hold for cell, hold in pairs):
+    for name, pairs in d.pairs.items():
+        # a partition passes; the walk below only names the first fault
+        if name in d.partitions:
             continue
-        holders = dict(pairs)
+        cells, holders = d.cells[name], dict(pairs)
         for u in d.inner:
             cell = cells[u]
             if not cell >> u & 1:

@@ -48,10 +48,9 @@ class WindowModel(Structure):
                  succ, pred, rel, valuation, matrix_worlds=None, tables=None):
         self.agents = tuple(agents)
         self.worlds = tuple(sorted(worlds))
-        self.layer = MappingProxyType(dict(layer))
-        self.interior = frozenset(interior)
-        self.horizon = horizon
-        self.root = root
+        # the window fields, which Structure refuses to assign
+        self.__dict__.update(layer=MappingProxyType(dict(layer)), interior=frozenset(interior),
+                             horizon=horizon, root=root)
         self.succ = MappingProxyType(dict(succ))
         self.pred = MappingProxyType(dict(pred))
         self.rel = MappingProxyType({
@@ -103,6 +102,8 @@ def unravel(m, root, horizon, require_valid=True):
         raise InvalidModel(f"unknown root world {root!r}")
     if m.pred is None:
         raise InvalidModel("successor map is not invertible")
+    if len(m.succ) < len(m.worlds) or len(m.pred) < len(m.worlds):
+        raise InvalidModel("successor map is partial, as on a window; unravel a model")
     if require_valid:
         # no class meets more cells than there are worlds, so CARD holds
         report = validate_frame(m, "super_additive", len(m.worlds))
@@ -148,11 +149,8 @@ def unravel(m, root, horizon, require_valid=True):
 # relativized frame validation
 
 def validate_window(win, mode="actual", n=1):
-    """Frame conditions relativized to the window interior: universal
-    quantifiers range over interior worlds, existential witnesses over the
-    whole window.  Each failed condition's witness is its first violation
-    in world order.
-    """
+    """``validate_frame`` of a window: universals range over its interior,
+    witnesses over the whole window (``model.check_frame``)."""
     return check_frame(win._dense(), mode, n)
 
 
@@ -205,10 +203,11 @@ def check_bounded_morphism(mapping, source, target):
     forth/back conditions for each relation family, with universal
     quantifiers relativized to the source interior.
 
-    Both sides are read as dense frames; on a partitioned source a family
-    passes in bulk when each interior row's cell image is the target cell
-    at its image.  Each failed condition gives one counterexample, its first
-    violation in world order, found by a walk over the interior rows.
+    Both sides are read as dense frames; a family that is a partition on
+    the source passes in bulk when each interior row's cell image is the
+    target cell at its image.  Each failed condition gives one
+    counterexample, its first violation in world order, found by a walk
+    over the interior rows.
     """
     unknown = sorted(set(source.agents) - set(target.agents))
     if unknown:
@@ -226,7 +225,7 @@ def check_bounded_morphism(mapping, source, target):
                 raise PartialMap(f"mapping sends {w!r} to {mapping[w]!r}, not a world of the target")
 
     counterexamples = []
-    root = s.index.get(getattr(source, "root", None))
+    root = s.index.get(source.root)
     if root is None or img[root] is None:
         if not domain:
             raise WindowTooSmall("window has no interior")
@@ -254,7 +253,7 @@ def check_bounded_morphism(mapping, source, target):
     for name in family_names(s.agents):
         scells, tcells = s.cells[name], t.cells[name]
         images = {}  # source cell -> mask of its mapped members' images
-        if s.partitioned:  # in bulk: a cell's members are the worlds that hold it
+        if name in s.partitions:  # in bulk: a cell's members are the worlds that hold it
             for cell, b in zip(scells, bit):
                 images[cell] = images.get(cell, 0) | b
             if [images[scells[w]] for w in inner] == [tcells[img[w]] for w in inner]:
@@ -320,6 +319,8 @@ def _window_masks(win, d, f, margin):
     ``d``: the truth mask is read only at the worlds of the fit mask, those
     from which ``f``'s temporal reach stays ``margin`` layers inside the
     window."""
+    if win.layer is None:
+        raise InvalidModel("window evaluation needs a window; this structure has no layers")
     bound = win.horizon - margin
     mask, reach = _truth_mask(win, f, bound, d)
     return mask, d.fit(reach, bound), reach

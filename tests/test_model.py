@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -189,15 +190,13 @@ def test_with_valuation_copies_match_fresh_models(grid200, fig1a):
         flipped = {p: set(m.worlds) - ws for p, ws in m.valuation.items()}
         flipped["fresh"] = {m.worlds[-1]}
         validate_frame(m, "actual", 2)
-        source_reports = dict(m._frame_reports)
         copy = m.with_valuation(flipped)
         fresh = KripkeModel(m.agents, m.worlds, m.r_box, m.succ, m.choice, m.epistemic,
                             m.choice_ags, flipped)
         assert copy.to_doc() == fresh.to_doc()
-        # the copy validates its own frame; the source keeps its reports
-        assert copy._frame is None and copy._frame_reports == {}
+        # the copy validates its own frame
+        assert copy._frame is None
         assert validate_frame(copy, "actual", 7).checks == validate_frame(fresh, "actual", 7).checks
-        assert m._frame_reports == source_reports and ("actual", 7) not in source_reports
         assert (copy._dense().atoms["fresh"], "fresh" in m.valuation) == (
             1 << len(m.worlds) - 1, False)
     with pytest.raises(SchemaError, match="unknown worlds"):
@@ -205,11 +204,11 @@ def test_with_valuation_copies_match_fresh_models(grid200, fig1a):
 
 
 def _walked(s):
-    """A dense frame of ``s`` that is not known to be partitioned, so that
-    every check takes its walk alone."""
+    """A dense frame of ``s`` with no family known to be a partition, so
+    that every check takes its walk alone."""
     d = DenseFrame(s.worlds, s.agents, [s.rel[name] for name in family_names(s.agents)],
                    s.succ, s.pred or {}, s.valuation, s.interior, s.layer)
-    d.partitioned = False
+    d.partitioned, d.partitions = False, frozenset()
     return d
 
 
@@ -375,13 +374,20 @@ def test_maps_built_at_load_equal_an_independent_build(fig1a, fig1b, monkeypatch
     cases = [(load_model(doc), doc["worlds"], _families(doc["agents"], doc["r_box"], doc["choice"],
                                                          doc["epistemic"], doc.get("choice_ags")))
              for doc in docs]
-    calls = []  # the arguments a scenario's compilation gives the model constructor
-    monkeypatch.setattr(scenario, "KripkeModel",
-                        lambda *args: calls.append(args) or KripkeModel(*args))
+    calls = []  # the arguments a scenario's compilation gives the model constructor, by name
+
+    def record(*args, **kwargs):
+        bound = inspect.signature(KripkeModel).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return KripkeModel(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "KripkeModel", record)
     for case in "ab":
         m = bdt_to_kripke(figure1_scenario(case))
-        agents, worlds, r_box, _, choice, epistemic, choice_ags, _ = calls[-1]
-        cases.append((m, worlds, _families(agents, r_box, choice, epistemic, choice_ags)))
+        a = calls[-1]
+        cases.append((m, a["worlds"], _families(a["agents"], a["r_box"], a["choice"],
+                                                a["epistemic"], a["choice_ags"])))
     for m, worlds, families in cases:
         rel, order = _independent(worlds, families)
         copy = m.with_valuation({p: set(m.worlds) - ws for p, ws in m.valuation.items()})

@@ -14,9 +14,11 @@ from conftest import mutants
 
 import kxstit
 from kxstit import formula as F
-from kxstit.checker import eval_formula
-from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, MatrixTooLarge,
-                           PartialMap, SourceNotIrreflexive, UnknownAgent, WindowTooLarge)
+from kxstit.checker import (check_refinement, eval_formula, extension, knowledge_report,
+                            valid_on_model)
+from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, KxstitError,
+                           MatrixTooLarge, PartialMap, SourceNotIrreflexive, UnknownAgent,
+                           WindowTooLarge)
 from kxstit.gen import GenParams, model_grid, random_formula, random_model
 from kxstit.model import DenseFrame, KripkeModel, _bits, check_frame, family_names, validate_frame
 from kxstit.transform import (MAX_MATRIX_WORLDS, MorphismReport, WindowModel, _window_masks, actualize,
@@ -348,8 +350,79 @@ def test_truth_preservation_on_generated_models(grid50):
         win, proj = unravel(m, m.worlds[0], 2)
         formulas = [random_formula(3000 + 10 * i + j, 3, sorted(m.valuation),
                                    list(m.agents), reach=(1, 1)) for j in range(6)]
-        rep = truth_preservation(win, m, proj, formulas)
-        assert rep.ok and rep.compared > 0
+        # each formula as it is, and under common knowledge
+        for given in (formulas, list(map(F.CommonKnows, formulas))):
+            rep = truth_preservation(win, m, proj, given)
+            assert rep.ok and rep.compared > 0
+
+
+def _sweep(structures):
+    """Every entry point over each (structure, target, mapping) case, with
+    the target and mapping of a window's truth preservation (None for a
+    model): the calls that raised an error other than a KxstitError."""
+    texts = ("C p", "C X p", "X p", "Y p", "K{ghost} p", "[] Y X p")
+    faults = []
+
+    def run(call, *args):
+        try:
+            return call(*args)
+        except KxstitError:
+            return None
+        except Exception as e:  # noqa: BLE001 - each is a fault to report
+            faults.append(f"{call.__name__} on {len(args[0].worlds)} worlds: {type(e).__name__}: {e}")
+
+    for s, target, mapping in structures:
+        formulas = [*(F.parse(t, allow_common_knowledge=True) for t in texts),
+                    F.Macro("ExPost", s.agents[0], F.Atom("p"))]
+        w = s.worlds[0] if target is None else s.root
+        for mode in ("actual", "super_additive"):
+            report = run(validate_frame, s, mode, 2)
+            if report is not None and target is not None:
+                assert report == validate_window(s, mode, 2)
+        for f in formulas:
+            truth, ext = run(eval_formula, s, w, f), run(extension, s, f)
+            if truth is not None and ext is not None:
+                assert truth == (w in ext)
+            run(valid_on_model, s, f)
+            run(knowledge_report, s, w, s.agents[0], f)
+            run(check_refinement, s, None, [f])
+            run(window_eval, s, w, f)
+            run(truth_preservation, s, target or s, mapping or {}, [f])
+        for require_valid in (True, False):
+            run(unravel, s, w, 1, require_valid)
+    return faults
+
+
+def test_entry_points_take_models_and_windows(fig1a, grid50):
+    # each entry point gives a result or a KxstitError on models and
+    # windows alike; the window-only calls refuse a model, and unravel a
+    # window, with InvalidModel
+    m = grid50[0]
+    win, proj = unravel(m, m.worlds[0], 2)
+    forced, fproj = unravel(fig1a, fig1a.worlds[0], 1, require_valid=False)
+    fx_win, _ = unravel(_three_world_fixture(), "a", 1, require_valid=False)
+    mat, mproj = actualize(fx_win, n=3)
+    cases = [(fig1a, None, None), (m, None, None), (win, m, proj), (forced, fig1a, fproj),
+             (mat, fx_win, mproj)]
+    assert _sweep(cases) == []
+    # the matrix is not partitioned, but three of its families are partitions
+    assert mat._dense().partitions == {"ags", "epi:a0", "epi:a1"}
+    p = F.Atom("p")
+    for s in (win, mat):
+        for require_valid in (True, False):
+            with pytest.raises(InvalidModel, match="successor map is partial"):
+                unravel(s, s.root, 1, require_valid)
+    for s in (fig1a, m):
+        with pytest.raises(InvalidModel, match="no layers"):
+            window_eval(s, s.worlds[0], p)
+        with pytest.raises(InvalidModel, match="no layers"):
+            truth_preservation(s, s, {w: w for w in s.worlds}, [p])
+    # C evaluates on a window, and a missing step is a DepthExceedsWindow
+    edge = next(w for w in win.worlds if win.layer[w] == win.horizon)
+    c = F.CommonKnows(p)
+    assert extension(win, c) == {w for w in win.worlds if eval_formula(win, w, c)}
+    with pytest.raises(DepthExceedsWindow, match=f"succ undefined at {re.escape(edge)}"):
+        extension(win, F.Next(p))
 
 
 def test_truth_preservation_skips_overdeep_formulas(one_world):

@@ -103,7 +103,7 @@ def test_two_gapped_steps_raise_at_the_first_in_post_order(one_world):
         assert _raised(run, F.parse(text)) == ("DepthExceedsWindow", message)
     assert _raised(run, F.And(step, step)) == ("DepthExceedsWindow", "succ undefined at w|w;0")
     assert _raised(run, F.And(F.CommonKnows(F.Atom("p")), step)) == (
-        "TypeError", "cannot evaluate CommonKnows('C(p)')")
+        "DepthExceedsWindow", "succ undefined at w|w;0")
 
 
 def test_errors_come_from_the_leftmost_failing_node():

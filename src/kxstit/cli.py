@@ -94,7 +94,7 @@ def cmd_soundness(args):
     policy = SuitePolicy(**{f.name: cfg[f.name] for f in fields(SuitePolicy) if f.name in cfg})
     count = cfg["models"]
     n_bound = cfg.get("n_bound", 2)
-    models = model_grid(count, base_seed=cfg.get("base_seed", 0), n_bound=n_bound)
+    models = model_grid(count, base_seed=cfg.get("base_seed", 0))
     rep = soundness_suite(models, policy, n_bounds=[n_bound] * count)
     rep2 = derived_theorem_suite(models, policy, n_bounds=[n_bound] * count)
     print("axioms:")
@@ -131,8 +131,7 @@ def cmd_gen(args):
         else:
             text = bdt_to_kripke(scenario).dumps()
     else:
-        params = GenParams(seed=args.seed, agent_count=args.agents, n_bound=args.n,
-                           box_class_count=args.classes)
+        params = GenParams(seed=args.seed, agent_count=args.agents, box_class_count=args.classes)
         text = random_model(params).dumps()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -205,7 +204,6 @@ def build_parser():
     sp = sub.add_parser("gen", help="emit a generated model (or the built-in scenario)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--agents", type=int, default=2)
-    sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--classes", type=int, default=2)
     sp.add_argument("--figure1", choices=["a", "b"], help="emit the built-in bomb-squad model")
     sp.add_argument("--scenario", action="store_true",

@@ -448,8 +448,8 @@ def actualize(source, n=None, max_worlds=MAX_MATRIX_WORLDS):
     equal cells in a family share one frozenset.
 
     Returns (matrix window, projection to source worlds).  Raises
-    MatrixTooLarge, before building any world, when the matrix would have
-    more than ``max_worlds`` worlds.
+    MatrixTooLarge, before building any world, option vector or padded
+    enumeration, when the matrix would have more than ``max_worlds`` worlds.
     """
     if n is not None and n < 1:
         raise InvalidBound("n must be positive")
@@ -463,22 +463,27 @@ def actualize(source, n=None, max_worlds=MAX_MATRIX_WORLDS):
     reps = {}  # least world of a class -> its first world
     for w in source.worlds:
         reps.setdefault(min(source.box_cell(w)), w)
+    tables = {key: choice_profiles(source, w) for key, w in reps.items()}  # unpadded
     if n is None:
-        n = max(choice_profiles(source, w).n for w in reps.values())
-    tables = {key: choice_profiles(source, w, n=n) for key, w in reps.items()}
-
+        n = max(t.n for t in tables.values())
     table_of = {w: tables[min(source.box_cell(w))] for w in source.worlds}
     agents = list(source.agents)
-    vec_space = list(itertools.product(range(n), repeat=len(agents)))
-    options = {}  # world -> the vectors whose sum mod n indexes its coalition cell
+    # count before building any padded enumeration or vector: a world's
+    # coalition cell has these indices in its enumeration padded to n (the
+    # last cell repeats, cells from index n on are cut off), and
+    # n ** (agents - 1) vectors sum to each residue mod n
+    ks = {}
     for v in source.worlds:
-        t = table_of[v]
-        ks = {k for k, c in enumerate(t.enumeration[t.profile_of_world[v]]) if c == source.ags_cell(v)}
-        options[v] = [vec for vec in vec_space if sum(vec) % n in ks]
+        cells = table_of[v].cells_by_profile[table_of[v].profile_of_world[v]]
+        i = cells.index(source.ags_cell(v))
+        ks[v] = range(i, n if i == len(cells) - 1 else min(i + 1, n))
     chains = {w: _chain(source, w) for w in source.worlds}
-    size = sum(math.prod(len(options[v]) for v in chains[w]) for w in source.worlds)
+    size = sum(math.prod(len(ks[v]) * n ** (len(agents) - 1) for v in chains[w]) for w in source.worlds)
     if size > max_worlds:
         raise MatrixTooLarge(size, max_worlds)
+    vec_space = list(itertools.product(range(n), repeat=len(agents)))
+    # world -> the vectors whose sum mod n indexes its coalition cell
+    options = {v: [vec for vec in vec_space if sum(vec) % n in ks[v]] for v in source.worlds}
 
     ids = {}  # world id -> MatrixWorld
     by_base = {}
@@ -557,5 +562,6 @@ def actualize(source, n=None, max_worlds=MAX_MATRIX_WORLDS):
     root = min(by_base.get(source.root, ids))
 
     out = WindowModel(agents, ids, layer, interior, source.horizon, root,
-                      steps(source.succ_of), steps(source.pred_of), rel, valuation, ids, tables)
+                      steps(source.succ_of), steps(source.pred_of), rel, valuation, ids,
+                      {key: choice_profiles(source, w, n=n) for key, w in reps.items()})
     return out, projection

@@ -116,13 +116,17 @@ def test_transform_refuses_a_window_with_too_long_ids(fig1a_path, capsys):
 @pytest.mark.parametrize("args", [["validate", "{fig1a}", "--n", "0"],
                                   ["validate", "{fig1a}", "--n", "-3"],
                                   ["transform", "{g}", "actualize", "--root", "{root}", "--n", "0"],
-                                  ["transform", "{g}", "unravel", "--root", "{root}", "--n", "0"]],
-                         ids=["validate-n0", "validate-n-3", "actualize-n0", "unravel-n0"])
+                                  ["transform", "{g}", "unravel", "--root", "{root}", "--n", "0"],
+                                  ["soundness", "--config", "{config}"]],
+                         ids=["validate-n0", "validate-n-3", "actualize-n0", "unravel-n0",
+                              "soundness-n_bound0"])
 def test_bound_below_one_is_a_package_error(args, fig1a_path, tmp_path, capsys):
     g = tmp_path / "g.model"
     assert main(["gen", "--seed", "3", "--out", str(g)]) == 0
     root = json.loads(g.read_text())["worlds"][0]
-    args = [a.format(fig1a=fig1a_path, g=g, root=root) for a in args]
+    config = tmp_path / "suite.json"
+    config.write_text('{"n_bound": 0}')
+    args = [a.format(fig1a=fig1a_path, g=g, root=root, config=config) for a in args]
     assert main(args) == 2
     record = json.loads(capsys.readouterr().err)
     assert record == {"error": "InvalidBound", "message": "n must be positive"}

@@ -11,8 +11,7 @@ from kxstit.model import validate_frame
 
 
 def test_forced_one_world_model():
-    m = random_model(GenParams(seed=4, agent_count=1, n_bound=1,
-                               box_class_count=1, max_class_size=1))
+    m = random_model(GenParams(seed=4, agent_count=1, box_class_count=1, max_class_size=1))
     assert len(m.worlds) == 1 and m.succ[m.worlds[0]] == m.worlds[0]
     assert validate_frame(m, "actual", 1).ok
 
@@ -28,6 +27,19 @@ def test_same_seed_same_model():
 def test_grid_all_valid():
     models = model_grid(60, base_seed=900)
     assert all(validate_frame(m, "actual", 2).ok for m in models)
+
+
+def test_generated_models_are_valid_by_construction():
+    # the generator does not check its models: every condition holds in
+    # both modes at n = 1, the tightest bound, over its parameter ranges
+    for agents, classes, size, coarseness, seed in itertools.product(
+            (1, 2, 3), (1, 2, 3, 4), (1, 2, 3), (0.0, 0.5, 1.0), (0, 1)):
+        m = random_model(GenParams(seed=seed, agent_count=agents, box_class_count=classes,
+                                   epistemic_coarseness=coarseness, max_class_size=size))
+        for mode in ("actual", "super_additive"):
+            assert validate_frame(m, mode, 1).ok, (agents, classes, size, coarseness, seed, mode)
+    # and builds no dense frame for the models it returns
+    assert all(m._frame is None for m in model_grid(30))
 
 
 def test_grid_coverage_includes_multicycle_and_coarse_knowledge():
@@ -72,17 +84,9 @@ def test_generated_model_documents_are_pinned(grid200):
         "8d5c30a13b41caf3222aa1e389a9a6daf24934dff6c3e64a4d1a63083ae278ef"
 
 
-def test_cycle_structure_respected():
-    params = GenParams(seed=1, box_class_count=3, cycle_structure=((0, 1), (2,)))
-    m = random_model(params)
-    assert validate_frame(m, "actual", 2).ok
-    with pytest.raises(UnsatisfiableParams):
-        GenParams(seed=1, box_class_count=3, cycle_structure=((0, 1),)).validate()
-
-
 def test_unsatisfiable_params():
-    for bad in (GenParams(agent_count=0), GenParams(n_bound=0),
-                GenParams(box_class_count=0), GenParams(epistemic_coarseness=2.0)):
+    for bad in (GenParams(agent_count=0), GenParams(box_class_count=0),
+                GenParams(epistemic_coarseness=2.0)):
         with pytest.raises(UnsatisfiableParams):
             bad.validate()
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -517,8 +518,7 @@ def test_window_eval_epistemic_jump_stays_sound(grid50):
         cases.append((w3, p3, base, formulas + [F.parse(t) for t in texts]))
     # the actualized matrix of a frame-valid window, through the composed
     # projection onto the base
-    base = random_model(GenParams(seed=3, agent_count=2, n_bound=1, box_class_count=2,
-                                  max_class_size=2))
+    base = random_model(GenParams(seed=3, agent_count=2, box_class_count=2, max_class_size=2))
     w2, p2 = unravel(base, base.worlds[0], 2)
     assert validate_window(w2, "actual", 1).ok
     mat, mproj = actualize(w2)
@@ -688,8 +688,7 @@ def test_bound_below_one_is_a_value_error(one_world, n):
 
 
 def test_actualize_already_actual_source():
-    m = random_model(GenParams(seed=3, agent_count=2, n_bound=1,
-                               box_class_count=1, max_class_size=2))
+    m = random_model(GenParams(seed=3, agent_count=2, box_class_count=1, max_class_size=2))
     win, proj = unravel(m, m.worlds[0], 2)
     mat, mproj = actualize(win)
     assert validate_window(mat, "actual", 1).ok
@@ -761,6 +760,54 @@ def test_actualize_refuses_a_matrix_over_its_limit(super_additive_fixture):
     assert len(actualize(win, n=2, max_worlds=1280)[0].worlds) == 1280
     with pytest.raises(MatrixTooLarge):
         actualize(win, n=2, max_worlds=1279)
+
+
+@pytest.mark.parametrize("agents, n, max_worlds", [(1, 10**7, MAX_MATRIX_WORLDS), (3, 140, 10)])
+def test_actualize_refuses_before_it_builds_the_options(agents, n, max_worlds):
+    # the padded enumerations and the n ** agents vectors would hold 10^7
+    # and 2.7 * 10^6 entries: the refusal comes from counts alone
+    m = random_model(GenParams(seed=3, agent_count=agents, box_class_count=1))
+    win, _ = unravel(m, "w0_0", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixTooLarge):
+            actualize(win, n=n, max_worlds=max_worlds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_actualize_takes_the_options_in_vector_order(n, super_additive_fixture):
+    # three coalition cells in one profile: n = 1 and 2 cut cells off, n = 4
+    # repeats the last; every matrix world is the next combination, in
+    # product order, of the vectors whose sum mod n indexes the cell
+    t, s = [["a", "b", "c"]], [["a"], ["b"], ["c"]]
+    three = KripkeModel(["a0", "a1"], ["a", "b", "c"], t, {"a": "b", "b": "c", "c": "a"},
+                        {"a0": t, "a1": t}, {"a0": s, "a1": t}, choice_ags=s)
+    for model in (three, super_additive_fixture):
+        win, _ = unravel(model, "a", 1, require_valid=False)
+        options = {}
+        for v in win.worlds:
+            table = choice_profiles(win, v, n=n)
+            cells = table.enumeration[table.profile_of_world[v]]
+            options[v] = [vec for vec in itertools.product(range(n), repeat=2)
+                          if cells[sum(vec) % n] == win.ags_cell(v)]
+        expected = {}
+        for w in win.worlds:
+            chain = [w]
+            while win.pred_of(chain[0]) is not None:
+                chain.insert(0, win.pred_of(chain[0]))
+            while win.succ_of(chain[-1]) is not None:
+                chain.append(win.succ_of(chain[-1]))
+            for count, combo in enumerate(itertools.product(*(options[v] for v in chain))):
+                expected[f"{w}#{count}"] = tuple(sorted(zip(chain, combo)))
+        # and the count that the refusal reads is the matrix's size
+        mat, _ = actualize(win, n=n, max_worlds=len(expected))
+        assert {wid: mw.index_fn for wid, mw in mat.matrix_worlds.items()} == expected
+        with pytest.raises(MatrixTooLarge):
+            actualize(win, n=n, max_worlds=len(expected) - 1)
 
 
 def test_matrix_index_arithmetic(super_additive_fixture):

@@ -19,7 +19,7 @@ from . import formula as F
 from .axioms import SuitePolicy, derived_theorem_suite, soundness_suite
 from .checker import eval_formula, knowledge_report
 from .dot import to_dot
-from .errors import KxstitError, SchemaError
+from .errors import InvalidBound, KxstitError, SchemaError
 from .gen import GenParams, model_grid, random_model
 from .model import check_fields, load_model, read_document, validate_frame
 from .scenario import bdt_to_kripke, figure1_scenario, load_scenario
@@ -94,6 +94,8 @@ def cmd_soundness(args):
     policy = SuitePolicy(**{f.name: cfg[f.name] for f in fields(SuitePolicy) if f.name in cfg})
     count = cfg["models"]
     n_bound = cfg.get("n_bound", 2)
+    if n_bound < 1:  # refused before any model is built, as validate refuses it
+        raise InvalidBound("n must be positive")
     models = model_grid(count, base_seed=cfg.get("base_seed", 0))
     rep = soundness_suite(models, policy, n_bounds=[n_bound] * count)
     rep2 = derived_theorem_suite(models, policy, n_bounds=[n_bound] * count)

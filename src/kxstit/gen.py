@@ -92,60 +92,32 @@ def random_model(params):
 
 
 def _random_epistemic(rng, worlds, succ, r_box, coarseness):
-    """Successor-invariant equivalence built by merging random seed pairs and
-    closing each merge under the successor orbit; a merge is kept only if the
-    uniformity condition (epistemic links extend across whole settledness
-    classes) still holds, with fallback to the identity partition.
-    """
-    parent = {w: w for w in worlds}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union_orbit(u, v):
-        # close (u, v) under the successor permutation on pairs
-        start = (u, v)
-        cur = start
-        while True:
-            a, b = cur
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-            cur = (succ[a], succ[b])
-            if cur == start:
-                break
-
-    def snapshot():
-        groups = {}
-        for w in worlds:
-            groups.setdefault(find(w), set()).add(w)
-        return [frozenset(g) for g in groups.values()]
-
+    """Successor-invariant equivalence from random seed pairs: each pair
+    merges, in a copy of the world-to-cell map, the cells of every pair on
+    its successor orbit, kept only if the cells that meet a settledness class
+    all meet the same classes (uniformity); cells by their first world."""
     box_of = {w: i for i, cell in enumerate(r_box) for w in cell}
-
-    def uniform_ok(cells):
-        # the epistemic cells that meet a class all meet the same classes
-        met = {}  # class -> the classes met by a cell that meets it
-        for cell in cells:
-            boxes = {box_of[w] for w in cell}
-            if any(met.setdefault(b, boxes) != boxes for b in boxes):
-                return False
-        return True
-
-    attempts = max(0, int(round(coarseness * len(worlds))))
-    for _ in range(attempts):
+    cell_of = {w: frozenset([w]) for w in worlds}
+    for _ in range(round(coarseness * len(worlds))):
         u, v = rng.choice(worlds), rng.choice(worlds)
-        if find(u) == find(v):
+        if cell_of[u] == cell_of[v]:
             continue
-        backup = dict(parent)
-        union_orbit(u, v)
-        if not uniform_ok(snapshot()):
-            parent.clear()
-            parent.update(backup)
-    return [sorted(c) for c in snapshot()]
+        cand, a, b = dict(cell_of), u, v
+        while True:
+            if cand[a] != cand[b]:
+                merged = cand[a] | cand[b]
+                cand.update(dict.fromkeys(merged, merged))
+            a, b = succ[a], succ[b]
+            if (a, b) == (u, v):
+                break
+        met = {}  # class -> the classes met by a cell that meets it
+        for cell in set(cand.values()):
+            boxes = {box_of[w] for w in cell}
+            if any(met.setdefault(c, boxes) != boxes for c in boxes):
+                break
+        else:
+            cell_of = cand
+    return [sorted(c) for c in dict.fromkeys(cell_of[w] for w in worlds)]
 
 
 # The operators random_formula draws from, as an (ops, len, bit length)

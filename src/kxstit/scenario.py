@@ -23,6 +23,7 @@ from .model import (FORMAT_VERSION, KripkeModel, by_id, cell_list, cell_map, id_
                     optional, partition_map, read_fields, table_of)
 
 import json
+from itertools import accumulate, product
 from math import prod
 
 
@@ -162,20 +163,13 @@ class BDTScenario:
             if len({tuple(ix[h] for ix in index)
                     for h in self.moment_histories[m]}) == prod(map(len, tables)):
                 continue
-            sel = [None] * len(self.agents)
-
-            def walk(i, current):
-                if not current:
-                    raise BDTInvariantViolation(
-                        "independence_of_agency",
-                        [m], f"empty selection {[min(c) for c in sel[:i]]} at {m}")
-                if i == len(self.agents):
-                    return
-                for cell in self.choice_at[self.agents[i]][m]:
-                    sel[i] = cell
-                    walk(i + 1, current & cell)
-
-            walk(0, set(self.moment_histories[m]))
+            # the first selection, in cell order, with an empty prefix
+            for sel in product(*(self.choice_at[a][m] for a in self.agents)):
+                for i, meet in enumerate(accumulate(sel, frozenset.intersection), 1):
+                    if not meet:
+                        raise BDTInvariantViolation(
+                            "independence_of_agency",
+                            [m], f"empty selection {[min(c) for c in sel[:i]]} at {m}")
 
         # no forget: related successors force related predecessors, whenever
         # both predecessors exist in the finite tree; in bulk, each cell's
@@ -277,11 +271,8 @@ def bdt_to_kripke(scenario):
     paths = [s.history_sits[h] for h in s.histories]
 
     succ = {}
-    at = {m: {} for m in s.moments}     # moment -> history -> situation
-    stutters_at = {}                    # situation -> stutters that freeze it
-    for h, path, p, q in zip(s.histories, paths, pre, post):
-        for m, w in zip(s.history_moments[h], path):
-            at[m][h] = w
+    stutters_at = {}  # situation -> stutters that freeze it
+    for path, p, q in zip(paths, pre, post):
         succ[p] = path[0]
         succ.update(zip(path, path[1:]))
         succ[path[-1]] = q
@@ -290,7 +281,7 @@ def bdt_to_kripke(scenario):
         stutters_at.setdefault(path[-1], []).append(q)
     # cells are built as frozensets, which the model takes as they are
     stutter_cells = [frozenset(pre), *(frozenset([q]) for q in post)]
-    box = {m: frozenset(row.values()) for m, row in at.items()}
+    box = {m: frozenset([s.sit(m, h) for h in hs]) for m, hs in s.moment_histories.items()}
     r_box = [*box.values(), *stutter_cells]
 
     choice = {}
@@ -300,7 +291,7 @@ def bdt_to_kripke(scenario):
             if len(part) == 1:
                 cells.append(box[m])
             else:
-                cells.extend(frozenset(map(at[m].__getitem__, cell)) for cell in part)
+                cells.extend(frozenset([s.sit(m, h) for h in cell]) for cell in part)
         choice[a] = cells
 
     # stutter layers mirror the adjacent real layer, never linking to it

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kxstit.cli import build_parser, main
+from kxstit.model import FORMAT_VERSION, KripkeModel
 
 
 @pytest.fixture(scope="module")
@@ -117,19 +118,47 @@ def test_transform_refuses_a_window_with_too_long_ids(fig1a_path, capsys):
                                   ["validate", "{fig1a}", "--n", "-3"],
                                   ["transform", "{g}", "actualize", "--root", "{root}", "--n", "0"],
                                   ["transform", "{g}", "unravel", "--root", "{root}", "--n", "0"],
-                                  ["soundness", "--config", "{config}"]],
+                                  ["soundness", "--config", "{config}"],
+                                  ["soundness", "--config", "{config0}"],
+                                  ["soundness", "--config", "{config}", "--models", "0"]],
                          ids=["validate-n0", "validate-n-3", "actualize-n0", "unravel-n0",
-                              "soundness-n_bound0"])
+                              "soundness-n_bound0", "soundness-n_bound0-models0",
+                              "soundness-n_bound0-flag-models0"])
 def test_bound_below_one_is_a_package_error(args, fig1a_path, tmp_path, capsys):
+    # the bound is refused before any model is built, so also with no models
     g = tmp_path / "g.model"
     assert main(["gen", "--seed", "3", "--out", str(g)]) == 0
     root = json.loads(g.read_text())["worlds"][0]
-    config = tmp_path / "suite.json"
+    config, config0 = tmp_path / "suite.json", tmp_path / "suite0.json"
     config.write_text('{"n_bound": 0}')
-    args = [a.format(fig1a=fig1a_path, g=g, root=root, config=config) for a in args]
+    config0.write_text('{"n_bound": 0, "models": 0}')
+    args = [a.format(fig1a=fig1a_path, g=g, root=root, config=config, config0=config0)
+            for a in args]
     assert main(args) == 2
     record = json.loads(capsys.readouterr().err)
     assert record == {"error": "InvalidBound", "message": "n must be positive"}
+
+
+CYCLE_SCENARIO = {"format_version": FORMAT_VERSION, "agents": ["x"], "moments": ["a", "b", "c"],
+                  "parent": {"b": "c", "c": "b"}, "choice_at": {}, "epistemic_sit": {},
+                  "valuation_sit": {}}
+UVW = KripkeModel(["a"], ["u", "v", "w"], [["u", "v"], ["w"]], {"u": "w", "v": "w", "w": "u"},
+                  {"a": [["u", "v"], ["w"]]}, {"a": [["u", "v"], ["w"]]})
+
+
+@pytest.mark.parametrize("text, args, record", [
+    (json.dumps(CYCLE_SCENARIO), ["check", "{path}", "--world", "a_h1", "--formula", "p"],
+     {"error": "SchemaError", "message": "parent map has a cycle through b"}),
+    (UVW.dumps(), ["transform", "{path}", "unravel", "--root", "u"],
+     {"error": "InvalidModel", "message": "successor map is not invertible"}),
+    ("[1]", ["check", "{path}", "--world", "u", "--formula", "p"],
+     {"error": "SchemaError", "message": "model document must be an object"}),
+], ids=["scenario-parent-cycle", "unravel-not-invertible", "model-array"])
+def test_error_records_of_malformed_inputs(text, args, record, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([a.format(path=path) for a in args]) == 2
+    assert json.loads(capsys.readouterr().err) == record
 
 
 def test_soundness_subcommand(tmp_path, capsys):

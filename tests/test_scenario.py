@@ -119,6 +119,26 @@ def test_independence_violation_raises():
     assert e.value.condition == "independence_of_agency"
 
 
+@pytest.mark.parametrize("choice_at, message", [
+    ({"a": {"m1": [["h1", "h2"], ["h3", "h4"]]}, "b": {"m1": [["h1", "h2"], ["h3", "h4"]]}},
+     "empty selection ['h1', 'h3'] at m1"),
+    ({"a": {"m1": [["h1", "h2"], ["h3", "h4"]]}, "b": {"m1": [["h1", "h3"], ["h2", "h4"]]},
+      "c": {"m1": [["h1", "h4"], ["h2", "h3"]]}},
+     "empty selection ['h1', 'h1', 'h2'] at m1"),
+], ids=["empties-at-second-agent", "empties-at-third-agent"])
+def test_independence_witness_is_the_first_emptying_prefix(choice_at, message):
+    # one root moment, four histories; the selections are taken in cell
+    # order, agent by agent, and the witness names the least history of
+    # each cell of the first prefix whose histories meet in nothing
+    s = BDTScenario(["a", "b", "c"], ["m1", "m2", "m3", "m4", "m5"],
+                    {m: "m1" for m in ("m2", "m3", "m4", "m5")}, choice_at,
+                    {"a": None, "b": None, "c": None}, {})
+    with pytest.raises(BDTInvariantViolation) as e:
+        s.check_invariants()
+    assert (e.value.condition, e.value.witnesses) == ("independence_of_agency", ["m1"])
+    assert str(e.value) == f"scenario violates independence_of_agency: {message}"
+
+
 def test_no_forget_violation_raises():
     # agent merges the two leaf situations but distinguishes their parents
     s = BDTScenario(

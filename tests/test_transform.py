@@ -19,7 +19,7 @@ from kxstit.checker import (check_refinement, eval_formula, extension, knowledge
                             valid_on_model)
 from kxstit.errors import (DepthExceedsWindow, HorizonTooSmall, InvalidModel, KxstitError,
                            MatrixTooLarge, PartialMap, SourceNotIrreflexive, UnknownAgent,
-                           WindowTooLarge)
+                           WindowTooLarge, WindowTooSmall)
 from kxstit.gen import GenParams, model_grid, random_formula, random_model
 from kxstit.model import DenseFrame, KripkeModel, _bits, check_frame, family_names, validate_frame
 from kxstit.transform import (MAX_MATRIX_WORLDS, MorphismReport, WindowModel, _window_masks, actualize,
@@ -674,6 +674,16 @@ def test_actualize_requires_irreflexive_interior(one_world):
     win = _rebuilt(win, succ={**win.succ, "w;1": "w;1"})
     with pytest.raises(SourceNotIrreflexive):
         actualize(win)
+
+
+def test_a_window_without_interior_is_too_small(one_world):
+    win, _ = unravel(one_world, "w", 2)
+    empty = _rebuilt(win, interior=())
+    # with no world mapped, the morphism check has no root and no interior row
+    for call in (lambda: actualize(empty), lambda: check_bounded_morphism({}, empty, one_world)):
+        with pytest.raises(WindowTooSmall) as e:
+            call()
+        assert str(e.value) == "window has no interior"
 
 
 @pytest.mark.parametrize("n", [0, -3])
